@@ -13,7 +13,6 @@ no self-referential error proxy is needed.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,7 +20,8 @@ import numpy as np
 from .groundstate import ground_state
 from .hamiltonians import HamiltonianSpec
 from .partitions import PartitionSpec, reflection_partition, three_segment_partition
-from .protocols import ProtocolParams, estimate_normalized, estimate_raw, run_campaign
+from .protocols import NORMALIZED_KINDS, ProtocolParams, estimate_raw, estimate_reported, \
+    reported_exact, run_campaign
 from .rdm import exact_invariant
 
 SWEEPABLE = ("j_prime", "delta", "b_field", "pairs", "n_unitaries", "n_shots")
@@ -69,26 +69,24 @@ def _axis_grid(axes) -> list[dict]:
     return points
 
 
+def _hamiltonian_at(spec: SweepSpec, point: dict) -> HamiltonianSpec:
+    updates = {k: v for k, v in point.items() if k in ("j_prime", "delta", "b_field")}
+    return replace(spec.base, **updates) if updates else spec.base
+
+
 def _sweep_point(spec: SweepSpec, point: dict, repetition: int, point_seed: int,
                  ground_cache: dict, failed_solves: dict) -> dict:
     row = {name: point[name] for name, _values in spec.axes}
     row.update(repetition=repetition, kind=spec.kind, mode=spec.mode,
                seed=point_seed, value=None, std_error=None, exact=None, error="")
     try:
-        ham_updates = {k: v for k, v in point.items()
-                       if k in ("j_prime", "delta", "b_field")}
-        ham = replace(spec.base, **ham_updates) if ham_updates else spec.base
+        ham = _hamiltonian_at(spec, point)
         pairs = int(point.get("pairs", spec.pairs))
         partition = _partition_for(spec.kind, ham.num_sites, pairs)
-        key = tuple(sorted(ham.__dict__.items()))
-        if key not in ground_cache:
-            raise RuntimeError(f"ground-state solve failed: {failed_solves.get(key, 'unknown')}")
-        state = ground_cache[key]
-        # reported value: normalized invariant for the two-segment kinds,
-        # raw for d2/klein_bottle (no standard normalization)
-        normalized_kind = spec.kind in ("reflection", "time_reversal")
-        exact = exact_invariant(state, partition, spec.kind)
-        row["exact"] = exact.normalized if normalized_kind else exact.raw
+        if ham not in ground_cache:
+            raise RuntimeError(f"ground-state solve failed: {failed_solves.get(ham, 'unknown')}")
+        state = ground_cache[ham]
+        row["exact"] = reported_exact(exact_invariant(state, partition, spec.kind))
         if spec.mode == "exact":
             row["value"] = row["exact"]
         else:
@@ -96,9 +94,7 @@ def _sweep_point(spec: SweepSpec, point: dict, repetition: int, point_seed: int,
                 spec.kind, int(point.get("n_unitaries", spec.n_unitaries)),
                 int(point.get("n_shots", spec.n_shots)), partition, point_seed,
             )
-            records = run_campaign(state, params)
-            est = estimate_normalized(records, params) if normalized_kind \
-                else estimate_raw(records, params)
+            est = estimate_reported(run_campaign(state, params), params)
             row["value"] = est.value
             row["std_error"] = est.std_error
     except Exception as exc:  # per-point failures must not kill the sweep
@@ -106,46 +102,32 @@ def _sweep_point(spec: SweepSpec, point: dict, repetition: int, point_seed: int,
     return row
 
 
-def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[dict]:
+def run_sweep(spec: SweepSpec) -> list[dict]:
     """Evaluate the sweep grid; rows are ordered by the axis tuples and are
-    a pure function of (spec, master_seed) regardless of ``jobs``.
+    a pure function of (spec, master_seed).
 
     Ground states are solved once per distinct Hamiltonian up front; the
-    grid points are then independent tasks with pre-assigned seeds, so a
-    worker pool changes nothing but wall time.
+    grid points are then evaluated in order with pre-assigned seeds.
     """
     seed_rng = np.random.default_rng(spec.master_seed)
     tasks = []
-    ground_cache: dict[tuple, object] = {}
-    failed_solves: dict[tuple, str] = {}
+    ground_cache: dict[HamiltonianSpec, object] = {}
+    failed_solves: dict[HamiltonianSpec, str] = {}
     for point in _axis_grid(spec.axes):
         for repetition in range(spec.repetitions):
-            point_seed = int(seed_rng.integers(0, 2 ** 63 - 1))
-            tasks.append((point, repetition, point_seed))
-            ham_updates = {k: v for k, v in point.items()
-                           if k in ("j_prime", "delta", "b_field")}
+            tasks.append((point, repetition, int(seed_rng.integers(0, 2 ** 63 - 1))))
+        try:
+            ham = _hamiltonian_at(spec, point)
+        except Exception:
+            continue  # recorded per row when the point runs
+        if ham not in ground_cache and ham not in failed_solves:
             try:
-                ham = replace(spec.base, **ham_updates) if ham_updates else spec.base
-            except Exception:
-                continue  # recorded per-row when the point runs
-            key = tuple(sorted(ham.__dict__.items()))
-            if key not in ground_cache and key not in failed_solves:
-                try:
-                    ground_cache[key] = ground_state(ham, seed=0).state
-                except Exception as exc:
-                    failed_solves[key] = f"{type(exc).__name__}: {exc}"
+                ground_cache[ham] = ground_state(ham, seed=0).state
+            except Exception as exc:
+                failed_solves[ham] = f"{type(exc).__name__}: {exc}"
 
-    def evaluate(task):
-        point, repetition, point_seed = task
-        return _sweep_point(spec, point, repetition, point_seed, ground_cache,
-                            failed_solves)
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(evaluate, tasks))
-    return [evaluate(task) for task in tasks]
+    return [_sweep_point(spec, point, repetition, point_seed, ground_cache, failed_solves)
+            for point, repetition, point_seed in tasks]
 
 
 def write_rows_csv(path, rows: list[dict]) -> None:
@@ -156,24 +138,6 @@ def write_rows_csv(path, rows: list[dict]) -> None:
         writer = csv.DictWriter(handle, fieldnames=fields, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
-
-
-def write_sidecar_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True, default=_json_default)
-        handle.write("\n")
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if hasattr(obj, "__dict__"):
-        return obj.__dict__
-    raise TypeError(f"cannot serialize {type(obj)}")
 
 
 # -- correlation length ------------------------------------------------------
@@ -216,6 +180,41 @@ def fit_correlation_length(pair_counts, values, target_sign: float | None = None
     if slope >= 0.0:
         return CorrelationLengthFit(np.inf, points, sign, residual, flag="non_decaying")
     return CorrelationLengthFit(float(-1.0 / slope), points, sign, residual)
+
+
+def correlation_length_fits(kind: str, rows: list[dict]) -> tuple[list[dict], list[dict]]:
+    """One correlation-length fit per series of sweep rows along the pairs
+    axis, a series per combination of the other axes; rows with an error
+    are left out.
+
+    Returns ``(fits, skipped)``. A series the fit rejects (fewer than
+    ``FIT_POINT_COUNT`` points, or some |value| >= 1) goes to ``skipped``
+    with its pair counts, values and the reason. Only kinds with a
+    normalized, quantized value are fitted.
+    """
+    fits, skipped = [], []
+    if kind not in NORMALIZED_KINDS:
+        return fits, skipped
+    by_pairs = [row for row in rows if "pairs" in row and not row["error"]]
+    other_keys = sorted({k for row in by_pairs for k in row
+                         if k not in ("pairs", "repetition", "kind", "mode",
+                                      "seed", "value", "std_error", "exact", "error")})
+    groups: dict[tuple, list] = {}
+    for row in by_pairs:
+        groups.setdefault(tuple(row[k] for k in other_keys), []).append(row)
+    for group_key, group in groups.items():
+        group.sort(key=lambda row: row["pairs"])
+        pair_counts = [row["pairs"] for row in group]
+        values = [row["value"] for row in group]
+        labels = {"kind": kind, **dict(zip(other_keys, group_key))}
+        try:
+            fit = fit_correlation_length(pair_counts, values)
+        except ValueError as exc:
+            skipped.append({**labels, "pair_counts": pair_counts, "values": values,
+                            "reason": str(exc)})
+            continue
+        fits.append({**labels, "length_scale": fit.length_scale, "flag": fit.flag})
+    return fits, skipped
 
 
 # -- error scaling -------------------------------------------------------------

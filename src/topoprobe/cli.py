@@ -35,9 +35,21 @@ def _payload(config: RunConfig | None, master_seed, schema: str, result) -> dict
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True, default=analysis._json_default)
+        json.dump(payload, handle, indent=2, sort_keys=True, default=_json_default)
         handle.write("\n")
     print(path)
+
+
+def _json_default(obj):
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.floating,)):
+        return float(obj)
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if hasattr(obj, "__dict__"):
+        return obj.__dict__
+    raise TypeError(f"cannot serialize {type(obj)}")
 
 
 def _out_dir(args, config: RunConfig | None) -> Path:
@@ -74,6 +86,13 @@ def _prepared_state(config: RunConfig, seed: int) -> tuple[SpinState, object]:
     return ground_state(spec, seed=0).state, spec
 
 
+def _protocol_params(config: RunConfig, partition, seed: int) -> protocols.ProtocolParams:
+    return protocols.ProtocolParams(
+        config.require("protocol", "kind"), config.require("protocol", "n_unitaries"),
+        config.require("protocol", "n_shots"), partition, seed,
+    )
+
+
 def cmd_invariants(args) -> int:
     config = load_config(args.config)
     seed = _seed(args, config)
@@ -88,17 +107,10 @@ def cmd_invariants(args) -> int:
             "purity_first": value.purity_first, "purity_second": value.purity_second,
         }
     else:
-        params = protocols.ProtocolParams(
-            kind, config.require("protocol", "n_unitaries"),
-            config.require("protocol", "n_shots"), partition, seed,
-        )
-        records = protocols.run_campaign(state, params)
-        normalized_kind = kind in ("reflection", "time_reversal")
-        est = protocols.estimate_normalized(records, params) if normalized_kind \
-            else protocols.estimate_raw(records, params)
+        params = _protocol_params(config, partition, seed)
+        est = protocols.estimate_reported(protocols.run_campaign(state, params), params)
         if args.exact_reference:
-            exact = exact_invariant(state, partition, kind)
-            reference = exact.normalized if normalized_kind else exact.raw
+            reference = protocols.reported_exact(exact_invariant(state, partition, kind))
             est = replace(est, exact_reference=reference)
         body = {
             "kind": kind, "mode": "sampled", "value": est.value,
@@ -133,9 +145,7 @@ def cmd_sweep(args) -> int:
     config = load_config(args.config)
     seed = _seed(args, config)
     kinds = config.get("sweep", "kinds") or (config.require("protocol", "kind"),)
-    jobs = args.jobs or config.get("run", "jobs", 1)
-    specs = [_sweep_spec(config, kind, seed) for kind in kinds]
-    tables = [analysis.run_sweep(spec, jobs=jobs) for spec in specs]
+    tables = [analysis.run_sweep(_sweep_spec(config, kind, seed)) for kind in kinds]
     rows = []
     for table in tables:
         rows.extend(table)
@@ -145,27 +155,15 @@ def cmd_sweep(args) -> int:
     analysis.write_rows_csv(csv_path, rows)
     sidecar = _payload(config, seed, "sweep", {"rows": len(rows), "csv": csv_path.name})
     # correlation-length fits whenever the interval size is an axis
-    fits = []
+    fits, skipped = [], []
     for kind, table in zip(kinds, tables):
-        by_pairs = [row for row in table if "pairs" in row and not row["error"]]
-        if len(by_pairs) >= 3 and kind in ("reflection", "time_reversal"):
-            other_keys = sorted({k for row in by_pairs for k in row
-                                 if k not in ("pairs", "repetition", "kind", "mode",
-                                              "seed", "value", "std_error", "exact", "error")})
-            groups: dict[tuple, list] = {}
-            for row in by_pairs:
-                groups.setdefault(tuple(row[k] for k in other_keys), []).append(row)
-            for group_key, group in groups.items():
-                group.sort(key=lambda row: row["pairs"])
-                values = [row["value"] for row in group]
-                if len(values) < 3 or any(abs(v) >= 1 for v in values):
-                    continue
-                fit = analysis.fit_correlation_length([row["pairs"] for row in group], values)
-                fits.append({"kind": kind,
-                             **dict(zip(other_keys, group_key)),
-                             "length_scale": fit.length_scale, "flag": fit.flag})
+        kind_fits, kind_skipped = analysis.correlation_length_fits(kind, table)
+        fits += kind_fits
+        skipped += kind_skipped
     if fits:
         sidecar["result"]["correlation_lengths"] = fits
+    if skipped:
+        sidecar["result"]["correlation_lengths_skipped"] = skipped
     _write_json(out / "sweep.json", sidecar)
     print(csv_path)
     return 0
@@ -206,10 +204,7 @@ def cmd_error_scan(args) -> int:
     seed = _seed(args, config)
     state, spec = _prepared_state(config, seed)
     partition = config.partition(spec.num_sites)
-    params = protocols.ProtocolParams(
-        config.require("protocol", "kind"), config.require("protocol", "n_unitaries"),
-        config.require("protocol", "n_shots"), partition, seed,
-    )
+    params = _protocol_params(config, partition, seed)
     rows = analysis.error_scaling_scan(
         state, params, config.require("error_scan", "axis"),
         [int(v) for v in config.require("error_scan", "values")],
@@ -243,10 +238,7 @@ def cmd_campaign_export(args) -> int:
     seed = _seed(args, config)
     state, spec = _prepared_state(config, seed)
     partition = config.partition(spec.num_sites)
-    params = protocols.ProtocolParams(
-        config.require("protocol", "kind"), config.require("protocol", "n_unitaries"),
-        config.require("protocol", "n_shots"), partition, seed,
-    )
+    params = _protocol_params(config, partition, seed)
     records = protocols.run_campaign(state, params)
     out = _out_dir(args, config)
     out.mkdir(parents=True, exist_ok=True)
@@ -264,7 +256,7 @@ def cmd_campaign_analyze(args) -> int:
         "n_unitaries": params.n_unitaries, "n_shots": params.n_shots,
         "master_seed": params.master_seed,
     }
-    if params.kind in ("reflection", "time_reversal"):
+    if params.kind in protocols.NORMALIZED_KINDS:
         norm = protocols.estimate_normalized(records, params)
         body["normalized_value"] = norm.value
         body["normalized_std_error"] = norm.std_error
@@ -284,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
         if config_required:
             p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
-        p.add_argument("--jobs", type=int, default=None, help="worker cap for sweeps")
         p.add_argument("--out", default=None, help="output directory")
 
     common(sub.add_parser("ground-state", help="solve for the ground state"))

@@ -12,6 +12,7 @@ from typing import Any
 
 from .hamiltonians import HamiltonianSpec
 from .partitions import PartitionSpec, reflection_partition, three_segment_partition
+from .rdm import KINDS
 
 
 class ConfigError(ValueError):
@@ -25,26 +26,35 @@ _SCHEMA: dict[str, dict[str, str]] = {
         "neel_weight": "float",
     },
     "partition": {"pairs": "int", "layout": "str"},
-    "protocol": {"kind": "str", "n_unitaries": "int", "n_shots": "int"},
+    "protocol": {"kind": "kind", "n_unitaries": "int", "n_shots": "int"},
     "ramp": {
         "t_final": "float", "dt": "float", "neel_delta": "float",
-        "exponent": "int", "sample_times": "floats", "monitor": "strs",
+        "exponent": "int", "sample_times": "floats", "monitor": "kinds",
     },
     "sweep": {
-        "kinds": "strs", "mode": "str", "repetitions": "int",
+        "kinds": "kinds", "mode": "str", "repetitions": "int",
         "axis_j_prime": "floats", "axis_delta": "floats", "axis_b_field": "floats",
         "axis_pairs": "floats", "axis_n_unitaries": "floats", "axis_n_shots": "floats",
     },
     "error_scan": {"axis": "str", "values": "floats", "repetitions": "int"},
-    "run": {"master_seed": "int", "out": "str", "jobs": "int"},
+    "run": {"master_seed": "int", "out": "str"},
 }
+
+
+def _kind(text: str) -> str:
+    if text not in KINDS:
+        raise ValueError(f"{text!r} is not an invariant kind; "
+                         f"expected one of {', '.join(KINDS)}")
+    return text
+
 
 _PARSERS = {
     "int": int,
     "float": float,
     "str": str,
     "floats": lambda text: tuple(float(x) for x in text.split(",")),
-    "strs": lambda text: tuple(x.strip() for x in text.split(",")),
+    "kind": _kind,
+    "kinds": lambda text: tuple(_kind(x.strip()) for x in text.split(",")),
 }
 
 
@@ -61,9 +71,6 @@ class RunConfig:
         if value is None:
             raise ConfigError(f"missing required key {section}.{key}")
         return value
-
-    def has_section(self, section: str) -> bool:
-        return section in self.sections
 
     def as_dict(self) -> dict:
         return {name: dict(body) for name, body in self.sections.items()}

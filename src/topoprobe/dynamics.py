@@ -22,8 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hamiltonians import HamiltonianSpec, compile_hamiltonian, exchange_bonds, \
-    staggered_signs
+from .hamiltonians import HamiltonianSpec, _z_signs, exchange_bonds, staggered_signs
 from .partitions import PartitionSpec
 from .rdm import exact_invariant
 from .spincore import PAULI_X, PAULI_Y, PAULI_Z, SpinState, neel_state
@@ -95,8 +94,7 @@ class TrotterStepper:
             h4 = _bond_hamiltonian(coupling, spec.delta, spec.b_field)
             gate = _bond_gate(h4, dt / 2.0)
             (self.even_bonds if left % 2 == 0 else self.odd_bonds).append((left, gate))
-        indices = np.arange(spec.dim)
-        zsign = 1.0 - 2.0 * ((indices[:, None] >> np.arange(n)[None, :]) & 1)
+        zsign = _z_signs(n)
         self.static_diag = spec.pinning * zsign[:, 0]
         self.neel_diag = zsign @ staggered_signs(n)
 
@@ -164,11 +162,6 @@ def _check_norm(amps: np.ndarray) -> None:
     drift = abs(np.linalg.norm(amps) - 1.0)
     if drift > NORM_DRIFT_TOL:
         raise RuntimeError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL:.0e}; reduce dt")
-
-
-def energy_expectation(spec: HamiltonianSpec, state: SpinState) -> float:
-    ham = compile_hamiltonian(spec)
-    return float(np.real(np.vdot(state.amplitudes, ham.apply(state.amplitudes))))
 
 
 def monitor_invariants(snapshots: list[tuple[float, SpinState]],

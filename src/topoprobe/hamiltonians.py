@@ -20,7 +20,7 @@ small N.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,9 +57,6 @@ class HamiltonianSpec:
         if not 0.0 <= self.neel_weight <= 1.0:
             raise ValueError(f"neel_weight must be in [0, 1], got {self.neel_weight}")
 
-    def with_neel_weight(self, weight: float) -> "HamiltonianSpec":
-        return replace(self, neel_weight=weight)
-
     @property
     def dim(self) -> int:
         return 2 ** self.num_sites
@@ -80,6 +77,13 @@ def staggered_signs(num_sites: int) -> np.ndarray:
     return np.array([1.0 if i % 2 == 0 else -1.0 for i in range(num_sites)])
 
 
+def _z_signs(num_sites: int) -> np.ndarray:
+    """sigma_z eigenvalue (+1 up, -1 down) of every site in every basis
+    state, shape (2^N, N)."""
+    indices = np.arange(2 ** num_sites)
+    return 1.0 - 2.0 * ((indices[:, None] >> np.arange(num_sites)[None, :]) & 1)
+
+
 class CompiledHamiltonian:
     """Precomputed index tables so repeated matvecs stay cheap."""
 
@@ -88,7 +92,7 @@ class CompiledHamiltonian:
         n = spec.num_sites
         dim = spec.dim
         indices = np.arange(dim)
-        zsign = 1.0 - 2.0 * ((indices[:, None] >> np.arange(n)[None, :]) & 1)
+        zsign = _z_signs(n)
 
         # diagonal: zz exchange parts + staggered field + pinning
         diag = np.zeros(dim)
@@ -211,9 +215,7 @@ def dense_matrix(spec: HamiltonianSpec) -> np.ndarray:
 
 def magnetization_diagonal(num_sites: int) -> np.ndarray:
     """Eigenvalues of sum_i sigma_i^z per basis state."""
-    indices = np.arange(2 ** num_sites)
-    bits = (indices[:, None] >> np.arange(num_sites)[None, :]) & 1
-    return (1.0 - 2.0 * bits).sum(axis=1)
+    return _z_signs(num_sites).sum(axis=1)
 
 
 def site_z_expectation(state: SpinState, site: int) -> float:

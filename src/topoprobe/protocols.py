@@ -39,9 +39,12 @@ import numpy as np
 from .partitions import PartitionSpec
 from .spincore import PAULI_X, PAULI_Y, SpinState, apply_matrix_at_site, \
     reflection_permutation
-from .spincore import _marginal_from_amplitudes
+from .spincore import _marginal_from_amplitudes, _multinomial_counts
 
 PROTOCOL_KINDS = ("reflection", "time_reversal", "d2", "klein_bottle", "purity")
+# kinds whose reported value is the purity-normalized invariant; d2 and
+# klein_bottle have no standard normalization and report the raw value
+NORMALIZED_KINDS = ("reflection", "time_reversal")
 BOOTSTRAP_RESAMPLES = 200
 
 # single-site Hamming weight kernel: (-2)^(-D) between two outcomes
@@ -65,11 +68,7 @@ class ProtocolParams:
             raise ValueError("n_unitaries must be >= 2 (resampling needs at least 2)")
         if self.n_shots < 2:
             raise ValueError("n_shots must be >= 2 (pair correction needs at least 2)")
-        expect_three = self.kind in ("d2", "klein_bottle")
-        if expect_three and not self.partition.is_three_segment_layout:
-            raise ValueError(f"{self.kind} needs a three-segment partition")
-        if not expect_three and not self.partition.is_reflection_layout:
-            raise ValueError(f"{self.kind} needs a two-segment reflection partition")
+        _check_layout(self.kind, self.partition)
 
 
 @dataclass(frozen=True)
@@ -185,24 +184,15 @@ def _assemble_pattern(kind: str, partition: PartitionSpec, draws: np.ndarray) ->
 def _check_layout(kind: str, partition: PartitionSpec) -> None:
     if kind in ("d2", "klein_bottle"):
         if not partition.is_three_segment_layout:
-            raise ValueError(f"{kind} pattern needs a three-segment partition")
+            raise ValueError(f"{kind} needs a three-segment partition")
     elif not partition.is_reflection_layout:
-        raise ValueError(f"{kind} pattern needs a two-segment reflection partition")
+        raise ValueError(f"{kind} needs a two-segment reflection partition")
 
 
 def build_pattern(kind: str, partition: PartitionSpec, rng: np.random.Generator) -> UnitaryPattern:
     """Draw one unitary pattern with the correlation structure of ``kind``."""
     _check_layout(kind, partition)
     return _assemble_pattern(kind, partition, sample_cue(rng, _pattern_draw_count(kind, partition)))
-
-
-def apply_pattern(state: SpinState, pattern_matrices: np.ndarray,
-                  partition: PartitionSpec) -> SpinState:
-    """Apply one experiment's per-site unitaries to the interval sites."""
-    amps = state.amplitudes
-    for site, mat in zip(partition.sites, pattern_matrices):
-        amps = apply_matrix_at_site(amps, state.num_sites, site, mat)
-    return SpinState(state.num_sites, amps)
 
 
 # -- campaigns ----------------------------------------------------------------
@@ -230,7 +220,6 @@ def run_campaign(state: SpinState, params: ProtocolParams,
     partition = params.partition
     if partition.num_sites != state.num_sites:
         raise ValueError("partition chain size does not match state")
-    _check_layout(params.kind, partition)
     sites = partition.sites
     num_sites = state.num_sites
     n_unitaries = params.n_unitaries
@@ -260,17 +249,10 @@ def run_campaign(state: SpinState, params: ProtocolParams,
             if exact_probabilities:
                 records.append(MeasurementRecord(u_index, exp_index, probs, exact=True))
             else:
-                rng = np.random.default_rng(shot_stream)
-                counts = np.asarray(
-                    rng.multinomial(params.n_shots, _clean_probabilities(probs))
-                )
+                counts = _multinomial_counts(probs, params.n_shots,
+                                             np.random.default_rng(shot_stream))
                 records.append(MeasurementRecord(u_index, exp_index, counts))
     return records
-
-
-def _clean_probabilities(probs: np.ndarray) -> np.ndarray:
-    probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum()
 
 
 # -- estimator internals -------------------------------------------------------
@@ -307,23 +289,26 @@ def _apply_kernel_rows(matrix: np.ndarray, kernels: list[np.ndarray]) -> np.ndar
     return out
 
 
-def _bootstrap_std(per_unitary: np.ndarray, master_seed: int) -> float:
+def _bootstrap_std(per_unitary: np.ndarray, master_seed: int, normalizer=None) -> float:
+    """Bootstrap standard error of the mean over the unitary axis.
+
+    For a ratio statistic, ``normalizer`` maps the index arrays to its
+    denominator, which is then resampled jointly with the numerator.
+    """
     rng = np.random.default_rng(_analysis_stream(master_seed))
     n = per_unitary.shape[0]
     picks = rng.integers(0, n, size=(BOOTSTRAP_RESAMPLES, n))
-    return float(np.std(per_unitary[picks].mean(axis=1)))
-
-
-def _bootstrap_std_ratio(numerator: np.ndarray, normalizer, master_seed: int) -> float:
-    """Bootstrap a ratio statistic jointly over the unitary axis.
-
-    ``normalizer`` maps index arrays to the denominator of the statistic.
-    """
-    rng = np.random.default_rng(_analysis_stream(master_seed))
-    n = numerator.shape[0]
-    picks = rng.integers(0, n, size=(BOOTSTRAP_RESAMPLES, n))
-    values = numerator[picks].mean(axis=1) / normalizer(picks)
+    values = per_unitary[picks].mean(axis=1)
+    if normalizer is not None:
+        values = values / normalizer(picks)
     return float(np.std(values))
+
+
+def _mean_result(per_unitary: np.ndarray, params: ProtocolParams,
+                 kind: str) -> EstimatorResult:
+    return EstimatorResult(float(per_unitary.mean()),
+                           _bootstrap_std(per_unitary, params.master_seed),
+                           kind, params.n_unitaries, params.n_shots, params.master_seed)
 
 
 # -- estimators ----------------------------------------------------------------
@@ -354,11 +339,7 @@ def estimate_reflection(records: list[MeasurementRecord],
     """Reflection invariant from mirror-paired randomized measurements."""
     if params.kind != "reflection":
         raise ValueError(f"records come from a {params.kind!r} campaign")
-    per_unitary = per_unitary_reflection(records, params)
-    return EstimatorResult(float(per_unitary.mean()),
-                           _bootstrap_std(per_unitary, params.master_seed),
-                           params.kind, params.n_unitaries, params.n_shots,
-                           params.master_seed)
+    return _mean_result(per_unitary_reflection(records, params), params, params.kind)
 
 
 def _segment_counts(matrix: np.ndarray, partition: PartitionSpec, segment: int) -> np.ndarray:
@@ -397,11 +378,8 @@ def estimate_purity(records: list[MeasurementRecord], params: ProtocolParams,
                     segment: int, experiment: int = 1) -> EstimatorResult:
     """Segment purity from the same campaign records (second-order in the
     outcome frequencies, with the finite-shot pair correction)."""
-    per_unitary = per_unitary_purity(records, params, segment, experiment)
-    return EstimatorResult(float(per_unitary.mean()),
-                           _bootstrap_std(per_unitary, params.master_seed),
-                           "purity", params.n_unitaries, params.n_shots,
-                           params.master_seed)
+    return _mean_result(per_unitary_purity(records, params, segment, experiment), params,
+                        "purity")
 
 
 def _cross_kernels(partition: PartitionSpec, kind: str) -> tuple[list[np.ndarray], int]:
@@ -432,11 +410,7 @@ def _estimate_cross(records: list[MeasurementRecord], params: ProtocolParams,
                     kind: str) -> EstimatorResult:
     if params.kind != kind:
         raise ValueError(f"records come from a {params.kind!r} campaign, expected {kind!r}")
-    per_unitary = per_unitary_cross(records, params)
-    return EstimatorResult(float(per_unitary.mean()),
-                           _bootstrap_std(per_unitary, params.master_seed),
-                           kind, params.n_unitaries, params.n_shots,
-                           params.master_seed)
+    return _mean_result(per_unitary_cross(records, params), params, kind)
 
 
 def estimate_time_reversal(records, params) -> EstimatorResult:
@@ -492,9 +466,23 @@ def estimate_normalized(records, params) -> EstimatorResult:
         return np.maximum(mean_p, 1e-12) ** power
 
     value = raw.mean() / (max((purity_1.mean() + purity_2.mean()) / 2.0, 1e-12) ** power)
-    std = _bootstrap_std_ratio(raw, denominator, params.master_seed)
+    std = _bootstrap_std(raw, params.master_seed, denominator)
     return EstimatorResult(float(value), std, params.kind, params.n_unitaries,
                            params.n_shots, params.master_seed)
+
+
+def estimate_reported(records, params) -> EstimatorResult:
+    """The reported estimate: normalized for ``NORMALIZED_KINDS``, raw
+    otherwise."""
+    if params.kind in NORMALIZED_KINDS:
+        return estimate_normalized(records, params)
+    return estimate_raw(records, params)
+
+
+def reported_exact(value) -> float:
+    """The reported number of an exact ``InvariantValue``, by the same rule
+    as ``estimate_reported``."""
+    return value.normalized if value.kind in NORMALIZED_KINDS else value.raw
 
 
 # -- twirling-channel verification ----------------------------------------------
@@ -560,6 +548,8 @@ def write_records(path, records: list[MeasurementRecord], params: ProtocolParams
     parameters."""
     import json
 
+    if any(record.exact for record in records):
+        raise ValueError("exact-probability records are not persisted")
     header = {
         "kind": params.kind,
         "n_unitaries": params.n_unitaries,
@@ -572,8 +562,6 @@ def write_records(path, records: list[MeasurementRecord], params: ProtocolParams
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("#" + json.dumps(header, sort_keys=True) + "\n")
         for record in records:
-            if record.exact:
-                raise ValueError("exact-probability records are not persisted")
             for outcome in np.nonzero(record.counts)[0]:
                 handle.write(
                     f"{record.unitary_index},{record.experiment},{int(outcome)},"

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .partitions import PartitionSpec
-from .spincore import PAULI_X, PAULI_Y, SpinState, reflection_permutation
+from .spincore import SpinState, reflection_permutation
 
 MAX_INTERVAL = 12
 MAX_TWO_COPY_INTERVAL = 9
@@ -154,16 +154,30 @@ def partial_transpose_first_segment(matrix: np.ndarray, first_bits: int,
     return shaped.transpose(0, 3, 2, 1).reshape(matrix.shape)
 
 
-def _apply_sigma_y_segment(matrix: np.ndarray, positions, total_bits: int) -> np.ndarray:
-    """Conjugate by the product of sigma_y over the given bit positions."""
-    out = matrix
-    dim = 2 ** total_bits
-    for pos in positions:
-        view = out.reshape(-1, 2, 2 ** pos, dim)
-        out = np.einsum("ab,xbyc->xayc", PAULI_Y, view).reshape(dim, dim)
-        view = out.reshape(dim, -1, 2, 2 ** pos)
-        out = np.einsum("ab,xcbd->xcad", PAULI_Y.conj(), view).reshape(dim, dim)
+def _conjugate(matrix: np.ndarray, pauli: str, positions) -> np.ndarray:
+    """P M P^dag for P the product of sigma_x (``pauli='x'``) or sigma_y
+    (``'y'``) over the given bit positions.
+
+    Both flip the masked bits, so (P M P^dag)[r, c] = s(r) s(c) M[r^m, c^m]
+    with m the position mask, s(x) = (-1)^popcount(x & m) for sigma_y and
+    s = 1 for sigma_x; the global phase i^k of sigma_y^{otimes k} cancels.
+    """
+    index = np.arange(matrix.shape[0])
+    mask = sum(1 << pos for pos in positions)
+    out = matrix[np.ix_(index ^ mask, index ^ mask)]
+    if pauli == "y":
+        sign = 1.0 - 2.0 * (np.bitwise_count(index & mask) % 2)
+        out *= sign[:, None]
+        out *= sign
     return out
+
+
+def _time_reversed_first_segment(rho: np.ndarray, part: PartitionSpec) -> np.ndarray:
+    """u rho^{T1} u^dag: partial transpose on the first segment, then
+    conjugation by sigma_y on each of its sites."""
+    first = part.segment_positions(0)
+    transposed = partial_transpose_first_segment(rho, len(first), part.interval_size)
+    return _conjugate(transposed, "y", first)
 
 
 def time_reversal_invariant(rdm: ReducedDensityMatrix) -> InvariantValue:
@@ -171,10 +185,7 @@ def time_reversal_invariant(rdm: ReducedDensityMatrix) -> InvariantValue:
     part = rdm.partition
     if not part.is_reflection_layout:
         raise ValueError("time-reversal invariant needs two equal segments")
-    length = part.interval_size
-    n = part.pairs
-    transposed = partial_transpose_first_segment(rdm.matrix, n, length)
-    flipped = _apply_sigma_y_segment(transposed, range(n), length)
+    flipped = _time_reversed_first_segment(rdm.matrix, part)
     # Tr[rho X] = <rho, X> in the Frobenius inner product for Hermitian rho
     raw = _real_or_raise(complex(np.vdot(rdm.matrix, flipped)),
                          "time-reversal invariant")
@@ -204,44 +215,32 @@ def _two_copy_contraction(x: np.ndarray, y: np.ndarray, part: PartitionSpec) -> 
     return complex(np.sum(z_r * z_q * x[u, r] * y[v, q]))
 
 
-def d2_invariant(state: SpinState, partition: PartitionSpec) -> InvariantValue:
-    """Two-copy invariant probing the group of pi spin rotations."""
+def _two_copy_invariant(state: SpinState, partition: PartitionSpec, kind: str,
+                        label: str, flip) -> InvariantValue:
+    """Contract ``flip(rho)`` against rho on the three-segment interval."""
     if not partition.is_three_segment_layout:
-        raise ValueError("d2 invariant needs three equal segments")
+        raise ValueError(f"{label} needs three equal segments")
     if partition.interval_size > MAX_TWO_COPY_INTERVAL:
         raise ValueError(f"interval exceeds two-copy limit {MAX_TWO_COPY_INTERVAL}")
     rdm = reduced_density_matrix(state, partition)
-    length = partition.interval_size
-    rho = rdm.matrix
-    flipped = rho
-    for pos in partition.segment_positions(0):
-        dim = 2 ** length
-        view = flipped.reshape(-1, 2, 2 ** pos, dim)
-        flipped = np.einsum("ab,xbyc->xayc", PAULI_X, view).reshape(dim, dim)
-        view = flipped.reshape(dim, -1, 2, 2 ** pos)
-        flipped = np.einsum("ab,xcbd->xcad", PAULI_X.conj(), view).reshape(dim, dim)
-    raw = _real_or_raise(_two_copy_contraction(flipped, rho, partition), "d2 invariant")
+    raw = _real_or_raise(_two_copy_contraction(flip(rdm.matrix, partition), rdm.matrix,
+                                               partition), label)
     p1, p3 = _segment_purities(rdm, 0, 2)
     normalized = raw / ((p1 + p3) / 2.0) ** 1.5
-    return InvariantValue(raw, normalized, p1, p3, "d2")
+    return InvariantValue(raw, normalized, p1, p3, kind)
+
+
+def d2_invariant(state: SpinState, partition: PartitionSpec) -> InvariantValue:
+    """Two-copy invariant probing the group of pi spin rotations."""
+    return _two_copy_invariant(
+        state, partition, "d2", "d2 invariant",
+        lambda rho, part: _conjugate(rho, "x", part.segment_positions(0)))
 
 
 def klein_bottle_invariant(state: SpinState, partition: PartitionSpec) -> InvariantValue:
     """Two-copy invariant combining a z rotation with time reversal."""
-    if not partition.is_three_segment_layout:
-        raise ValueError("klein-bottle invariant needs three equal segments")
-    if partition.interval_size > MAX_TWO_COPY_INTERVAL:
-        raise ValueError(f"interval exceeds two-copy limit {MAX_TWO_COPY_INTERVAL}")
-    rdm = reduced_density_matrix(state, partition)
-    length = partition.interval_size
-    first = partition.segment_positions(0)
-    transposed = partial_transpose_first_segment(rdm.matrix, len(first), length)
-    flipped = _apply_sigma_y_segment(transposed, first, length)
-    raw = _real_or_raise(_two_copy_contraction(flipped, rdm.matrix, partition),
-                         "klein-bottle invariant")
-    p1, p3 = _segment_purities(rdm, 0, 2)
-    normalized = raw / ((p1 + p3) / 2.0) ** 1.5
-    return InvariantValue(raw, normalized, p1, p3, "klein_bottle")
+    return _two_copy_invariant(state, partition, "klein_bottle", "klein-bottle invariant",
+                               _time_reversed_first_segment)
 
 
 def exact_invariant(state: SpinState, partition: PartitionSpec, kind: str) -> InvariantValue:

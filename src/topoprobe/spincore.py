@@ -113,31 +113,6 @@ def apply_local_unitary(state: SpinState, unitary: LocalUnitary) -> SpinState:
     return SpinState(state.num_sites, out)
 
 
-def apply_site_matrices(state: SpinState, sites, matrices) -> SpinState:
-    """Apply one 2x2 unitary per listed site (sites must be distinct)."""
-    amps = state.amplitudes
-    for site, mat in zip(sites, matrices):
-        if not 0 <= site < state.num_sites:
-            raise ValueError(f"site {site} out of range for {state.num_sites} sites")
-        amps = apply_matrix_at_site(amps, state.num_sites, site, mat)
-    return SpinState(state.num_sites, amps)
-
-
-def permute_sites(state: SpinState, perm) -> SpinState:
-    """Relabel sites: new site ``i`` carries what old site ``perm[i]`` carried."""
-    perm = list(perm)
-    n = state.num_sites
-    if sorted(perm) != list(range(n)):
-        raise ValueError("perm must be a permutation of range(num_sites)")
-    indices = np.arange(2 ** n)
-    out_index = np.zeros_like(indices)
-    for new_site, old_site in enumerate(perm):
-        out_index |= ((indices >> old_site) & 1) << new_site
-    amps = np.zeros_like(state.amplitudes)
-    amps[out_index] = state.amplitudes
-    return SpinState(n, amps)
-
-
 # -- bitstring utilities ---------------------------------------------------
 
 def bits_to_index(bits) -> int:
@@ -160,14 +135,6 @@ def index_to_bits(index: int, length: int) -> np.ndarray:
 def hamming_distance(a: int, b: int) -> int:
     """Number of differing spins between two equal-length bitstrings."""
     return int(bin(a ^ b).count("1"))
-
-
-def hamming_distance_bits(a, b) -> int:
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    return int(np.count_nonzero(a != b))
 
 
 def reflect_index(index: int, length: int) -> int:
@@ -229,8 +196,12 @@ def sample_bitstrings(state: SpinState, sites, n_shots: int,
     ``marginal_probabilities``)."""
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
-    probs = marginal_probabilities(state, sites)
-    # guard against tiny negative rounding before multinomial draw
+    return _multinomial_counts(marginal_probabilities(state, sites), n_shots, rng)
+
+
+def _multinomial_counts(probs: np.ndarray, n_shots: int,
+                        rng: np.random.Generator) -> np.ndarray:
+    """Shot counts drawn from a Born distribution; tiny negative rounding is
+    clipped and the distribution renormalized before the multinomial draw."""
     probs = np.clip(probs, 0.0, None)
-    probs = probs / probs.sum()
-    return rng.multinomial(n_shots, probs)
+    return rng.multinomial(n_shots, probs / probs.sum())

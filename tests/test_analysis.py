@@ -4,6 +4,7 @@ import pytest
 
 from topoprobe.analysis import (
     SweepSpec,
+    correlation_length_fits,
     error_scaling_scan,
     fit_correlation_length,
     run_sweep,
@@ -146,6 +147,25 @@ class TestCorrelationLengthFit:
         noisy_tail = clean[:3] + [0.1]
         fit = fit_correlation_length(ns, noisy_tail, 1.0)
         assert fit.length_scale == pytest.approx(2.0, abs=1e-6)
+
+    def test_sweep_groups_fitted_or_listed_as_skipped(self):
+        def row(j_prime, pairs, value, error=""):
+            return {"j_prime": j_prime, "pairs": pairs, "repetition": 0, "kind": "reflection",
+                    "mode": "exact", "seed": 0, "value": value, "std_error": None,
+                    "exact": value, "error": error}
+
+        good = [row(0.5, n, 1 - 0.5 * np.exp(-n / 2.0)) for n in (1, 2, 3)]
+        overshoot = [row(3.0, n, v) for n, v in ((1, -0.9), (2, -1.01), (3, -0.99))]
+        short = [row(1.0, 1, 0.5), row(1.0, 2, 0.6), row(1.0, 3, None, error="boom")]
+        fits, skipped = correlation_length_fits("reflection", good + overshoot + short)
+        assert [(fit["j_prime"], fit["kind"]) for fit in fits] == [(0.5, "reflection")]
+        assert fits[0]["length_scale"] == pytest.approx(2.0, abs=1e-6)
+        assert [(entry["j_prime"], entry["pair_counts"]) for entry in skipped] \
+            == [(3.0, [1, 2, 3]), (1.0, [1, 2])]
+        assert skipped[0]["values"] == [-0.9, -1.01, -0.99]
+        assert "|value| < 1" in skipped[0]["reason"]
+        assert "at least 3" in skipped[1]["reason"]
+        assert correlation_length_fits("d2", good) == ([], [])
 
 
 @pytest.fixture(scope="module")

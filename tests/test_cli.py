@@ -67,6 +67,24 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.cfg")
 
+    def test_non_invariant_kinds_rejected(self, tmp_path):
+        cases = [
+            ("[protocol]\nkind = purity\n", "protocol.kind"),
+            ("[sweep]\nkinds = reflection, purity\n", "sweep.kinds"),
+            ("[ramp]\nt_final = 1.0\nmonitor = time_reversal, bogus\n", "ramp.monitor"),
+        ]
+        for body, key in cases:
+            path = tmp_path / "bad.cfg"
+            path.write_text(body)
+            with pytest.raises(ConfigError, match=key):
+                load_config(path)
+
+    def test_jobs_key_removed(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("[run]\nmaster_seed = 1\njobs = 2\n")
+        with pytest.raises(ConfigError, match="run.jobs"):
+            load_config(path)
+
     def test_shipped_configs_parse(self):
         from pathlib import Path
 
@@ -149,14 +167,19 @@ class TestSweepCommand:
         sidecar = read_json(out / "sweep.json")
         assert sidecar["config"]["sweep"]["axis_j_prime"] == [0.5, 2.0]
 
-    def test_jobs_flag_changes_nothing(self, tmp_path):
+    def test_sweep_csv_byte_identical_across_runs(self, tmp_path):
         path = tmp_path / "sweep.cfg"
         path.write_text(TINY_CONFIG + "\n[sweep]\nkinds = reflection, time_reversal\n"
-                                      "mode = exact\naxis_j_prime = 0.5, 2.0\n")
-        out_serial, out_parallel = tmp_path / "s", tmp_path / "p"
-        main(["sweep", "--config", str(path), "--jobs", "1", "--out", str(out_serial)])
-        main(["sweep", "--config", str(path), "--jobs", "4", "--out", str(out_parallel)])
-        assert (out_serial / "sweep.csv").read_text() == (out_parallel / "sweep.csv").read_text()
+                                      "mode = sampled\naxis_j_prime = 0.5, 2.0\n")
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main(["sweep", "--config", str(path), "--out", str(out_a)]) == 0
+        assert main(["sweep", "--config", str(path), "--out", str(out_b)]) == 0
+        assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
+
+    def test_jobs_flag_removed(self, tiny_config, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["sweep", "--config", str(tiny_config), "--jobs", "2",
+                  "--out", str(tmp_path / "out")])
 
     def test_correlation_sidecar_on_pairs_axis(self, tmp_path):
         path = tmp_path / "sweep.cfg"
@@ -165,8 +188,31 @@ class TestSweepCommand:
         out = tmp_path / "out"
         main(["sweep", "--config", str(path), "--out", str(out)])
         sidecar = read_json(out / "sweep.json")
-        fits = sidecar["result"].get("correlation_lengths", [])
-        assert len(fits) in (0, 1)  # absent when the series leaves |value| < 1
+        result = sidecar["result"]
+        # one group (no other axis): fitted, or listed as skipped with a reason
+        fits = result.get("correlation_lengths", [])
+        skipped = result.get("correlation_lengths_skipped", [])
+        assert len(fits) + len(skipped) == 1
+        assert all(entry["reason"] for entry in skipped)
+
+    def test_unfittable_groups_listed_as_skipped(self, tmp_path):
+        from pathlib import Path
+
+        config = Path(__file__).resolve().parent.parent / "configs" / "fig2d_desk.cfg"
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+        result = read_json(out / "sweep.json")["result"]
+        skipped = result["correlation_lengths_skipped"]
+        strong = [entry for entry in skipped
+                  if entry["kind"] == "time_reversal" and entry["j_prime"] == 3.0]
+        assert len(strong) == 1
+        assert strong[0]["pair_counts"] == [1.0, 2.0, 3.0]
+        assert len(strong[0]["values"]) == 3
+        assert any(abs(v) >= 1 for v in strong[0]["values"])
+        assert "|value| < 1" in strong[0]["reason"]
+        fitted = {(fit["kind"], fit["j_prime"]) for fit in result.get("correlation_lengths", [])}
+        assert not fitted & {(entry["kind"], entry["j_prime"]) for entry in skipped}
+        assert all(fit["length_scale"] > 0 for fit in result.get("correlation_lengths", []))
 
 
 class TestOtherCommands:
@@ -196,6 +242,15 @@ class TestOtherCommands:
         assert main(["error-scan", "--config", str(path), "--out", str(out)]) == 0
         lines = (out / "error_scan.csv").read_text().splitlines()
         assert len(lines) == 3
+
+    def test_non_invariant_kind_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "purity.cfg"
+        path.write_text(TINY_CONFIG.replace("kind = reflection", "kind = purity"))
+        for argv in (["campaign-export"], ["invariants", "--sampled"]):
+            out = tmp_path / argv[0]
+            assert main(argv + ["--config", str(path), "--out", str(out)]) == 2
+            assert "protocol.kind" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_campaign_round_trip(self, tiny_config, tmp_path):
         out = tmp_path / "out"

@@ -124,6 +124,35 @@ class TestCampaign:
             assert a.experiment == b.experiment
             assert np.array_equal(a.counts, b.counts)
 
+    def test_golden_counts(self, state8):
+        # pinned outcome counts for a fixed seed: any change to seeding,
+        # pattern assembly, gate order or shot sampling moves them
+        golden = {
+            "reflection": [
+                [4, 5, 2, 6, 2, 5, 3, 5, 3, 1, 7, 3, 4, 2, 5, 7],
+                [6, 4, 3, 0, 7, 2, 9, 5, 2, 6, 5, 0, 1, 7, 5, 2],
+                [3, 4, 5, 5, 5, 3, 5, 4, 8, 4, 2, 3, 8, 3, 2, 0],
+                [1, 7, 6, 2, 7, 6, 6, 3, 3, 5, 5, 1, 2, 3, 3, 4],
+            ],
+            "time_reversal": [
+                [2, 7, 1, 8, 3, 1, 4, 6, 3, 1, 6, 4, 4, 3, 5, 6],
+                [7, 3, 9, 5, 3, 5, 1, 4, 3, 1, 2, 3, 4, 2, 8, 4],
+                [8, 3, 3, 0, 8, 3, 9, 3, 2, 7, 4, 0, 0, 7, 2, 5],
+                [6, 3, 0, 4, 2, 7, 6, 5, 6, 2, 5, 4, 3, 5, 4, 2],
+                [5, 5, 5, 4, 4, 2, 3, 3, 9, 5, 3, 4, 6, 3, 0, 3],
+                [7, 1, 3, 10, 2, 5, 2, 0, 4, 4, 5, 8, 4, 2, 5, 2],
+                [2, 8, 6, 3, 5, 6, 4, 2, 4, 5, 4, 3, 1, 3, 4, 4],
+                [8, 4, 5, 5, 2, 2, 4, 2, 6, 1, 6, 4, 4, 4, 2, 5],
+            ],
+        }
+        for kind, expected in golden.items():
+            params = ProtocolParams(kind, 4, 64, reflection_partition(8, 2), 77)
+            records = run_campaign(state8, params)
+            experiments = 2 if kind == "time_reversal" else 1
+            assert [(r.unitary_index, r.experiment) for r in records] \
+                == [(u, e) for u in range(4) for e in range(1, experiments + 1)]
+            assert np.array_equal(np.array([r.counts for r in records]), np.array(expected))
+
     def test_params_validation(self):
         part = reflection_partition(8, 2)
         with pytest.raises(ValueError, match="n_unitaries"):
@@ -358,8 +387,10 @@ class TestPersistence:
         part = reflection_partition(8, 2)
         params = ProtocolParams("reflection", 2, 2, part, 24)
         records = run_campaign(state8, params, exact_probabilities=True)
+        path = tmp_path / "x.records"
         with pytest.raises(ValueError, match="exact"):
-            write_records(tmp_path / "x.records", records, params)
+            write_records(path, records, params)
+        assert not path.exists()
 
 
 class TestEstimatorResultContract:

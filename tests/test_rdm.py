@@ -25,6 +25,7 @@ from topoprobe.rdm import (
 from topoprobe.spincore import (
     PAULI_X,
     PAULI_Y,
+    PAULI_Z,
     IDENTITY_2,
     SpinState,
     all_up_state,
@@ -206,12 +207,13 @@ class TestTimeReversalInvariant:
                 assert transposed[r, c] == rho[(b << 2) | ap, (bp << 2) | a]
 
     def test_against_dense_operator(self, rng):
-        state = random_state(8, rng)
-        rdm = reduced_density_matrix(state, reflection_partition(8, 2))
-        flip = kron_positions([PAULI_Y, PAULI_Y, IDENTITY_2, IDENTITY_2])
-        transposed = partial_transpose_first_segment(rdm.matrix, 2, 4)
-        oracle = np.trace(rdm.matrix @ flip @ transposed @ flip.conj().T).real
-        assert time_reversal_invariant(rdm).raw == pytest.approx(oracle, abs=1e-12)
+        for n in (1, 2, 3):
+            state = random_state(8, rng)
+            rdm = reduced_density_matrix(state, reflection_partition(8, n))
+            flip = kron_positions([PAULI_Y] * n + [IDENTITY_2] * n)
+            transposed = partial_transpose_first_segment(rdm.matrix, n, 2 * n)
+            oracle = np.trace(rdm.matrix @ flip @ transposed @ flip.conj().T).real
+            assert time_reversal_invariant(rdm).raw == pytest.approx(oracle, abs=1e-12)
 
 
 def dense_two_copy_operator(part):
@@ -237,27 +239,52 @@ def dense_two_copy_operator(part):
     return permutation @ np.diag(weights)
 
 
+def dense_two_copy_trace(part, x, y):
+    """Tr[S_I1 Z_I2 S_I3 (x otimes y)] as Tr[A B] with A = Tr_I2(Z_I2 x) and
+    B = Tr_I2(Z_I2 y): the sigma_z weights act on each copy alone and the
+    swap of the outer segments turns the trace into a product. Unlike
+    ``dense_two_copy_operator`` it never builds the doubled space, so it
+    reaches three-site segments."""
+    n = part.pairs
+    z_middle = kron_positions([IDENTITY_2] * n + [PAULI_Z] * n + [IDENTITY_2] * n)
+    outer = 4 ** n
+
+    def middle_traced(m):
+        shaped = (z_middle @ m).reshape([2 ** n] * 6)  # (I3, I2, I1) rows, then columns
+        return np.einsum("aibcid->abcd", shaped).reshape(outer, outer)
+
+    return np.trace(middle_traced(x) @ middle_traced(y))
+
+
 class TestTwoCopyInvariants:
     def test_d2_against_dense_kron_oracle(self, rng):
-        part = three_segment_partition(8, 1)
-        for _ in range(5):
-            state = random_state(8, rng)
-            rho = reduced_density_matrix(state, part).matrix
-            flip = kron_positions([PAULI_X, IDENTITY_2, IDENTITY_2])
-            oracle = np.trace(dense_two_copy_operator(part)
-                              @ np.kron(flip @ rho @ flip, rho)).real
-            assert d2_invariant(state, part).raw == pytest.approx(oracle, abs=1e-10)
+        for n in (1, 2, 3):
+            part = three_segment_partition(10, n)
+            for _ in range(5 if n == 1 else 2):
+                state = random_state(10, rng)
+                rho = reduced_density_matrix(state, part).matrix
+                flip = kron_positions([PAULI_X] * n + [IDENTITY_2] * (2 * n))
+                flipped = flip @ rho @ flip
+                oracle = dense_two_copy_trace(part, flipped, rho).real
+                if n == 1:
+                    assert oracle == pytest.approx(np.trace(
+                        dense_two_copy_operator(part) @ np.kron(flipped, rho)).real, abs=1e-12)
+                assert d2_invariant(state, part).raw == pytest.approx(oracle, abs=1e-10)
 
     def test_kb_against_dense_kron_oracle(self, rng):
-        part = three_segment_partition(8, 1)
-        for _ in range(5):
-            state = random_state(8, rng)
-            rho = reduced_density_matrix(state, part).matrix
-            flip = kron_positions([PAULI_Y, IDENTITY_2, IDENTITY_2])
-            transposed = partial_transpose_first_segment(rho, 1, 3)
-            oracle = np.trace(dense_two_copy_operator(part)
-                              @ np.kron(flip @ transposed @ flip.conj().T, rho)).real
-            assert klein_bottle_invariant(state, part).raw == pytest.approx(oracle, abs=1e-10)
+        for n in (1, 2, 3):
+            part = three_segment_partition(10, n)
+            for _ in range(5 if n == 1 else 2):
+                state = random_state(10, rng)
+                rho = reduced_density_matrix(state, part).matrix
+                flip = kron_positions([PAULI_Y] * n + [IDENTITY_2] * (2 * n))
+                transposed = partial_transpose_first_segment(rho, n, 3 * n)
+                flipped = flip @ transposed @ flip.conj().T
+                oracle = dense_two_copy_trace(part, flipped, rho).real
+                if n == 1:
+                    assert oracle == pytest.approx(np.trace(
+                        dense_two_copy_operator(part) @ np.kron(flipped, rho)).real, abs=1e-12)
+                assert klein_bottle_invariant(state, part).raw == pytest.approx(oracle, abs=1e-10)
 
     def test_d2_maximally_mixed_zero(self):
         part = three_segment_partition(6, 1)

@@ -13,11 +13,9 @@ from topoprobe.spincore import (
     basis_state,
     bits_to_index,
     hamming_distance,
-    hamming_distance_bits,
     index_to_bits,
     marginal_probabilities,
     neel_state,
-    permute_sites,
     random_state,
     reflect_index,
     reflection_permutation,
@@ -101,11 +99,6 @@ class TestBitstrings:
     def test_hamming_trivial(self):
         assert hamming_distance(0b01, 0b01) == 0
         assert hamming_distance(0b01, 0b10) == 2
-        assert hamming_distance_bits([0, 1, 0], [0, 0, 0]) == 1
-
-    def test_hamming_length_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            hamming_distance_bits([0, 1], [0, 1, 0])
 
     @given(st.integers(0, 15), st.integers(0, 15), st.integers(0, 15))
     def test_hamming_metric(self, a, b, c):
@@ -178,13 +171,3 @@ class TestSampling:
             expected[((k >> 0) & 1) | (((k >> 3) & 1) << 1)] += full[k]
         np.testing.assert_allclose(marg, expected, atol=1e-12)
 
-
-class TestPermuteSites:
-    def test_reflection_of_basis_state(self):
-        state = basis_state(4, 0b0001)  # site 0 down
-        flipped = permute_sites(state, [3, 2, 1, 0])
-        assert flipped.amplitudes[0b1000] == 1.0
-
-    def test_invalid_permutation(self):
-        with pytest.raises(ValueError, match="permutation"):
-            permute_sites(all_up_state(3), [0, 0, 1])
