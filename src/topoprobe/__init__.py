@@ -34,6 +34,7 @@ from .rdm import (
     time_reversal_invariant,
 )
 from .protocols import (
+    CampaignRecords,
     EstimatorResult,
     MeasurementRecord,
     ProtocolParams,
@@ -90,6 +91,7 @@ __all__ = [
     "ProtocolParams",
     "UnitaryPattern",
     "MeasurementRecord",
+    "CampaignRecords",
     "EstimatorResult",
     "sample_cue",
     "build_pattern",

@@ -19,7 +19,7 @@ import numpy as np
 
 from .groundstate import ground_state
 from .hamiltonians import HamiltonianSpec
-from .partitions import PartitionSpec, reflection_partition, three_segment_partition
+from .partitions import partition_for, reflection_partition
 from .protocols import NORMALIZED_KINDS, ProtocolParams, estimate_raw, estimate_reported, \
     reported_exact, run_campaign
 from .rdm import exact_invariant
@@ -56,12 +56,6 @@ class SweepSpec:
             raise ValueError("repetitions must be >= 1")
 
 
-def _partition_for(kind: str, num_sites: int, pairs: int) -> PartitionSpec:
-    if kind in ("d2", "klein_bottle"):
-        return three_segment_partition(num_sites, pairs)
-    return reflection_partition(num_sites, pairs)
-
-
 def _axis_grid(axes) -> list[dict]:
     points = [{}]
     for name, values in axes:
@@ -82,7 +76,7 @@ def _sweep_point(spec: SweepSpec, point: dict, repetition: int, point_seed: int,
     try:
         ham = _hamiltonian_at(spec, point)
         pairs = int(point.get("pairs", spec.pairs))
-        partition = _partition_for(spec.kind, ham.num_sites, pairs)
+        partition = partition_for(spec.kind, ham.num_sites, pairs)
         if ham not in ground_cache:
             raise RuntimeError(f"ground-state solve failed: {failed_solves.get(ham, 'unknown')}")
         state = ground_cache[ham]
@@ -235,7 +229,7 @@ def error_scaling_scan(state, base: ProtocolParams, axis: str, values,
     rows = []
     for value in values:
         if axis == "pairs":
-            partition = _partition_for(base.kind, state.num_sites, int(value))
+            partition = partition_for(base.kind, state.num_sites, int(value))
             params = replace(base, partition=partition)
         else:
             params = replace(base, **{axis: int(value)})

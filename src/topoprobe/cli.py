@@ -318,7 +318,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ConvergenceError as exc:
+    except (ConvergenceError, dynamics.NormDriftError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -24,11 +24,16 @@ import numpy as np
 
 from .hamiltonians import HamiltonianSpec, _z_signs, exchange_bonds, staggered_signs
 from .partitions import PartitionSpec
+from .protocols import estimate_reported, reported_exact, run_campaign
 from .rdm import exact_invariant
 from .spincore import PAULI_X, PAULI_Y, PAULI_Z, SpinState, neel_state
 
 DEFAULT_DT = 0.01
 NORM_DRIFT_TOL = 1e-8
+
+
+class NormDriftError(RuntimeError):
+    """The Trotterized state lost its normalization beyond NORM_DRIFT_TOL."""
 
 
 @dataclass(frozen=True)
@@ -161,7 +166,7 @@ def adiabatic_evolve(spec: HamiltonianSpec, ramp: RampSpec) -> list[tuple[float,
 def _check_norm(amps: np.ndarray) -> None:
     drift = abs(np.linalg.norm(amps) - 1.0)
     if drift > NORM_DRIFT_TOL:
-        raise RuntimeError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL:.0e}; reduce dt")
+        raise NormDriftError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL:.0e}; reduce dt")
 
 
 def monitor_invariants(snapshots: list[tuple[float, SpinState]],
@@ -171,8 +176,11 @@ def monitor_invariants(snapshots: list[tuple[float, SpinState]],
 
     ``mode='exact'`` contracts the reduced density matrix directly;
     ``mode='sampled'`` runs a randomized-measurement campaign per snapshot
-    using ``params`` (a ProtocolParams whose kind is overridden per entry,
-    and whose master seed is offset by the snapshot index).
+    using ``params`` (a ProtocolParams whose kind is overridden per entry;
+    snapshot ``index`` draws its master seed from
+    ``SeedSequence(params.master_seed, spawn_key=(index,))``). ``value`` is
+    the reported value of ``protocols.estimate_reported``: normalized for
+    reflection and time reversal, raw for d2 and klein_bottle.
     """
     if not snapshots:
         raise ValueError("no snapshots to monitor")
@@ -184,15 +192,13 @@ def monitor_invariants(snapshots: list[tuple[float, SpinState]],
             row = {"time": time_point, "kind": kind, "mode": mode}
             if mode == "exact":
                 value = exact_invariant(state, partition, kind)
-                row["value"] = value.normalized
+                row["value"] = reported_exact(value)
                 row["raw"] = value.raw
             else:
-                from .protocols import estimate_normalized, run_campaign
-
+                seed = np.random.SeedSequence(params.master_seed, spawn_key=(index,))
                 point_params = replace(params, kind=kind, partition=partition,
-                                       master_seed=params.master_seed + index)
-                records = run_campaign(state, point_params)
-                est = estimate_normalized(records, point_params)
+                                       master_seed=int(seed.generate_state(1, np.uint64)[0]))
+                est = estimate_reported(run_campaign(state, point_params), point_params)
                 row["value"] = est.value
                 row["std_error"] = est.std_error
             rows.append(row)

@@ -7,10 +7,17 @@ its sub-segments. Two layouts are used:
   central bond (reflection / time-reversal invariants),
 * three equal contiguous segments I1, I2, I3 centered on the chain
   (internal-symmetry and combined invariants).
+
+Which layout an invariant kind is measured on is decided here once
+(``THREE_SEGMENT_KINDS``, ``partition_for``, ``check_layout``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+# kinds measured on three equal segments; every other kind is measured on
+# the two mirror segments of a reflection partition
+THREE_SEGMENT_KINDS = ("d2", "klein_bottle")
 
 
 @dataclass(frozen=True)
@@ -55,18 +62,6 @@ class PartitionSpec:
         offset = self.sites[0]
         return [s - offset for s in self.segment_sites(k)]
 
-    @property
-    def is_reflection_layout(self) -> bool:
-        return len(self.segments) == 2 and all(
-            stop - start == self.pairs for start, stop in self.segments
-        )
-
-    @property
-    def is_three_segment_layout(self) -> bool:
-        return len(self.segments) == 3 and all(
-            stop - start == self.pairs for start, stop in self.segments
-        )
-
 
 def reflection_partition(num_sites: int, pairs: int) -> PartitionSpec:
     """Two ``pairs``-site segments mirror-symmetric about the central bond."""
@@ -89,3 +84,22 @@ def three_segment_partition(num_sites: int, pairs: int) -> PartitionSpec:
     start = num_sites // 2 - length // 2
     segs = tuple((start + k * pairs, start + (k + 1) * pairs) for k in range(3))
     return PartitionSpec(num_sites, pairs, segs)
+
+
+def partition_for(kind: str, num_sites: int, pairs: int) -> PartitionSpec:
+    """The centered partition that ``kind`` is measured on."""
+    if kind in THREE_SEGMENT_KINDS:
+        return three_segment_partition(num_sites, pairs)
+    return reflection_partition(num_sites, pairs)
+
+
+def check_layout(kind: str, partition: PartitionSpec) -> None:
+    """Raise ``ValueError`` unless ``partition`` has the layout of ``kind``:
+    three or two segments of ``pairs`` sites each."""
+    if kind in THREE_SEGMENT_KINDS:
+        count, layout = 3, "a three-segment partition (three equal segments)"
+    else:
+        count, layout = 2, "a two-segment reflection partition (two equal segments)"
+    if len(partition.segments) != count or any(
+            stop - start != partition.pairs for start, stop in partition.segments):
+        raise ValueError(f"{kind} needs {layout}")

@@ -15,6 +15,19 @@ single-site unitaries:
 * ``klein_bottle``:  sigma_y composition / conjugation on the first segment,
                      identities in the middle.
 
+Engine: the protocols need only the Born distributions
+P_u(s) = <s| U_u rho_I U_u^dag |s> of the measured interval I. A campaign
+contracts rho_I once (``rdm.reduced_density_matrix``), builds the gate
+stacks of a chunk of unitaries as one (unitaries, |I|, 2, 2) array per
+experiment, and contracts rho_I against all of them in one kernel
+(``_born_probabilities``), one interval bit at a time. The cost per unitary
+grows as 4^|I| and does not depend on the chain length; campaigns are
+limited to intervals of ``rdm.MAX_INTERVAL`` sites. The outcomes of a
+campaign are one (n_unitaries, n_experiments, 2^|I|) array
+(``CampaignRecords``); ``MeasurementRecord`` is the per-(unitary,
+experiment) view of it used for iteration, record files and hand-built
+test inputs.
+
 Estimators translate outcome statistics into invariant values through
 Hamming-distance weights (-2)^(-D). Finite-shot bias is handled per
 estimator: the reflection estimator is linear in the probabilities, the
@@ -26,26 +39,33 @@ Error bars are nonparametric bootstrap over the unitary axis (the unitary
 ensemble is the dominant fluctuation axis and resampling it captures shot
 noise as well).
 
-Seeding: the master seed spawns one child stream per unitary index plus one
-analysis stream, so campaigns are reproducible bit for bit and trivially
-parallelizable over unitaries without stream contention.
+Seeding: every random stream is ``SeedSequence(master_seed,
+spawn_key=key)``. Unitary u draws its pattern from key (0, u, 0) and the
+shots of its experiment k (k = 1, 2) from (0, u, k); the bootstrap uses
+(1,). A campaign is therefore reproducible bit for bit, and each
+unitary's draws do not depend on how the unitary axis is chunked.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .partitions import PartitionSpec
-from .spincore import PAULI_X, PAULI_Y, SpinState, apply_matrix_at_site, \
-    reflection_permutation
-from .spincore import _marginal_from_amplitudes, _multinomial_counts
+from .partitions import PartitionSpec, check_layout
+from .rdm import reduced_density_matrix
+from .spincore import IDENTITY_2, PAULI_X, PAULI_Y, SpinState, reflection_permutation
+from .spincore import _multinomial_counts
 
 PROTOCOL_KINDS = ("reflection", "time_reversal", "d2", "klein_bottle", "purity")
 # kinds whose reported value is the purity-normalized invariant; d2 and
 # klein_bottle have no standard normalization and report the raw value
 NORMALIZED_KINDS = ("reflection", "time_reversal")
 BOOTSTRAP_RESAMPLES = 200
+# unitaries per engine chunk, reduced where one chunk's largest kernel
+# intermediate would exceed CHUNK_ELEMENTS complex entries (8 MB)
+CHUNK_UNITARIES = 256
+CHUNK_ELEMENTS = 2 ** 19
 
 # single-site Hamming weight kernel: (-2)^(-D) between two outcomes
 PAIR_KERNEL = np.array([[1.0, -0.5], [-0.5, 1.0]])
@@ -68,7 +88,13 @@ class ProtocolParams:
             raise ValueError("n_unitaries must be >= 2 (resampling needs at least 2)")
         if self.n_shots < 2:
             raise ValueError("n_shots must be >= 2 (pair correction needs at least 2)")
-        _check_layout(self.kind, self.partition)
+        check_layout(self.kind, self.partition)
+
+    @property
+    def experiments(self) -> int:
+        """Experiments per unitary: one for reflection and purity, two for
+        the cross-correlated kinds."""
+        return 1 if self.kind in ("reflection", "purity") else 2
 
 
 @dataclass(frozen=True)
@@ -96,6 +122,31 @@ class MeasurementRecord:
     experiment: int
     counts: np.ndarray = field(repr=False)
     exact: bool = False
+
+
+@dataclass(frozen=True)
+class CampaignRecords:
+    """All outcomes of one campaign: ``outcomes[u, e - 1]`` is the outcome
+    vector of unitary ``u`` in experiment ``e``, shot counts or, when
+    ``exact`` is set, Born probabilities. ``len`` counts the (unitary,
+    experiment) pairs and iteration yields them as ``MeasurementRecord``
+    views, unitary-major."""
+
+    outcomes: np.ndarray = field(repr=False)
+    exact: bool = False
+
+    def __post_init__(self):
+        if self.outcomes.ndim != 3:
+            raise ValueError(f"outcomes must be 3-dimensional, got shape {self.outcomes.shape}")
+        self.outcomes.setflags(write=False)
+
+    def __len__(self) -> int:
+        return self.outcomes.shape[0] * self.outcomes.shape[1]
+
+    def __iter__(self):
+        for u_index, row in enumerate(self.outcomes):
+            for experiment, counts in enumerate(row, start=1):
+                yield MeasurementRecord(u_index, experiment, counts, self.exact)
 
 
 @dataclass(frozen=True)
@@ -151,127 +202,157 @@ def _pattern_draw_count(kind: str, partition: PartitionSpec) -> int:
     raise ValueError(f"unknown protocol kind {kind!r}")
 
 
-def _assemble_pattern(kind: str, partition: PartitionSpec, draws: np.ndarray) -> UnitaryPattern:
-    length = partition.interval_size
+def _pattern_gates(kind: str, partition: PartitionSpec, haar: np.ndarray) -> np.ndarray:
+    """Gate stacks (unitaries, experiments, |I|, 2, 2) from CUE draws of
+    shape (unitaries, draw count, 2, 2)."""
+    n = partition.pairs
     if kind == "reflection":
-        exp1 = np.empty((length, 2, 2), dtype=complex)
-        for i in range(partition.pairs):
-            exp1[i] = draws[i]
-            exp1[length - 1 - i] = draws[i]
-        return UnitaryPattern(kind, exp1, None, draws)
+        return np.concatenate([haar, haar[:, ::-1]], axis=1)[:, None]
     if kind == "purity":
-        return UnitaryPattern(kind, draws, None, draws)
+        return haar[:, None]
     if kind == "time_reversal":
-        n = partition.pairs
-        exp1 = draws.copy()
-        exp2 = draws.copy()
-        exp1[:n] = draws[:n] @ PAULI_Y
-        exp2[:n] = draws[:n].conj()
-        return UnitaryPattern(kind, exp1, exp2, draws)
-    if kind in ("d2", "klein_bottle"):
-        n = partition.pairs
-        exp1 = np.broadcast_to(np.eye(2, dtype=complex), (length, 2, 2)).copy()
-        exp2 = exp1.copy()
-        fixed = PAULI_X if kind == "d2" else PAULI_Y
-        exp1[:n] = draws[:n] @ fixed
-        exp2[:n] = draws[:n] if kind == "d2" else draws[:n].conj()
-        exp1[2 * n:] = draws[n:]
-        exp2[2 * n:] = draws[n:]
-        return UnitaryPattern(kind, exp1, exp2, draws)
-    raise ValueError(f"unknown protocol kind {kind!r}")
-
-
-def _check_layout(kind: str, partition: PartitionSpec) -> None:
-    if kind in ("d2", "klein_bottle"):
-        if not partition.is_three_segment_layout:
-            raise ValueError(f"{kind} needs a three-segment partition")
-    elif not partition.is_reflection_layout:
-        raise ValueError(f"{kind} needs a two-segment reflection partition")
+        gates = np.stack([haar, haar], axis=1)
+        gates[:, 0, :n] = haar[:, :n] @ PAULI_Y
+        gates[:, 1, :n] = haar[:, :n].conj()
+        return gates
+    gates = np.empty((haar.shape[0], 2, partition.interval_size, 2, 2), dtype=complex)
+    gates[:] = IDENTITY_2
+    if kind == "d2":
+        gates[:, 0, :n] = haar[:, :n] @ PAULI_X
+        gates[:, 1, :n] = haar[:, :n]
+    else:
+        gates[:, 0, :n] = haar[:, :n] @ PAULI_Y
+        gates[:, 1, :n] = haar[:, :n].conj()
+    gates[:, :, 2 * n:] = haar[:, None, n:]
+    return gates
 
 
 def build_pattern(kind: str, partition: PartitionSpec, rng: np.random.Generator) -> UnitaryPattern:
     """Draw one unitary pattern with the correlation structure of ``kind``."""
-    _check_layout(kind, partition)
-    return _assemble_pattern(kind, partition, sample_cue(rng, _pattern_draw_count(kind, partition)))
+    check_layout(kind, partition)
+    haar = sample_cue(rng, _pattern_draw_count(kind, partition))
+    gates = _pattern_gates(kind, partition, haar[None])[0]
+    return UnitaryPattern(kind, gates[0], gates[1] if len(gates) == 2 else None, haar)
 
 
 # -- campaigns ----------------------------------------------------------------
 
-def _unitary_streams(master_seed: int, n_unitaries: int) -> list[np.random.SeedSequence]:
-    root = np.random.SeedSequence(master_seed)
-    campaign_root, _analysis_root = root.spawn(2)
-    return campaign_root.spawn(n_unitaries)
+def _stream(master_seed: int, *key: int) -> np.random.Generator:
+    """The generator of one stream of the seed contract (module docstring)."""
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(master_seed, spawn_key=key)))
 
 
-def _analysis_stream(master_seed: int) -> np.random.SeedSequence:
-    root = np.random.SeedSequence(master_seed)
-    _campaign_root, analysis_root = root.spawn(2)
-    return analysis_root
+def _campaign_gates(params: ProtocolParams, unitaries: range) -> np.ndarray:
+    """Gate stacks (len(unitaries), experiments, |I|, 2, 2) of the given
+    unitaries of a campaign; one batched QR serves the whole range."""
+    draw_count = _pattern_draw_count(params.kind, params.partition)
+    ginibre = np.empty((len(unitaries), draw_count, 2, 2), dtype=complex)
+    for row, u_index in enumerate(unitaries):
+        ginibre[row] = _ginibre(_stream(params.master_seed, 0, u_index, 0), draw_count)
+    haar = _qr_haar(ginibre.reshape(-1, 2, 2)).reshape(ginibre.shape)
+    return _pattern_gates(params.kind, params.partition, haar)
+
+
+def _born_probabilities(rho: np.ndarray, gates: np.ndarray) -> np.ndarray:
+    """P_b(s) = <s| U_b rho U_b^dag |s> for U_b the tensor product of
+    ``gates[b, j]`` (gate j acts on bit j); returns shape (batch, 2^|I|).
+
+    rho is contracted one bit at a time, highest bit first: each step turns
+    the (row bit r, column bit c) pair of rho into one outcome bit s with
+    the weights u[s, r] conj(u[s, c]), as a batched (batch, 2, 4) matmul.
+    The new outcome bit leads the accumulated ones, so they end in reversed
+    order and one bit reversal restores the index convention.
+    """
+    batch, length = gates.shape[:2]
+    weights = (gates[..., :, :, None] * gates.conj()[..., :, None, :]).reshape(
+        batch, length, 2, 4)
+    half = 2 ** (length - 1)
+    tensor = rho.reshape(2, half, 2, half).transpose(0, 2, 1, 3).reshape(4, -1)
+    tensor = weights[:, length - 1] @ tensor
+    for bit in range(length - 2, -1, -1):
+        done, rest = 2 ** (length - 1 - bit), 2 ** bit
+        tensor = tensor.reshape(batch, done, 2, rest, 2, rest).transpose(
+            0, 2, 4, 1, 3, 5).reshape(batch, 4, -1)
+        tensor = weights[:, bit] @ tensor
+    return tensor.reshape(batch, -1)[:, reflection_permutation(length)].real
 
 
 def run_campaign(state: SpinState, params: ProtocolParams,
-                 exact_probabilities: bool = False) -> list[MeasurementRecord]:
+                 exact_probabilities: bool = False) -> CampaignRecords:
     """Simulate the full campaign; deterministic given ``params.master_seed``.
 
     With ``exact_probabilities`` the projective sampling step is skipped and
     each record stores the exact Born distribution for its experiment
     (infinite-shot limit, used to validate estimator unbiasedness).
+    Intervals longer than ``rdm.MAX_INTERVAL`` sites raise ``ValueError``.
     """
-    partition = params.partition
-    if partition.num_sites != state.num_sites:
-        raise ValueError("partition chain size does not match state")
-    sites = partition.sites
-    num_sites = state.num_sites
-    n_unitaries = params.n_unitaries
-    draw_count = _pattern_draw_count(params.kind, partition)
-
-    # draw every pattern's Ginibre seeds from its own stream, then run one
-    # batched QR for the whole campaign (bitwise identical to per-draw QR)
-    shot_streams = []
-    ginibre = np.empty((n_unitaries, draw_count, 2, 2), dtype=complex)
-    for u_index, seq in enumerate(_unitary_streams(params.master_seed, n_unitaries)):
-        pattern_stream, shot_stream_1, shot_stream_2 = seq.spawn(3)
-        ginibre[u_index] = _ginibre(np.random.default_rng(pattern_stream), draw_count)
-        shot_streams.append((shot_stream_1, shot_stream_2))
-    haar = _qr_haar(ginibre.reshape(-1, 2, 2)).reshape(n_unitaries, draw_count, 2, 2)
-
-    records: list[MeasurementRecord] = []
-    for u_index in range(n_unitaries):
-        pattern = _assemble_pattern(params.kind, partition, haar[u_index])
-        experiments = [(1, pattern.experiment_1, shot_streams[u_index][0])]
-        if pattern.experiment_2 is not None:
-            experiments.append((2, pattern.experiment_2, shot_streams[u_index][1]))
-        for exp_index, matrices, shot_stream in experiments:
-            amps = state.amplitudes
-            for site, mat in zip(sites, matrices):
-                amps = apply_matrix_at_site(amps, num_sites, site, mat)
-            probs = _marginal_from_amplitudes(amps, num_sites, sites)
-            if exact_probabilities:
-                records.append(MeasurementRecord(u_index, exp_index, probs, exact=True))
-            else:
-                counts = _multinomial_counts(probs, params.n_shots,
-                                             np.random.default_rng(shot_stream))
-                records.append(MeasurementRecord(u_index, exp_index, counts))
-    return records
+    rho = reduced_density_matrix(state, params.partition).matrix
+    length = params.partition.interval_size
+    n_unitaries, experiments = params.n_unitaries, params.experiments
+    outcomes = np.empty((n_unitaries, experiments, 2 ** length),
+                        dtype=float if exact_probabilities else np.int64)
+    # the kernel's largest intermediate holds 2^(2|I| - 1) entries per gate stack
+    chunk = max(1, min(CHUNK_UNITARIES,
+                       CHUNK_ELEMENTS // (experiments * 2 ** (2 * length - 1))))
+    for start in range(0, n_unitaries, chunk):
+        unitaries = range(start, min(start + chunk, n_unitaries))
+        gates = _campaign_gates(params, unitaries).reshape(-1, length, 2, 2)
+        probs = _born_probabilities(rho, gates).reshape(len(unitaries), experiments, -1)
+        if exact_probabilities:
+            outcomes[start:unitaries.stop] = probs
+            continue
+        for row, u_index in enumerate(unitaries):
+            for experiment in range(experiments):
+                outcomes[u_index, experiment] = _multinomial_counts(
+                    probs[row, experiment], params.n_shots,
+                    _stream(params.master_seed, 0, u_index, experiment + 1))
+    return CampaignRecords(outcomes, exact_probabilities)
 
 
 # -- estimator internals -------------------------------------------------------
 
-def _stack_records(records: list[MeasurementRecord], params: ProtocolParams,
-                   experiment: int) -> tuple[np.ndarray, bool]:
-    """Counts (or probabilities) as an (n_unitaries, 2^|I|) matrix."""
-    selected = [r for r in records if r.experiment == experiment]
-    if len(selected) != params.n_unitaries:
-        raise ValueError(
-            f"expected {params.n_unitaries} experiment-{experiment} records, got {len(selected)}"
-        )
-    selected.sort(key=lambda r: r.unitary_index)
-    if [r.unitary_index for r in selected] != list(range(params.n_unitaries)):
-        raise ValueError("records do not cover unitary indices 0..n_unitaries-1")
-    exact = selected[0].exact
-    if any(r.exact != exact for r in selected):
+def campaign_records(records, params: ProtocolParams) -> CampaignRecords:
+    """The outcome table of ``records`` for a campaign with ``params``.
+
+    ``CampaignRecords`` pass after a shape check. Any other iterable of
+    ``MeasurementRecord`` (hand-built, or in any order) must hold exactly
+    one record per (unitary, experiment) pair, all exact or all sampled.
+    """
+    n_unitaries, experiments = params.n_unitaries, params.experiments
+    shape = (n_unitaries, experiments, 2 ** params.partition.interval_size)
+    if isinstance(records, CampaignRecords):
+        if records.outcomes.shape != shape:
+            raise ValueError(f"records have shape {records.outcomes.shape}, "
+                             f"the campaign needs {shape}")
+        return records
+    records = list(records)
+    for experiment in range(1, experiments + 1):
+        indices = sorted(r.unitary_index for r in records if r.experiment == experiment)
+        if len(indices) != n_unitaries:
+            raise ValueError(
+                f"expected {n_unitaries} experiment-{experiment} records, got {len(indices)}")
+        if indices != list(range(n_unitaries)):
+            raise ValueError("records do not cover unitary indices 0..n_unitaries-1")
+    if len(records) != n_unitaries * experiments:
+        raise ValueError(f"records name experiments outside 1..{experiments}")
+    exact = records[0].exact
+    if any(r.exact != exact for r in records):
         raise ValueError("cannot mix exact and sampled records")
-    return np.stack([np.asarray(r.counts, dtype=float) for r in selected]), exact
+    outcomes = np.empty(shape, dtype=np.result_type(*(r.counts for r in records)))
+    for r in records:
+        outcomes[r.unitary_index, r.experiment - 1] = r.counts
+    return CampaignRecords(outcomes, exact)
+
+
+def _experiment_matrix(records, params: ProtocolParams,
+                       experiment: int) -> tuple[np.ndarray, bool]:
+    """One experiment's counts (or probabilities) as a float
+    (n_unitaries, 2^|I|) matrix."""
+    if not 1 <= experiment <= params.experiments:
+        raise ValueError(f"a {params.kind!r} campaign has no experiment {experiment}")
+    table = campaign_records(records, params)
+    return np.ascontiguousarray(table.outcomes[:, experiment - 1], dtype=float), table.exact
 
 
 def _frequencies(matrix: np.ndarray, exact: bool, n_shots: int) -> np.ndarray:
@@ -295,7 +376,7 @@ def _bootstrap_std(per_unitary: np.ndarray, master_seed: int, normalizer=None) -
     For a ratio statistic, ``normalizer`` maps the index arrays to its
     denominator, which is then resampled jointly with the numerator.
     """
-    rng = np.random.default_rng(_analysis_stream(master_seed))
+    rng = _stream(master_seed, 1)
     n = per_unitary.shape[0]
     picks = rng.integers(0, n, size=(BOOTSTRAP_RESAMPLES, n))
     values = per_unitary[picks].mean(axis=1)
@@ -326,16 +407,14 @@ def reflection_weights(partition: PartitionSpec) -> np.ndarray:
     return np.where(half % 2 == 0, 1.0, -1.0) * 0.5 ** half
 
 
-def per_unitary_reflection(records: list[MeasurementRecord],
-                           params: ProtocolParams) -> np.ndarray:
-    matrix, exact = _stack_records(records, params, experiment=1)
+def per_unitary_reflection(records, params: ProtocolParams) -> np.ndarray:
+    matrix, exact = _experiment_matrix(records, params, experiment=1)
     freqs = _frequencies(matrix, exact, params.n_shots)
     weights = reflection_weights(params.partition)
     return 2 ** params.partition.pairs * (freqs @ weights)
 
 
-def estimate_reflection(records: list[MeasurementRecord],
-                        params: ProtocolParams) -> EstimatorResult:
+def estimate_reflection(records, params: ProtocolParams) -> EstimatorResult:
     """Reflection invariant from mirror-paired randomized measurements."""
     if params.kind != "reflection":
         raise ValueError(f"records come from a {params.kind!r} campaign")
@@ -356,9 +435,9 @@ def _segment_counts(matrix: np.ndarray, partition: PartitionSpec, segment: int) 
     return tensor.reshape(rows, -1)
 
 
-def per_unitary_purity(records: list[MeasurementRecord], params: ProtocolParams,
+def per_unitary_purity(records, params: ProtocolParams,
                        segment: int, experiment: int = 1) -> np.ndarray:
-    matrix, exact = _stack_records(records, params, experiment=experiment)
+    matrix, exact = _experiment_matrix(records, params, experiment)
     counts = _segment_counts(matrix, params.partition, segment)
     n_seg = counts.shape[1].bit_length() - 1
     kernels = [PAIR_KERNEL] * n_seg
@@ -374,7 +453,7 @@ def per_unitary_purity(records: list[MeasurementRecord], params: ProtocolParams,
     return 2 ** n_seg * pair_products
 
 
-def estimate_purity(records: list[MeasurementRecord], params: ProtocolParams,
+def estimate_purity(records, params: ProtocolParams,
                     segment: int, experiment: int = 1) -> EstimatorResult:
     """Segment purity from the same campaign records (second-order in the
     outcome frequencies, with the finite-shot pair correction)."""
@@ -392,21 +471,18 @@ def _cross_kernels(partition: PartitionSpec, kind: str) -> tuple[list[np.ndarray
     return kernels, length - len(middle)
 
 
-def per_unitary_cross(records: list[MeasurementRecord],
-                      params: ProtocolParams) -> np.ndarray:
-    matrix_1, exact_1 = _stack_records(records, params, experiment=1)
-    matrix_2, exact_2 = _stack_records(records, params, experiment=2)
-    if exact_1 != exact_2:
-        raise ValueError("experiments disagree on exact/sampled mode")
-    freq_1 = _frequencies(matrix_1, exact_1, params.n_shots)
-    freq_2 = _frequencies(matrix_2, exact_2, params.n_shots)
+def per_unitary_cross(records, params: ProtocolParams) -> np.ndarray:
+    matrix_1, exact = _experiment_matrix(records, params, experiment=1)
+    matrix_2, _exact = _experiment_matrix(records, params, experiment=2)
+    freq_1 = _frequencies(matrix_1, exact, params.n_shots)
+    freq_2 = _frequencies(matrix_2, exact, params.n_shots)
     kernels, exponent = _cross_kernels(params.partition, params.kind)
     weighted = _apply_kernel_rows(freq_2, kernels)
     # independent experiments: the frequency product is already unbiased
     return 2.0 ** exponent * np.einsum("ij,ij->i", freq_1, weighted)
 
 
-def _estimate_cross(records: list[MeasurementRecord], params: ProtocolParams,
+def _estimate_cross(records, params: ProtocolParams,
                     kind: str) -> EstimatorResult:
     if params.kind != kind:
         raise ValueError(f"records come from a {params.kind!r} campaign, expected {kind!r}")
@@ -542,13 +618,12 @@ def twirl_check(channel: str, n_samples: int, rng: np.random.Generator) -> Twirl
 
 # -- record persistence -----------------------------------------------------------
 
-def write_records(path, records: list[MeasurementRecord], params: ProtocolParams) -> None:
+def write_records(path, records, params: ProtocolParams) -> None:
     """Line format: one ``unitary_index,experiment,outcome,count`` per
-    nonzero count, after a single '#'-prefixed JSON header with the campaign
-    parameters."""
-    import json
-
-    if any(record.exact for record in records):
+    nonzero count, unitary-major, after a single '#'-prefixed JSON header
+    with the campaign parameters."""
+    table = campaign_records(records, params)
+    if table.exact:
         raise ValueError("exact-probability records are not persisted")
     header = {
         "kind": params.kind,
@@ -559,36 +634,82 @@ def write_records(path, records: list[MeasurementRecord], params: ProtocolParams
         "pairs": params.partition.pairs,
         "segments": list(list(seg) for seg in params.partition.segments),
     }
+    units, experiments, outcomes = np.nonzero(table.outcomes)
+    counts = table.outcomes[units, experiments, outcomes]
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("#" + json.dumps(header, sort_keys=True) + "\n")
-        for record in records:
-            for outcome in np.nonzero(record.counts)[0]:
-                handle.write(
-                    f"{record.unitary_index},{record.experiment},{int(outcome)},"
-                    f"{int(record.counts[outcome])}\n"
-                )
+        handle.writelines(f"{u},{e + 1},{s},{c}\n" for u, e, s, c in zip(
+            units.tolist(), experiments.tolist(), outcomes.tolist(), counts.tolist()))
 
 
-def read_records(path) -> tuple[list[MeasurementRecord], ProtocolParams]:
-    import json
-
-    with open(path, "r", encoding="utf-8") as handle:
-        header_line = handle.readline()
-        if not header_line.startswith("#"):
-            raise ValueError("record file missing JSON header line")
-        header = json.loads(header_line[1:])
+def _read_header(line: str) -> ProtocolParams:
+    if not line.startswith("#"):
+        raise ValueError("record file missing JSON header line")
+    try:
+        header = json.loads(line[1:])
         partition = PartitionSpec(header["num_sites"], header["pairs"],
                                   tuple(tuple(seg) for seg in header["segments"]))
-        params = ProtocolParams(header["kind"], header["n_unitaries"],
-                                header["n_shots"], partition, header["master_seed"])
-        dim = 2 ** partition.interval_size
-        table: dict[tuple[int, int], np.ndarray] = {}
-        for line in handle:
-            u_index, experiment, outcome, count = (int(x) for x in line.split(","))
-            key = (u_index, experiment)
-            if key not in table:
-                table[key] = np.zeros(dim, dtype=np.int64)
-            table[key][outcome] = count
-        records = [MeasurementRecord(u, e, counts) for (u, e), counts in
-                   sorted(table.items())]
-    return records, params
+        return ProtocolParams(header["kind"], header["n_unitaries"], header["n_shots"],
+                              partition, header["master_seed"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"line 1: bad record header ({type(exc).__name__}: {exc})") from None
+
+
+def read_records(path) -> tuple[CampaignRecords, ProtocolParams]:
+    """Inverse of ``write_records``.
+
+    Raises ``ValueError`` naming the line for a malformed line, a unitary,
+    experiment or outcome out of range, a negative count, or a duplicate
+    (unitary, experiment, outcome) line; naming the pair for a (unitary,
+    experiment) pair without lines; and naming the pair's lines when its
+    counts do not sum to ``n_shots``.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        params = _read_header(handle.readline())
+        lines = handle.readlines()
+    shape = (params.n_unitaries, params.experiments, 2 ** params.partition.interval_size)
+    first_line = 2  # line numbers are 1-based and line 1 is the header
+    table = np.empty((len(lines), 4), dtype=np.int64)
+    for row, line in enumerate(lines):
+        fields = line.split(",")
+        try:
+            if len(fields) != 4:
+                raise ValueError
+            table[row] = [int(x) for x in fields]
+        except ValueError:
+            raise ValueError(f"line {row + first_line}: expected "
+                             f"'unitary,experiment,outcome,count', got {line.rstrip()!r}") from None
+    units, experiments, outcomes, counts = table.T
+    for values, low, high, what in ((units, 0, shape[0], "unitary index"),
+                                    (experiments, 1, shape[1] + 1, "experiment"),
+                                    (outcomes, 0, shape[2], "outcome"),
+                                    (counts, 0, params.n_shots + 1, "count")):
+        bad = np.flatnonzero((values < low) | (values >= high))
+        if bad.size:
+            raise ValueError(f"line {bad[0] + first_line}: {what} {values[bad[0]]} "
+                             f"outside {low}..{high - 1}")
+    flat = np.ravel_multi_index((units, experiments - 1, outcomes), shape)
+    keys, first = np.unique(flat, return_index=True)
+    if keys.size != flat.size:
+        repeated = np.ones(flat.size, dtype=bool)
+        repeated[first] = False
+        row = np.flatnonzero(repeated)[0]
+        earlier = first[np.searchsorted(keys, flat[row])]
+        raise ValueError(f"line {row + first_line}: duplicates line {earlier + first_line} "
+                         f"(unitary {units[row]}, experiment {experiments[row]}, "
+                         f"outcome {outcomes[row]})")
+    filled = np.zeros(shape[:2], dtype=bool)
+    filled[units, experiments - 1] = True
+    if not filled.all():
+        u_index, experiment = np.argwhere(~filled)[0]
+        raise ValueError(f"no lines for unitary {u_index}, experiment {experiment + 1}")
+    result = np.zeros(shape, dtype=np.int64)
+    result.reshape(-1)[flat] = counts
+    sums = result.sum(axis=2)
+    if np.any(sums != params.n_shots):
+        u_index, experiment = np.argwhere(sums != params.n_shots)[0]
+        rows = np.flatnonzero((units == u_index) & (experiments == experiment + 1))
+        raise ValueError(f"lines {rows[0] + first_line}-{rows[-1] + first_line}: counts of "
+                         f"unitary {u_index}, experiment {experiment + 1} sum to "
+                         f"{sums[u_index, experiment]}, expected n_shots = {params.n_shots}")
+    return CampaignRecords(result), params

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .partitions import PartitionSpec
+from .partitions import PartitionSpec, check_layout
 from .spincore import SpinState, reflection_permutation
 
 MAX_INTERVAL = 12
@@ -135,8 +135,7 @@ def _real_or_raise(value: complex, what: str) -> float:
 def reflection_invariant(rdm: ReducedDensityMatrix) -> InvariantValue:
     """Expectation of the site-order-reversal operator on the interval."""
     part = rdm.partition
-    if not part.is_reflection_layout:
-        raise ValueError("reflection invariant needs two equal segments")
+    check_layout("reflection", part)
     length = part.interval_size
     perm = reflection_permutation(length)
     raw = _real_or_raise(complex(rdm.matrix[np.arange(2 ** length), perm].sum()),
@@ -183,8 +182,7 @@ def _time_reversed_first_segment(rho: np.ndarray, part: PartitionSpec) -> np.nda
 def time_reversal_invariant(rdm: ReducedDensityMatrix) -> InvariantValue:
     """Two-copy overlap of rho with its spin-flipped partial transpose."""
     part = rdm.partition
-    if not part.is_reflection_layout:
-        raise ValueError("time-reversal invariant needs two equal segments")
+    check_layout("time_reversal", part)
     flipped = _time_reversed_first_segment(rdm.matrix, part)
     # Tr[rho X] = <rho, X> in the Frobenius inner product for Hermitian rho
     raw = _real_or_raise(complex(np.vdot(rdm.matrix, flipped)),
@@ -218,8 +216,7 @@ def _two_copy_contraction(x: np.ndarray, y: np.ndarray, part: PartitionSpec) -> 
 def _two_copy_invariant(state: SpinState, partition: PartitionSpec, kind: str,
                         label: str, flip) -> InvariantValue:
     """Contract ``flip(rho)`` against rho on the three-segment interval."""
-    if not partition.is_three_segment_layout:
-        raise ValueError(f"{label} needs three equal segments")
+    check_layout(kind, partition)
     if partition.interval_size > MAX_TWO_COPY_INTERVAL:
         raise ValueError(f"interval exceeds two-copy limit {MAX_TWO_COPY_INTERVAL}")
     rdm = reduced_density_matrix(state, partition)

@@ -115,23 +115,6 @@ def apply_local_unitary(state: SpinState, unitary: LocalUnitary) -> SpinState:
 
 # -- bitstring utilities ---------------------------------------------------
 
-def bits_to_index(bits) -> int:
-    """Pack a bit array (position j -> bit j) into an integer."""
-    index = 0
-    for j, b in enumerate(bits):
-        if b not in (0, 1):
-            raise ValueError(f"bits must be 0/1, got {b}")
-        index |= int(b) << j
-    return index
-
-
-def index_to_bits(index: int, length: int) -> np.ndarray:
-    """Unpack an integer into a bit array of the given length."""
-    if index < 0 or index >= 2 ** length:
-        raise ValueError(f"index {index} out of range for {length} bits")
-    return (index >> np.arange(length)) & 1
-
-
 def hamming_distance(a: int, b: int) -> int:
     """Number of differing spins between two equal-length bitstrings."""
     return int(bin(a ^ b).count("1"))
@@ -170,19 +153,15 @@ def marginal_probabilities(state: SpinState, sites) -> np.ndarray:
     n = state.num_sites
     if sites[-1] >= n or sites[0] < 0:
         raise ValueError(f"sites {sites} out of range for {n} sites")
-    return _marginal_from_amplitudes(state.amplitudes, n, sites)
-
-
-def _marginal_from_amplitudes(amplitudes: np.ndarray, num_sites: int, sites) -> np.ndarray:
-    probs = (amplitudes.real ** 2 + amplitudes.imag ** 2)
+    probs = (state.amplitudes.real ** 2 + state.amplitudes.imag ** 2)
     first, last = sites[0], sites[-1]
     if last - first + 1 == len(sites):
         # contiguous region: one reshape instead of a transpose
         view = probs.reshape(-1, 2 ** len(sites), 2 ** first)
         return view.sum(axis=(0, 2))
-    tensor = probs.reshape([2] * num_sites)  # axis j <-> site n-1-j
-    keep_axes = [num_sites - 1 - s for s in sites]
-    drop_axes = tuple(ax for ax in range(num_sites) if ax not in keep_axes)
+    tensor = probs.reshape([2] * n)  # axis j <-> site n-1-j
+    keep_axes = [n - 1 - s for s in sites]
+    drop_axes = tuple(ax for ax in range(n) if ax not in keep_axes)
     tensor = tensor.sum(axis=drop_axes)
     # remaining axes are ordered by descending site; flatten so that the
     # first listed (lowest) site becomes the least-significant bit

@@ -14,8 +14,8 @@ test, not a feature of the physics. Criteria 7 and 8 therefore run at
 N = 16 (the ground-state solver's cap) with n in {2, 4, 6}; n = 6 is a
 12-site interval (the RDM cap).
 
-Nine of the ten criteria pass; criterion 1 also carries a 300 s wall-time
-gate that a 2-core machine misses (about 340 s). Criterion 7 stays red at
+Nine of the ten criteria pass; criterion 1 meets its 300 s wall-time gate
+(about 75 s on 2 cores). Criterion 7 stays red at
 this system size: the three-point fit gives lambda(0.3) = 0 (the n = 6
 value reaches 1.0002, past the fit's |value| < 1 precondition),
 lambda(1) = 1.89 and lambda(3) = 2.26 with a log-residual of 1.01, because

@@ -243,6 +243,26 @@ class TestOtherCommands:
         lines = (out / "error_scan.csv").read_text().splitlines()
         assert len(lines) == 3
 
+    def test_norm_drift_exits_3_without_traceback(self, tmp_path, capsys, monkeypatch):
+        from topoprobe import dynamics
+
+        # a negative tolerance makes every snapshot's drift exceed it
+        monkeypatch.setattr(dynamics, "NORM_DRIFT_TOL", -1.0)
+        path = tmp_path / "ramp.cfg"
+        path.write_text(TINY_CONFIG + "\n[ramp]\nt_final = 0.1\ndt = 0.02\n")
+        assert main(["adiabatic", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: norm drift")
+        assert "Traceback" not in err
+
+    def test_campaign_interval_above_limit_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "long.cfg"
+        path.write_text(TINY_CONFIG.replace("num_sites = 8", "num_sites = 14")
+                        .replace("pairs = 2", "pairs = 7"))
+        assert main(["campaign-export", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "exceeds limit" in capsys.readouterr().err
+
     def test_non_invariant_kind_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "purity.cfg"
         path.write_text(TINY_CONFIG.replace("kind = reflection", "kind = purity"))

@@ -11,7 +11,7 @@ from topoprobe.dynamics import (
     monitor_invariants,
 )
 from topoprobe.hamiltonians import HamiltonianSpec, dense_matrix
-from topoprobe.partitions import reflection_partition
+from topoprobe.partitions import reflection_partition, three_segment_partition
 from topoprobe.rdm import exact_invariant
 from topoprobe.spincore import neel_state, random_state
 
@@ -149,6 +149,31 @@ class TestMonitoring:
         rows = monitor_invariants(snapshots[-1:], part, ("reflection",), "sampled", params)
         exact_rows = monitor_invariants(snapshots[-1:], part, ("reflection",), "exact")
         assert abs(rows[0]["value"] - exact_rows[0]["value"]) <= 4 * rows[0]["std_error"]
+
+    def test_d2_monitor_reports_raw_value(self):
+        spec = HamiltonianSpec(num_sites=8, j=1.0, j_prime=3.0, delta=0.25)
+        snapshots = adiabatic_evolve(spec, RampSpec(t_final=1.0, dt=0.05))
+        part = three_segment_partition(8, 1)
+        rows = monitor_invariants(snapshots[-1:], part, ("d2",), "exact")
+        value = exact_invariant(snapshots[-1][1], part, "d2")
+        assert rows[0]["value"] == value.raw == rows[0]["raw"]
+        assert value.raw != value.normalized
+
+    def test_sampled_d2_uses_raw_estimate_and_derived_seed(self):
+        from topoprobe.protocols import ProtocolParams, estimate_raw, run_campaign
+
+        spec = HamiltonianSpec(num_sites=8, j=1.0, j_prime=3.0, delta=0.25)
+        snapshots = adiabatic_evolve(spec, RampSpec(t_final=1.0, dt=0.05))
+        part = three_segment_partition(8, 1)
+        params = ProtocolParams("d2", 16, 16, part, 33)
+        rows = monitor_invariants(snapshots, part, ("d2",), "sampled", params)
+        index = len(snapshots) - 1
+        seed = np.random.SeedSequence(33, spawn_key=(index,)).generate_state(1, np.uint64)[0]
+        expected_params = ProtocolParams("d2", 16, 16, part, int(seed))
+        expected = estimate_raw(run_campaign(snapshots[-1][1], expected_params),
+                                expected_params)
+        assert rows[-1]["value"] == expected.value
+        assert rows[-1]["std_error"] == expected.std_error
 
     def test_empty_snapshots_rejected(self):
         with pytest.raises(ValueError, match="snapshots"):

@@ -1,17 +1,24 @@
 """Randomized-measurement campaigns, estimators, and twirling checks."""
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from topoprobe.partitions import PartitionSpec, reflection_partition, \
+from topoprobe.partitions import PartitionSpec, partition_for, reflection_partition, \
     three_segment_partition
 from topoprobe.protocols import (
     HAMMING_DIAGONAL,
     SWAP_2,
     TRANSPOSE_SWAP_2,
+    CampaignRecords,
     EstimatorResult,
     MeasurementRecord,
     ProtocolParams,
+    _campaign_gates,
     build_pattern,
+    campaign_records,
     estimate_d2,
     estimate_klein_bottle,
     estimate_normalized,
@@ -28,17 +35,38 @@ from topoprobe.protocols import (
     write_records,
 )
 from topoprobe.rdm import (
+    MAX_INTERVAL,
     exact_invariant,
     purity,
     reduced_density_matrix,
     segment_density_matrix,
 )
-from topoprobe.spincore import PAULI_Y, SpinState, all_up_state, random_state
+from topoprobe.spincore import PAULI_Y, SpinState, all_up_state, apply_matrix_at_site, \
+    marginal_probabilities, random_state
+
+# (kind, pairs) of every engine layout with |I| <= 6
+ENGINE_LAYOUTS = [(kind, pairs) for kind in ("reflection", "purity", "time_reversal")
+                  for pairs in (1, 2, 3)] + \
+    [(kind, pairs) for kind in ("d2", "klein_bottle") for pairs in (1, 2)]
 
 
 @pytest.fixture(scope="module")
 def state8():
     return random_state(8, np.random.default_rng(2024))
+
+
+def pattern_stream(master_seed, u_index):
+    """The pattern stream of unitary ``u_index`` under the seed contract."""
+    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(0, u_index, 0)))
+
+
+def statevector_born(state, partition, gates):
+    """Reference for the campaign engine: apply the gates to the full
+    statevector one site at a time, then marginalize onto the interval."""
+    amps = state.amplitudes
+    for site, gate in zip(partition.sites, gates):
+        amps = apply_matrix_at_site(amps, state.num_sites, site, gate)
+    return marginal_probabilities(SpinState(state.num_sites, amps), partition.sites)
 
 
 class TestCueSampling:
@@ -153,6 +181,16 @@ class TestCampaign:
                 == [(u, e) for u in range(4) for e in range(1, experiments + 1)]
             assert np.array_equal(np.array([r.counts for r in records]), np.array(expected))
 
+    def test_records_are_one_outcome_array(self, state8):
+        params = ProtocolParams("time_reversal", 5, 16, reflection_partition(8, 2), 3)
+        records = run_campaign(state8, params)
+        assert isinstance(records, CampaignRecords)
+        assert records.outcomes.shape == (5, 2, 16)
+        assert records.outcomes.dtype == np.int64
+        for record in records:
+            assert np.array_equal(record.counts,
+                                  records.outcomes[record.unitary_index, record.experiment - 1])
+
     def test_params_validation(self):
         part = reflection_partition(8, 2)
         with pytest.raises(ValueError, match="n_unitaries"):
@@ -161,6 +199,89 @@ class TestCampaign:
             ProtocolParams("reflection", 4, 1, part, 0)
         with pytest.raises(ValueError, match="three-segment"):
             ProtocolParams("d2", 4, 16, part, 0)
+
+
+class TestEngine:
+    @pytest.mark.parametrize("num_sites", [8, 12])
+    def test_born_probabilities_match_statevector_loop(self, num_sites):
+        state = random_state(num_sites, np.random.default_rng(num_sites))
+        for kind, pairs in ENGINE_LAYOUTS:
+            partition = partition_for(kind, num_sites, pairs)
+            params = ProtocolParams(kind, 5, 2, partition, 40 + pairs)
+            records = run_campaign(state, params, exact_probabilities=True)
+            for u_index in range(params.n_unitaries):
+                pattern = build_pattern(kind, partition, pattern_stream(40 + pairs, u_index))
+                experiments = [pattern.experiment_1, pattern.experiment_2][:params.experiments]
+                for experiment, gates in enumerate(experiments):
+                    reference = statevector_born(state, partition, gates)
+                    assert np.max(np.abs(records.outcomes[u_index, experiment] - reference)) \
+                        <= 1e-12, (kind, pairs, u_index, experiment)
+
+    def test_build_pattern_gives_campaign_gates(self):
+        for kind, pairs in ENGINE_LAYOUTS:
+            partition = partition_for(kind, 8, pairs)
+            params = ProtocolParams(kind, 4, 2, partition, 61)
+            gates = _campaign_gates(params, range(4))
+            assert gates.shape == (4, params.experiments, partition.interval_size, 2, 2)
+            for u_index in range(4):
+                pattern = build_pattern(kind, partition, pattern_stream(61, u_index))
+                assert np.array_equal(gates[u_index, 0], pattern.experiment_1)
+                if params.experiments == 2:
+                    assert np.array_equal(gates[u_index, 1], pattern.experiment_2)
+
+    def test_chunking_leaves_counts_unchanged(self, state8, monkeypatch):
+        import topoprobe.protocols as protocols
+
+        params = ProtocolParams("d2", 9, 32, three_segment_partition(8, 1), 62)
+        whole = run_campaign(state8, params)
+        monkeypatch.setattr(protocols, "CHUNK_UNITARIES", 2)
+        assert np.array_equal(run_campaign(state8, params).outcomes, whole.outcomes)
+
+    def test_interval_above_limit_rejected(self):
+        num_sites = 2 * (MAX_INTERVAL // 2 + 1)
+        state = random_state(num_sites, np.random.default_rng(3))
+        params = ProtocolParams("reflection", 2, 2,
+                                reflection_partition(num_sites, num_sites // 2), 0)
+        with pytest.raises(ValueError, match="exceeds limit"):
+            run_campaign(state, params)
+
+
+class TestRecordTable:
+    def test_list_and_table_agree(self, state8):
+        params = ProtocolParams("klein_bottle", 6, 16, three_segment_partition(8, 1), 63)
+        records = run_campaign(state8, params)
+        table = campaign_records(list(reversed(list(records))), params)
+        assert np.array_equal(table.outcomes, records.outcomes)
+        assert len(table) == len(records) == 12
+
+    def test_uncovered_index_rejected(self):
+        params = ProtocolParams("reflection", 2, 2, reflection_partition(4, 1), 0)
+        probs = np.full(4, 0.25)
+        records = [MeasurementRecord(0, 1, probs, exact=True),
+                   MeasurementRecord(0, 1, probs, exact=True)]
+        with pytest.raises(ValueError, match="cover"):
+            campaign_records(records, params)
+
+    def test_mixed_modes_rejected(self):
+        params = ProtocolParams("reflection", 2, 2, reflection_partition(4, 1), 0)
+        records = [MeasurementRecord(0, 1, np.full(4, 0.25), exact=True),
+                   MeasurementRecord(1, 1, np.array([1, 0, 1, 0]))]
+        with pytest.raises(ValueError, match="mix"):
+            campaign_records(records, params)
+
+    def test_foreign_experiment_rejected(self):
+        params = ProtocolParams("reflection", 2, 2, reflection_partition(4, 1), 0)
+        probs = np.full(4, 0.25)
+        records = [MeasurementRecord(u, e, probs, exact=True) for u in (0, 1) for e in (1, 2)]
+        with pytest.raises(ValueError, match="experiments outside"):
+            campaign_records(records, params)
+
+    def test_table_shape_checked(self, state8):
+        params = ProtocolParams("reflection", 4, 8, reflection_partition(8, 2), 64)
+        records = run_campaign(state8, params)
+        with pytest.raises(ValueError, match="shape"):
+            estimate_reflection(records, ProtocolParams("reflection", 4, 8,
+                                                        reflection_partition(8, 1), 64))
 
 
 class TestReflectionEstimator:
@@ -391,6 +512,93 @@ class TestPersistence:
         with pytest.raises(ValueError, match="exact"):
             write_records(path, records, params)
         assert not path.exists()
+
+
+def write_lines(path, params_source, lines):
+    """A record file with the header of ``params_source`` and the given
+    data lines."""
+    header = Path(params_source).read_text().splitlines()[0]
+    Path(path).write_text("\n".join([header] + lines) + "\n")
+
+
+class TestRecordFileErrors:
+    @pytest.fixture()
+    def exported(self, state8, tmp_path):
+        params = ProtocolParams("time_reversal", 3, 4, reflection_partition(8, 1), 25)
+        path = tmp_path / "good.records"
+        write_records(path, run_campaign(state8, params), params)
+        return path, path.read_text().splitlines()[1:]
+
+    def test_outcome_out_of_range(self, exported, tmp_path):
+        source, lines = exported
+        bad = tmp_path / "bad.records"
+        u_index, experiment, _outcome, count = lines[2].split(",")
+        lines[2] = f"{u_index},{experiment},4,{count}"
+        write_lines(bad, source, lines)
+        with pytest.raises(ValueError, match="line 4: outcome 4 outside 0..3"):
+            read_records(bad)
+
+    def test_duplicate_line(self, exported, tmp_path):
+        source, lines = exported
+        bad = tmp_path / "bad.records"
+        write_lines(bad, source, lines + [lines[0]])
+        with pytest.raises(ValueError, match=f"line {len(lines) + 2}: duplicates line 2"):
+            read_records(bad)
+
+    def test_missing_pair(self, exported, tmp_path):
+        source, lines = exported
+        bad = tmp_path / "bad.records"
+        write_lines(bad, source, [line for line in lines if not line.startswith("1,2,")])
+        with pytest.raises(ValueError, match="no lines for unitary 1, experiment 2"):
+            read_records(bad)
+
+    def test_counts_not_summing_to_shots(self, exported, tmp_path):
+        source, lines = exported
+        bad = tmp_path / "bad.records"
+        u_index, experiment, outcome, count = lines[0].split(",")
+        lines[0] = f"{u_index},{experiment},{outcome},{int(count) - 1}"
+        write_lines(bad, source, lines)
+        with pytest.raises(ValueError, match=r"lines 2-\d+: counts of unitary 0, "
+                                             r"experiment 1 sum to 3, expected n_shots = 4"):
+            read_records(bad)
+
+    def test_malformed_line(self, exported, tmp_path):
+        source, lines = exported
+        bad = tmp_path / "bad.records"
+        write_lines(bad, source, lines[:1] + ["0,1,2"] + lines[1:])
+        with pytest.raises(ValueError, match="line 3: expected"):
+            read_records(bad)
+
+    def test_cli_exit_code(self, exported, tmp_path, capsys):
+        from topoprobe.cli import main
+
+        source, lines = exported
+        bad = tmp_path / "bad.records"
+        write_lines(bad, source, lines + [lines[0]])
+        assert main(["campaign-analyze", "--records", str(bad),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "duplicates line 2" in capsys.readouterr().err
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(["reflection", "time_reversal", "d2", "klein_bottle"]),
+       pairs=st.integers(1, 2), n_unitaries=st.integers(2, 6), n_shots=st.integers(2, 40),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_record_file_round_trip(kind, pairs, n_unitaries, n_shots, seed):
+    params = ProtocolParams(kind, n_unitaries, n_shots, partition_for(kind, 8, pairs), seed)
+    rng = np.random.default_rng(seed)
+    outcomes = np.stack([
+        rng.multinomial(n_shots, rng.dirichlet(np.full(2 ** params.partition.interval_size,
+                                                       0.3)), size=params.experiments)
+        for _ in range(n_unitaries)])
+    records = CampaignRecords(outcomes)
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "campaign.records"
+        write_records(path, records, params)
+        loaded, loaded_params = read_records(path)
+    assert loaded_params == params
+    assert loaded.outcomes.dtype == outcomes.dtype
+    assert np.array_equal(loaded.outcomes, outcomes)
 
 
 class TestEstimatorResultContract:
