@@ -81,7 +81,7 @@ def cmd_ground_state(args) -> int:
     return 0
 
 
-def _prepared_state(config: RunConfig, seed: int) -> tuple[SpinState, object]:
+def _prepared_state(config: RunConfig) -> tuple[SpinState, object]:
     spec = config.hamiltonian()
     return ground_state(spec, seed=0).state, spec
 
@@ -96,7 +96,7 @@ def _protocol_params(config: RunConfig, partition, seed: int) -> protocols.Proto
 def cmd_invariants(args) -> int:
     config = load_config(args.config)
     seed = _seed(args, config)
-    state, spec = _prepared_state(config, seed)
+    state, spec = _prepared_state(config)
     kind = config.require("protocol", "kind")
     partition = config.partition(spec.num_sites)
     if args.mode == "exact":
@@ -202,7 +202,7 @@ def cmd_adiabatic(args) -> int:
 def cmd_error_scan(args) -> int:
     config = load_config(args.config)
     seed = _seed(args, config)
-    state, spec = _prepared_state(config, seed)
+    state, spec = _prepared_state(config)
     partition = config.partition(spec.num_sites)
     params = _protocol_params(config, partition, seed)
     rows = analysis.error_scaling_scan(
@@ -236,7 +236,7 @@ def cmd_twirl_check(args) -> int:
 def cmd_campaign_export(args) -> int:
     config = load_config(args.config)
     seed = _seed(args, config)
-    state, spec = _prepared_state(config, seed)
+    state, spec = _prepared_state(config)
     partition = config.partition(spec.num_sites)
     params = _protocol_params(config, partition, seed)
     records = protocols.run_campaign(state, params)
@@ -315,7 +315,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, dynamics.NormDriftError) as exc:

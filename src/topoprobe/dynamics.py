@@ -100,8 +100,8 @@ class TrotterStepper:
             gate = _bond_gate(h4, dt / 2.0)
             (self.even_bonds if left % 2 == 0 else self.odd_bonds).append((left, gate))
         zsign = _z_signs(n)
-        self.static_diag = spec.pinning * zsign[:, 0]
-        self.neel_diag = zsign @ staggered_signs(n)
+        self.static_diag = spec.pinning * zsign[0]
+        self.neel_diag = sum(s * z for s, z in zip(staggered_signs(n), zsign))
 
     def step(self, amps: np.ndarray, neel_weight: float) -> np.ndarray:
         """One symmetric step; ``neel_weight`` is the midpoint field weight."""

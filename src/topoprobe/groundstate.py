@@ -1,15 +1,18 @@
 """Lowest eigenpair of a chain Hamiltonian via Lanczos iteration.
 
-Full reorthogonalization is performed on every step; Krylov spaces at desk
-scale (N <= 16) are small enough that robustness is worth the extra dot
-products. When the Krylov space hits its cap without converging, the
-iteration restarts from the current Ritz vector. Degenerate ground states
-are not detected here; the boundary pinning field in the Hamiltonian is the
-intended degeneracy-breaking mechanism.
+The Krylov basis is one real array, fully reorthogonalized on every step
+by two classical Gram-Schmidt passes (BLAS matrix-vector products). A
+Krylov space at its cap restarts from the current Ritz vector; a result is
+returned once its true residual ||H psi - E psi|| is at most ``tol``.
+Converged results are memoized per process by ``(spec, tol, max_iter,
+seed)`` and shared (specs are frozen, amplitudes read-only); failures are
+not. Degenerate ground states are not detected; the boundary pinning field
+in the Hamiltonian is the intended degeneracy-breaking mechanism.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,6 +23,7 @@ MAX_SITES = 16
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 2000
 KRYLOV_CAP = 200
+MEMO_SIZE = 32  # converged results kept; an N = 16 state holds 1 MiB
 
 
 class ConvergenceError(RuntimeError):
@@ -39,19 +43,20 @@ class EigenResult:
 def _lanczos_sweep(ham: CompiledHamiltonian, start: np.ndarray, tol: float,
                    max_steps: int) -> tuple[float, np.ndarray, float, int]:
     """One restart-free Lanczos pass; returns (energy, vector, residual, steps)."""
-    vec = start / np.linalg.norm(start)
-    basis = [vec]
+    basis = np.empty((max_steps, start.shape[0]))  # untouched rows are never resident
+    basis[0] = start / np.linalg.norm(start)
     alphas: list[float] = []
     betas: list[float] = []
-    w = ham.apply(vec)
+    w = ham.apply(basis[0])
     for step in range(1, max_steps + 1):
-        alphas.append(float(np.real(np.vdot(basis[-1], w))))
-        w = w - alphas[-1] * basis[-1]
-        if len(basis) > 1:
-            w = w - betas[-1] * basis[-2]
-        # full reorthogonalization against the whole Krylov basis
-        for b in basis:
-            w = w - np.vdot(b, w) * b
+        krylov = basis[:step]
+        alphas.append(float(krylov[-1] @ w))
+        w -= alphas[-1] * krylov[-1]
+        if step > 1:
+            w -= betas[-1] * krylov[-2]
+        # full reorthogonalization: two classical Gram-Schmidt passes
+        for _ in range(2):
+            w -= krylov.T @ (krylov @ w)
         beta = float(np.linalg.norm(w))
 
         tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
@@ -61,15 +66,13 @@ def _lanczos_sweep(ham: CompiledHamiltonian, start: np.ndarray, tol: float,
         # residual of the Ritz pair is |beta * last coefficient|
         residual_est = abs(beta * ritz_coeffs[-1])
         if residual_est <= tol or beta < 1e-14 or step == max_steps:
-            vector = np.zeros_like(basis[0])
-            for coeff, b in zip(ritz_coeffs, basis):
-                vector += coeff * b
+            vector = ritz_coeffs @ krylov
             vector /= np.linalg.norm(vector)
             return energy, vector, residual_est, step
 
-        basis.append(w / beta)
+        basis[step] = w / beta
         betas.append(beta)
-        w = ham.apply(basis[-1])
+        w = ham.apply(basis[step])
     raise AssertionError("unreachable")
 
 
@@ -79,12 +82,18 @@ def ground_state(spec: HamiltonianSpec, tol: float = DEFAULT_TOL,
 
     Raises ConvergenceError (carrying the final residual) if the true
     residual ||H psi - E psi|| does not reach ``tol`` within ``max_iter``
-    total Lanczos steps across restarts.
+    total Lanczos steps across restarts. Equal arguments return one result.
     """
     if spec.num_sites > MAX_SITES:
         raise ValueError(f"ground_state limited to N <= {MAX_SITES}, got {spec.num_sites}")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    return _solve(spec, tol, max_iter, seed)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _solve(spec: HamiltonianSpec, tol: float, max_iter: int, seed: int) -> EigenResult:
+    """The memoized Lanczos solve behind ``ground_state``."""
     ham = compile_hamiltonian(spec)
     rng = np.random.default_rng(seed)
     # H is real in this basis, so the ground vector can be kept real

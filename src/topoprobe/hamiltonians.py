@@ -13,10 +13,10 @@ strong-field ground state is |down, up, down, ...>, matching the initial
 state of the adiabatic ramp, and the pinning term then prefers the same
 edge orientation.
 
-``matvec`` applies H term-by-term with bit arithmetic, never materializing
-the 2^N x 2^N matrix; ``dense_matrix`` builds the same operator from
-explicit Kronecker products and exists as an independent cross-check for
-small N.
+``matvec`` applies H term-by-term through strided views of the amplitude
+array, never materializing the 2^N x 2^N matrix; ``dense_matrix`` builds
+the same operator from explicit Kronecker products and exists as an
+independent cross-check for small N.
 """
 from __future__ import annotations
 
@@ -77,64 +77,38 @@ def staggered_signs(num_sites: int) -> np.ndarray:
     return np.array([1.0 if i % 2 == 0 else -1.0 for i in range(num_sites)])
 
 
-def _z_signs(num_sites: int) -> np.ndarray:
-    """sigma_z eigenvalue (+1 up, -1 down) of every site in every basis
-    state, shape (2^N, N)."""
+def _z_signs(num_sites: int) -> list[np.ndarray]:
+    """sigma_z eigenvalue (+1 up, -1 down) of every basis state, one array
+    per site: no allocation exceeds 2^N doubles."""
     indices = np.arange(2 ** num_sites)
-    return 1.0 - 2.0 * ((indices[:, None] >> np.arange(num_sites)[None, :]) & 1)
+    return [1.0 - 2.0 * ((indices >> site) & 1) for site in range(num_sites)]
+
+
+def _bond_view(amplitudes: np.ndarray, left: int) -> np.ndarray:
+    """Axes (higher sites, bit left+1, bit left, lower sites) of flat amplitudes."""
+    return amplitudes.reshape(-1, 2, 2, 2 ** left)
 
 
 class CompiledHamiltonian:
-    """Precomputed index tables so repeated matvecs stay cheap."""
+    """Precomputed diagonal; off-diagonal terms act through strided views."""
 
     def __init__(self, spec: HamiltonianSpec):
         self.spec = spec
-        n = spec.num_sites
-        dim = spec.dim
-        indices = np.arange(dim)
-        zsign = _z_signs(n)
+        zsign = _z_signs(spec.num_sites)
 
         # diagonal: zz exchange parts + staggered field + pinning
-        diag = np.zeros(dim)
+        diag = np.zeros(spec.dim)
         for left, right, coupling in exchange_bonds(spec):
-            diag += 0.5 * coupling * spec.delta * zsign[:, left] * zsign[:, right]
-        stagger = staggered_signs(n)
-        self.neel_diag = zsign @ stagger  # sum_i (-1)^i z_i per basis state
+            diag += 0.5 * coupling * spec.delta * zsign[left] * zsign[right]
+        # sum_i (-1)^i z_i; exact in any summation order
+        self.neel_diag = sum(s * z for s, z in zip(staggered_signs(spec.num_sites), zsign))
         diag += spec.neel_delta * spec.neel_weight * self.neel_diag
-        diag += spec.pinning * zsign[:, 0]
+        diag += spec.pinning * zsign[0]
         self.diagonal = diag
         self.static_diagonal = diag - spec.neel_delta * spec.neel_weight * self.neel_diag
-
-        # XX+YY flip terms: act only where the two bond spins differ
-        self.flip_sources = []
-        self.flip_targets = []
-        self.flip_coeffs = []
-        for left, right, coupling in exchange_bonds(spec):
-            if coupling == 0.0:
-                continue
-            mask = (1 << left) | (1 << right)
-            anti = ((indices >> left) & 1) != ((indices >> right) & 1)
-            src = indices[anti]
-            self.flip_sources.append(src)
-            self.flip_targets.append(src ^ mask)
-            # (c/2)(XX+YY) couples |01> <-> |10> with amplitude c
-            self.flip_coeffs.append(coupling)
-
-        # symmetry-breaking terms: X_j Z_{j+1} - Z_j X_{j+1} on every bond
-        self.break_sources = []
-        self.break_targets = []
-        self.break_signs = []
-        if spec.b_field != 0.0:
-            for left in range(n - 1):
-                right = left + 1
-                # X on left picks up Z eigenvalue of right
-                self.break_sources.append(indices)
-                self.break_targets.append(indices ^ (1 << left))
-                self.break_signs.append(spec.b_field * zsign[:, right])
-                # minus Z on left times X on right
-                self.break_sources.append(indices)
-                self.break_targets.append(indices ^ (1 << right))
-                self.break_signs.append(-spec.b_field * zsign[:, left])
+        # (c/2)(XX+YY) couples |01> <-> |10> of a bond with amplitude c
+        self.exchange = [(left, coupling) for left, _right, coupling in exchange_bonds(spec)
+                         if coupling != 0.0]
 
     def apply(self, amplitudes: np.ndarray, neel_weight: float | None = None) -> np.ndarray:
         """H |psi> on a flat amplitude array; optional staggered-field weight
@@ -148,10 +122,20 @@ class CompiledHamiltonian:
         else:
             diag = self.static_diagonal + self.spec.neel_delta * neel_weight * self.neel_diag
         out = diag * amplitudes
-        for src, tgt, coeff in zip(self.flip_sources, self.flip_targets, self.flip_coeffs):
-            out[tgt] += coeff * amplitudes[src]
-        for src, tgt, sign in zip(self.break_sources, self.break_targets, self.break_signs):
-            out[tgt] += sign * amplitudes[src]
+        for left, coupling in self.exchange:
+            source, target = _bond_view(amplitudes, left), _bond_view(out, left)
+            target[:, 1, 0] += coupling * source[:, 0, 1]
+            target[:, 0, 1] += coupling * source[:, 1, 0]
+        b = self.spec.b_field
+        if b != 0.0:
+            for left in range(self.spec.num_sites - 1):
+                source, target = _bond_view(amplitudes, left), _bond_view(out, left)
+                # X_j Z_{j+1}: flip bit j, sign of spin j+1; -Z_j X_{j+1}: flip bit
+                # j+1, minus the sign of spin j
+                target[:, 0] += b * source[:, 0, ::-1]
+                target[:, 1] += -b * source[:, 1, ::-1]
+                target[:, :, 0] += -b * source[:, ::-1, 0]
+                target[:, :, 1] += b * source[:, ::-1, 1]
         return out
 
 
@@ -215,7 +199,7 @@ def dense_matrix(spec: HamiltonianSpec) -> np.ndarray:
 
 def magnetization_diagonal(num_sites: int) -> np.ndarray:
     """Eigenvalues of sum_i sigma_i^z per basis state."""
-    return _z_signs(num_sites).sum(axis=1)
+    return sum(_z_signs(num_sites))
 
 
 def site_z_expectation(state: SpinState, site: int) -> float:

@@ -18,6 +18,11 @@ the power 3/2. No standard normalization exists for the D2/Klein-bottle
 values; the ``normalized`` field for those divides the raw value by
 (mean of the two swapped segments' purities)^(3/2) purely as a reporting
 convention, and should be read as such.
+
+Raw values are checked against derived bounds: |Z_R| <= 1, |Z_T| <= Tr
+rho_I^2 (Cauchy-Schwarz), and for the two-copy traces of a unitary on
+(flipped copy) x rho_I, the flipped copy's trace norm: 1 for D2 and
+||rho_I^{T1}||_1 for the Klein bottle.
 """
 from __future__ import annotations
 
@@ -31,7 +36,7 @@ from .spincore import SpinState, reflection_permutation
 MAX_INTERVAL = 12
 MAX_TWO_COPY_INTERVAL = 9
 REALNESS_ATOL = 1e-10
-NORMALIZED_BOUND = 1.5
+BOUND_SLACK = 1e-10
 
 KINDS = ("reflection", "time_reversal", "d2", "klein_bottle")
 
@@ -61,6 +66,7 @@ class InvariantValue:
     purity_first: float
     purity_second: float
     kind: str
+    bound: float = 1.0  # derived bound on |raw|
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -68,11 +74,9 @@ class InvariantValue:
         for p in (self.purity_first, self.purity_second):
             if not 0.0 < p <= 1.0 + 1e-9:
                 raise ValueError(f"purity {p} outside (0, 1]")
-        if abs(self.normalized) > NORMALIZED_BOUND:
-            raise ValueError(
-                f"normalized value {self.normalized} exceeds bound {NORMALIZED_BOUND}; "
-                "likely a contraction bug"
-            )
+        if abs(self.raw) > self.bound + BOUND_SLACK:
+            raise ValueError(f"raw {self.kind} value {self.raw} exceeds its derived bound "
+                             f"{self.bound}; likely a contraction bug")
 
 
 def reduced_density_matrix(state: SpinState, partition: PartitionSpec) -> ReducedDensityMatrix:
@@ -189,7 +193,7 @@ def time_reversal_invariant(rdm: ReducedDensityMatrix) -> InvariantValue:
                          "time-reversal invariant")
     p1, p2 = _segment_purities(rdm, 0, 1)
     normalized = raw / ((p1 + p2) / 2.0) ** 1.5
-    return InvariantValue(raw, normalized, p1, p2, "time_reversal")
+    return InvariantValue(raw, normalized, p1, p2, "time_reversal", purity(rdm))
 
 
 def _two_copy_contraction(x: np.ndarray, y: np.ndarray, part: PartitionSpec) -> complex:
@@ -214,17 +218,18 @@ def _two_copy_contraction(x: np.ndarray, y: np.ndarray, part: PartitionSpec) -> 
 
 
 def _two_copy_invariant(state: SpinState, partition: PartitionSpec, kind: str,
-                        label: str, flip) -> InvariantValue:
-    """Contract ``flip(rho)`` against rho on the three-segment interval."""
+                        label: str, flip, bound=lambda flipped: 1.0) -> InvariantValue:
+    """Contract ``flip(rho)`` against rho on the three-segment interval;
+    ``bound(flip(rho))`` bounds |raw|."""
     check_layout(kind, partition)
     if partition.interval_size > MAX_TWO_COPY_INTERVAL:
         raise ValueError(f"interval exceeds two-copy limit {MAX_TWO_COPY_INTERVAL}")
     rdm = reduced_density_matrix(state, partition)
-    raw = _real_or_raise(_two_copy_contraction(flip(rdm.matrix, partition), rdm.matrix,
-                                               partition), label)
+    flipped = flip(rdm.matrix, partition)
+    raw = _real_or_raise(_two_copy_contraction(flipped, rdm.matrix, partition), label)
     p1, p3 = _segment_purities(rdm, 0, 2)
     normalized = raw / ((p1 + p3) / 2.0) ** 1.5
-    return InvariantValue(raw, normalized, p1, p3, kind)
+    return InvariantValue(raw, normalized, p1, p3, kind, bound(flipped))
 
 
 def d2_invariant(state: SpinState, partition: PartitionSpec) -> InvariantValue:
@@ -236,8 +241,10 @@ def d2_invariant(state: SpinState, partition: PartitionSpec) -> InvariantValue:
 
 def klein_bottle_invariant(state: SpinState, partition: PartitionSpec) -> InvariantValue:
     """Two-copy invariant combining a z rotation with time reversal."""
+    # u rho^{T1} u^dag has the trace norm of rho^{T1}
     return _two_copy_invariant(state, partition, "klein_bottle", "klein-bottle invariant",
-                               _time_reversed_first_segment)
+                               _time_reversed_first_segment,
+                               lambda flipped: float(np.abs(np.linalg.eigvalsh(flipped)).sum()))
 
 
 def exact_invariant(state: SpinState, partition: PartitionSpec, kind: str) -> InvariantValue:

@@ -263,6 +263,15 @@ class TestOtherCommands:
                      "--out", str(tmp_path / "out")]) == 2
         assert "exceeds limit" in capsys.readouterr().err
 
+    def test_missing_records_file_exits_2_without_traceback(self, tmp_path, capsys):
+        missing = tmp_path / "absent.records"
+        assert main(["campaign-analyze", "--records", str(missing),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "absent.records" in err
+        assert "Traceback" not in err
+
     def test_non_invariant_kind_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "purity.cfg"
         path.write_text(TINY_CONFIG.replace("kind = reflection", "kind = purity"))

@@ -4,6 +4,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from topoprobe.partitions import (
     PartitionSpec,
@@ -344,10 +345,52 @@ class TestGroundStatePhysics:
             klein_bottle_invariant(state, part3)
 
 
+def mirror_singlet_state():
+    """4-site state with a singlet on sites (0, 3) and one on (1, 2)."""
+    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2)  # index = bit_a + 2 bit_b
+    amps = np.zeros(16, dtype=complex)
+    for k in range(16):
+        bits = [(k >> i) & 1 for i in range(4)]
+        amps[k] = singlet[bits[0] + 2 * bits[3]] * singlet[bits[1] + 2 * bits[2]]
+    return SpinState(4, amps)
+
+
+class TestDerivedBounds:
+    def test_mirror_singlet_normalized_two(self):
+        state = mirror_singlet_state()
+        part = reflection_partition(4, 2)
+        for kind in ("reflection", "time_reversal"):
+            value = exact_invariant(state, part, kind)
+            assert value.normalized == pytest.approx(2.0, abs=1e-12)
+        assert exact_invariant(state, part, "reflection").raw == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(num_sites=st.sampled_from([4, 6, 8]), pairs_draw=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_states_within_bounds(self, num_sites, pairs_draw, seed):
+        state = random_state(num_sites, np.random.default_rng(seed))
+        pairs = min(pairs_draw, num_sites // 2)
+        rdm = reduced_density_matrix(state, reflection_partition(num_sites, pairs))
+        assert abs(reflection_invariant(rdm).raw) <= 1.0 + 1e-10
+        assert abs(time_reversal_invariant(rdm).raw) <= purity(rdm) + 1e-10
+        triple = min(pairs_draw, num_sites // 3)
+        part3 = three_segment_partition(num_sites, triple)
+        assert abs(d2_invariant(state, part3).raw) <= 1.0 + 1e-10
+        rho = reduced_density_matrix(state, part3).matrix
+        transposed = partial_transpose_first_segment(rho, triple, 3 * triple)
+        trace_norm = np.abs(np.linalg.eigvalsh(transposed)).sum()
+        assert abs(klein_bottle_invariant(state, part3).raw) <= trace_norm + 1e-10
+
+
 class TestInvariantValueContract:
     def test_normalized_bound_enforced(self):
         with pytest.raises(ValueError, match="bound"):
             InvariantValue(2.0, 2.0, 1.0, 1.0, "reflection")
+
+    def test_raw_checked_against_given_bound(self):
+        InvariantValue(0.25, 2.0, 0.25, 0.25, "time_reversal", bound=0.25)
+        with pytest.raises(ValueError, match="derived bound"):
+            InvariantValue(0.3, 0.3, 1.0, 1.0, "time_reversal", bound=0.25)
 
     def test_purity_range_enforced(self):
         with pytest.raises(ValueError, match="purity"):
