@@ -8,16 +8,10 @@ preparation, and sweep/error-scaling studies.
 """
 from .spincore import (
     SpinState,
-    LocalUnitary,
     basis_state,
-    all_up_state,
     neel_state,
     random_state,
-    apply_local_unitary,
-    hamming_distance,
     reflect_index,
-    marginal_probabilities,
-    sample_bitstrings,
 )
 from .partitions import PartitionSpec, reflection_partition, three_segment_partition
 from .hamiltonians import HamiltonianSpec, matvec, dense_matrix, compile_hamiltonian
@@ -38,8 +32,6 @@ from .protocols import (
     EstimatorResult,
     MeasurementRecord,
     ProtocolParams,
-    UnitaryPattern,
-    build_pattern,
     estimate_normalized,
     estimate_purity,
     estimate_raw,
@@ -59,16 +51,10 @@ from .analysis import (
 
 __all__ = [
     "SpinState",
-    "LocalUnitary",
     "basis_state",
-    "all_up_state",
     "neel_state",
     "random_state",
-    "apply_local_unitary",
-    "hamming_distance",
     "reflect_index",
-    "marginal_probabilities",
-    "sample_bitstrings",
     "PartitionSpec",
     "reflection_partition",
     "three_segment_partition",
@@ -89,12 +75,10 @@ __all__ = [
     "klein_bottle_invariant",
     "exact_invariant",
     "ProtocolParams",
-    "UnitaryPattern",
     "MeasurementRecord",
     "CampaignRecords",
     "EstimatorResult",
     "sample_cue",
-    "build_pattern",
     "run_campaign",
     "estimate_raw",
     "estimate_purity",

@@ -214,7 +214,7 @@ def correlation_length_fits(kind: str, rows: list[dict]) -> tuple[list[dict], li
 # -- error scaling -------------------------------------------------------------
 
 def error_scaling_scan(state, base: ProtocolParams, axis: str, values,
-                       repetitions: int, exact_value: float | None = None) -> list[dict]:
+                       repetitions: int) -> list[dict]:
     """Mean absolute estimator error versus one protocol axis.
 
     Each grid point runs ``repetitions`` campaigns with independent derived
@@ -233,8 +233,7 @@ def error_scaling_scan(state, base: ProtocolParams, axis: str, values,
             params = replace(base, partition=partition)
         else:
             params = replace(base, **{axis: int(value)})
-        exact = exact_value if exact_value is not None and axis != "pairs" else \
-            exact_invariant(state, params.partition, base.kind).raw
+        exact = exact_invariant(state, params.partition, base.kind).raw
         errors = np.empty(repetitions)
         for rep in range(repetitions):
             rep_params = replace(params, master_seed=int(seed_rng.integers(0, 2 ** 63 - 1)))

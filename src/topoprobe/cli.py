@@ -221,7 +221,8 @@ def cmd_error_scan(args) -> int:
 
 
 def cmd_twirl_check(args) -> int:
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
+    seed = args.seed if args.seed is not None else 0
+    rng = np.random.default_rng(seed)
     reports = [protocols.twirl_check(channel, args.samples, rng)
                for channel in ("phi", "psi")]
     body = {report.channel: {"n_samples": report.n_samples,
@@ -229,7 +230,7 @@ def cmd_twirl_check(args) -> int:
                              "target": report.target}
             for report in reports}
     _write_json(_out_dir(args, None) / "twirl_check.json",
-                _payload(None, args.seed, "twirl-check", body))
+                _payload(None, seed, "twirl-check", body))
     return 0
 
 

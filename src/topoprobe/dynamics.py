@@ -140,20 +140,14 @@ def adiabatic_evolve(spec: HamiltonianSpec, ramp: RampSpec) -> list[tuple[float,
 
         warnings.warn("staggered field is weak relative to the exchange coupling; "
                       "the initial product state is a poor ground state", stacklevel=2)
-    run_spec = HamiltonianSpec(
-        num_sites=spec.num_sites, j=spec.j, j_prime=spec.j_prime, delta=spec.delta,
-        b_field=spec.b_field, neel_delta=ramp.neel_delta, pinning=spec.pinning,
-        neel_weight=1.0,
-    )
-    stepper = TrotterStepper(run_spec, ramp.dt)
+    stepper = TrotterStepper(replace(spec, neel_delta=ramp.neel_delta, neel_weight=1.0),
+                             ramp.dt)
     total_steps = int(round(ramp.t_final / ramp.dt))
     sample_steps = sorted({0, total_steps}
                           | {int(round(t / ramp.dt)) for t in ramp.sample_times})
 
     amps = neel_state(spec.num_sites).amplitudes
-    snapshots = []
-    if 0 in sample_steps:
-        snapshots.append((0.0, SpinState(spec.num_sites, amps)))
+    snapshots = [(0.0, SpinState(spec.num_sites, amps))]
     for step in range(1, total_steps + 1):
         midpoint = (step - 0.5) * ramp.dt
         amps = stepper.step(amps, ramp.weight(midpoint))

@@ -196,14 +196,3 @@ def dense_matrix(spec: HamiltonianSpec) -> np.ndarray:
             h += coeff * _site_operator(n, {i: PAULI_Z})
     return h
 
-
-def magnetization_diagonal(num_sites: int) -> np.ndarray:
-    """Eigenvalues of sum_i sigma_i^z per basis state."""
-    return sum(_z_signs(num_sites))
-
-
-def site_z_expectation(state: SpinState, site: int) -> float:
-    """<sigma_z> on one site."""
-    probs = np.abs(state.amplitudes) ** 2
-    bit = (np.arange(state.dim) >> site) & 1
-    return float(np.sum(probs * (1.0 - 2.0 * bit)))

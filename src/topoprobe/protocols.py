@@ -55,7 +55,6 @@ import numpy as np
 from .partitions import PartitionSpec, check_layout
 from .rdm import reduced_density_matrix
 from .spincore import IDENTITY_2, PAULI_X, PAULI_Y, SpinState, reflection_permutation
-from .spincore import _multinomial_counts
 
 PROTOCOL_KINDS = ("reflection", "time_reversal", "d2", "klein_bottle", "purity")
 # kinds whose reported value is the purity-normalized invariant; d2 and
@@ -95,18 +94,6 @@ class ProtocolParams:
         """Experiments per unitary: one for reflection and purity, two for
         the cross-correlated kinds."""
         return 1 if self.kind in ("reflection", "purity") else 2
-
-
-@dataclass(frozen=True)
-class UnitaryPattern:
-    """Per-site unitaries for one random draw, one array row per interval
-    site (ascending site order). ``base`` holds the raw CUE draws before any
-    fixed-gate composition or conjugation."""
-
-    kind: str
-    experiment_1: np.ndarray = field(repr=False)
-    experiment_2: np.ndarray | None = field(repr=False, default=None)
-    base: np.ndarray = field(repr=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -227,14 +214,6 @@ def _pattern_gates(kind: str, partition: PartitionSpec, haar: np.ndarray) -> np.
     return gates
 
 
-def build_pattern(kind: str, partition: PartitionSpec, rng: np.random.Generator) -> UnitaryPattern:
-    """Draw one unitary pattern with the correlation structure of ``kind``."""
-    check_layout(kind, partition)
-    haar = sample_cue(rng, _pattern_draw_count(kind, partition))
-    gates = _pattern_gates(kind, partition, haar[None])[0]
-    return UnitaryPattern(kind, gates[0], gates[1] if len(gates) == 2 else None, haar)
-
-
 # -- campaigns ----------------------------------------------------------------
 
 def _stream(master_seed: int, *key: int) -> np.random.Generator:
@@ -276,6 +255,14 @@ def _born_probabilities(rho: np.ndarray, gates: np.ndarray) -> np.ndarray:
             0, 2, 4, 1, 3, 5).reshape(batch, 4, -1)
         tensor = weights[:, bit] @ tensor
     return tensor.reshape(batch, -1)[:, reflection_permutation(length)].real
+
+
+def _multinomial_counts(probs: np.ndarray, n_shots: int,
+                        rng: np.random.Generator) -> np.ndarray:
+    """Shot counts drawn from a Born distribution; tiny negative rounding is
+    clipped and the distribution renormalized before the multinomial draw."""
+    probs = np.clip(probs, 0.0, None)
+    return rng.multinomial(n_shots, probs / probs.sum())
 
 
 def run_campaign(state: SpinState, params: ProtocolParams,
@@ -414,13 +401,6 @@ def per_unitary_reflection(records, params: ProtocolParams) -> np.ndarray:
     return 2 ** params.partition.pairs * (freqs @ weights)
 
 
-def estimate_reflection(records, params: ProtocolParams) -> EstimatorResult:
-    """Reflection invariant from mirror-paired randomized measurements."""
-    if params.kind != "reflection":
-        raise ValueError(f"records come from a {params.kind!r} campaign")
-    return _mean_result(per_unitary_reflection(records, params), params, params.kind)
-
-
 def _segment_counts(matrix: np.ndarray, partition: PartitionSpec, segment: int) -> np.ndarray:
     """Marginalize interval outcome vectors onto one segment."""
     length = partition.interval_size
@@ -482,40 +462,19 @@ def per_unitary_cross(records, params: ProtocolParams) -> np.ndarray:
     return 2.0 ** exponent * np.einsum("ij,ij->i", freq_1, weighted)
 
 
-def _estimate_cross(records, params: ProtocolParams,
-                    kind: str) -> EstimatorResult:
-    if params.kind != kind:
-        raise ValueError(f"records come from a {params.kind!r} campaign, expected {kind!r}")
-    return _mean_result(per_unitary_cross(records, params), params, kind)
-
-
-def estimate_time_reversal(records, params) -> EstimatorResult:
-    """Time-reversal invariant from cross-correlating the conjugated pair
-    of experiments."""
-    return _estimate_cross(records, params, "time_reversal")
-
-
-def estimate_d2(records, params) -> EstimatorResult:
-    """Pi-rotation (D2) invariant estimator."""
-    return _estimate_cross(records, params, "d2")
-
-
-def estimate_klein_bottle(records, params) -> EstimatorResult:
-    """Klein-bottle invariant estimator."""
-    return _estimate_cross(records, params, "klein_bottle")
+def _per_unitary_raw(records, params: ProtocolParams) -> np.ndarray:
+    """Per-unitary raw invariant: mirror-paired weights for reflection,
+    the cross-correlation of the two experiments for the other invariants."""
+    if params.kind == "purity":
+        raise ValueError(f"no raw invariant estimator for a {params.kind!r} campaign")
+    if params.kind == "reflection":
+        return per_unitary_reflection(records, params)
+    return per_unitary_cross(records, params)
 
 
 def estimate_raw(records, params) -> EstimatorResult:
-    """Dispatch on the campaign kind (raw, unnormalized invariant)."""
-    dispatch = {
-        "reflection": estimate_reflection,
-        "time_reversal": estimate_time_reversal,
-        "d2": estimate_d2,
-        "klein_bottle": estimate_klein_bottle,
-    }
-    if params.kind not in dispatch:
-        raise ValueError(f"no raw invariant estimator for kind {params.kind!r}")
-    return dispatch[params.kind](records, params)
+    """Raw (unnormalized) invariant of the campaign's kind."""
+    return _mean_result(_per_unitary_raw(records, params), params, params.kind)
 
 
 def estimate_normalized(records, params) -> EstimatorResult:
@@ -524,16 +483,12 @@ def estimate_normalized(records, params) -> EstimatorResult:
     The segment purities come from the same records (experiment 1), so the
     resampling happens coherently along the unitary axis.
     """
-    if params.kind == "reflection":
-        raw = per_unitary_reflection(records, params)
-        power = 0.5
-    elif params.kind == "time_reversal":
-        raw = per_unitary_cross(records, params)
-        power = 1.5
-    else:
+    if params.kind not in NORMALIZED_KINDS:
         raise ValueError(
             f"normalized estimates are defined for reflection/time_reversal, not {params.kind!r}"
         )
+    raw = _per_unitary_raw(records, params)
+    power = 0.5 if params.kind == "reflection" else 1.5
     purity_1 = per_unitary_purity(records, params, segment=0)
     purity_2 = per_unitary_purity(records, params, segment=1)
 
@@ -581,13 +536,6 @@ def twirl_phi_exact(op: np.ndarray) -> np.ndarray:
     tr = np.trace(op)
     tr_swap = np.trace(SWAP_2 @ op)
     return ((tr - tr_swap / 2.0) * np.eye(4) + (tr_swap - tr / 2.0) * SWAP_2) / 3.0
-
-
-def twirl_psi_exact(op: np.ndarray) -> np.ndarray:
-    """Closed form of the unitary-conjugate twirl, via the partial transpose."""
-    op_pt = op.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-    out = twirl_phi_exact(op_pt)
-    return out.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
 
 
 @dataclass(frozen=True)

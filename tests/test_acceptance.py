@@ -40,14 +40,14 @@ from topoprobe.protocols import (
     estimate_normalized,
     estimate_purity,
     estimate_raw,
-    estimate_reflection,
     run_campaign,
     twirl_check,
 )
 from topoprobe.rdm import exact_invariant, purity, reduced_density_matrix, \
     segment_density_matrix
-from topoprobe.spincore import random_state, reflection_permutation, \
-    hamming_distance
+from topoprobe.spincore import random_state, reflection_permutation
+
+from oracles import hamming_distance, magnetization_diagonal
 
 N_ORACLE_STATES = 20
 ORACLE_DRAWS = 20000
@@ -96,7 +96,7 @@ def test_criterion_01_oracle_equivalence_infinite_shot():
 
         params_r = ProtocolParams("reflection", ORACLE_DRAWS, 2, part2, seed)
         records_r = run_campaign(state, params_r, exact_probabilities=True)
-        est = estimate_reflection(records_r, params_r)
+        est = estimate_raw(records_r, params_r)
         exact = exact_invariant(state, part2, "reflection").raw
         hits["reflection"] += abs(est.value - exact) <= 3 * est.std_error
 
@@ -332,7 +332,7 @@ def test_criterion_10_property_bundle(rng):
 
     def reflection_value(dist):
         records = [MeasurementRecord(i, 1, dist, exact=True) for i in range(2)]
-        return estimate_reflection(records, params).value
+        return estimate_raw(records, params).value
 
     mixed = reflection_value(0.25 * p + 0.75 * q)
     if abs(mixed - (0.25 * reflection_value(p) + 0.75 * reflection_value(q))) > 1e-13:
@@ -347,8 +347,6 @@ def test_criterion_10_property_bundle(rng):
     if abs(np.vdot(phi, compiled.apply(psi))
            - np.conj(np.vdot(psi, compiled.apply(phi)))) > 1e-10:
         failures.append("hermiticity")
-    from topoprobe.hamiltonians import magnetization_diagonal
-
     mz = magnetization_diagonal(6)
     if np.max(np.abs(compiled.apply(mz * psi) - mz * compiled.apply(psi))) > 1e-10:
         failures.append("magnetization commutator")

@@ -224,6 +224,11 @@ class TestOtherCommands:
         assert result["phi"]["frobenius_error"] <= 0.1
         assert result["psi"]["frobenius_error"] <= 0.1
 
+    def test_twirl_check_records_default_seed(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["twirl-check", "--samples", "1000", "--out", str(out)]) == 0
+        assert read_json(out / "twirl_check.json")["master_seed"] == 0
+
     def test_adiabatic(self, tmp_path):
         path = tmp_path / "ramp.cfg"
         path.write_text(TINY_CONFIG + "\n[ramp]\nt_final = 1.0\ndt = 0.02\n"

@@ -7,9 +7,10 @@ import pytest
 from topoprobe import groundstate
 from topoprobe.analysis import SweepSpec, run_sweep
 from topoprobe.groundstate import DEFAULT_TOL, ConvergenceError, ground_state
-from topoprobe.hamiltonians import HamiltonianSpec, dense_matrix, matvec, \
-    site_z_expectation
+from topoprobe.hamiltonians import HamiltonianSpec, dense_matrix, matvec
 from topoprobe.spincore import neel_state, random_state
+
+from oracles import site_z
 
 
 class TestAgainstDense:
@@ -56,7 +57,7 @@ class TestPhysics:
     def test_pinning_selects_edge_orientation(self, ground_state_cache):
         result = ground_state_cache(num_sites=12, j=1.0, j_prime=4.0, delta=0.25,
                                     pinning=0.05)
-        assert abs(site_z_expectation(result.state, 0)) > 0.5
+        assert abs(site_z(result.state, 0)) > 0.5
 
 
 class TestSolverContract:

@@ -6,10 +6,11 @@ from topoprobe.hamiltonians import (
     HamiltonianSpec,
     compile_hamiltonian,
     dense_matrix,
-    magnetization_diagonal,
     matvec,
 )
-from topoprobe.spincore import all_up_state, random_state
+from topoprobe.spincore import basis_state, random_state
+
+from oracles import magnetization_diagonal
 
 # N=2 coupling block of the exchange term in the spin basis (up,up / down,up /
 # up,down / down,down with site 0 the low bit): XX+YY flips the middle two
@@ -57,7 +58,7 @@ class TestMatvec:
         # only flip terms act on the all-up state; with delta = 0 and no
         # fields every term gives zero
         spec = HamiltonianSpec(num_sites=4, j=1.0, j_prime=0.0, delta=0.0, pinning=0.0)
-        out = matvec(spec, all_up_state(4))
+        out = matvec(spec, basis_state(4, 0))
         assert np.max(np.abs(out)) == 0.0
 
     def test_decoupled_dimer_ground_energy(self):

@@ -17,21 +17,18 @@ from topoprobe.protocols import (
     MeasurementRecord,
     ProtocolParams,
     _campaign_gates,
-    build_pattern,
+    _pattern_draw_count,
+    _pattern_gates,
     campaign_records,
-    estimate_d2,
-    estimate_klein_bottle,
     estimate_normalized,
     estimate_purity,
-    estimate_reflection,
-    estimate_time_reversal,
+    estimate_raw,
     read_records,
     reflection_weights,
     run_campaign,
     sample_cue,
     twirl_check,
     twirl_phi_exact,
-    twirl_psi_exact,
     write_records,
 )
 from topoprobe.rdm import (
@@ -41,8 +38,9 @@ from topoprobe.rdm import (
     reduced_density_matrix,
     segment_density_matrix,
 )
-from topoprobe.spincore import PAULI_Y, SpinState, all_up_state, apply_matrix_at_site, \
-    marginal_probabilities, random_state
+from topoprobe.spincore import PAULI_X, PAULI_Y, SpinState, basis_state, random_state
+
+from oracles import statevector_born, twirl_psi_exact
 
 # (kind, pairs) of every engine layout with |I| <= 6
 ENGINE_LAYOUTS = [(kind, pairs) for kind in ("reflection", "purity", "time_reversal")
@@ -60,13 +58,9 @@ def pattern_stream(master_seed, u_index):
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(0, u_index, 0)))
 
 
-def statevector_born(state, partition, gates):
-    """Reference for the campaign engine: apply the gates to the full
-    statevector one site at a time, then marginalize onto the interval."""
-    amps = state.amplitudes
-    for site, gate in zip(partition.sites, gates):
-        amps = apply_matrix_at_site(amps, state.num_sites, site, gate)
-    return marginal_probabilities(SpinState(state.num_sites, amps), partition.sites)
+def first_gates(kind, partition):
+    """Gate stacks (experiments, |I|, 2, 2) of unitary 0 of a campaign."""
+    return _campaign_gates(ProtocolParams(kind, 2, 2, partition, 0), range(1))[0]
 
 
 class TestCueSampling:
@@ -97,37 +91,36 @@ class TestCueSampling:
 
 
 class TestPatterns:
-    def test_reflection_pairs_sites(self, rng):
-        pattern = build_pattern("reflection", reflection_partition(8, 2), rng)
-        assert np.allclose(pattern.experiment_1[0], pattern.experiment_1[3])
-        assert np.allclose(pattern.experiment_1[1], pattern.experiment_1[2])
-        assert pattern.experiment_2 is None
+    def test_reflection_pairs_sites(self):
+        gates = first_gates("reflection", reflection_partition(8, 2))
+        assert len(gates) == 1
+        assert np.allclose(gates[0, 0], gates[0, 3])
+        assert np.allclose(gates[0, 1], gates[0, 2])
 
-    def test_time_reversal_structure(self, rng):
-        pattern = build_pattern("time_reversal", reflection_partition(8, 2), rng)
+    def test_time_reversal_structure(self):
+        exp1, exp2 = first_gates("time_reversal", reflection_partition(8, 2))
         for i in range(2):
-            assert np.allclose(pattern.experiment_1[i], pattern.base[i] @ PAULI_Y)
-            assert np.allclose(pattern.experiment_2[i], pattern.base[i].conj())
+            assert np.allclose(exp1[i], exp2[i].conj() @ PAULI_Y)
         for i in range(2, 4):
-            assert np.allclose(pattern.experiment_1[i], pattern.experiment_2[i])
+            assert np.allclose(exp1[i], exp2[i])
 
-    def test_d2_middle_identities(self, rng):
-        pattern = build_pattern("d2", three_segment_partition(8, 1), rng)
-        assert np.allclose(pattern.experiment_1[1], np.eye(2))
-        assert np.allclose(pattern.experiment_2[1], np.eye(2))
-        assert np.allclose(pattern.experiment_1[2], pattern.experiment_2[2])
+    def test_d2_middle_identities(self):
+        exp1, exp2 = first_gates("d2", three_segment_partition(8, 1))
+        assert np.allclose(exp1[0], exp2[0] @ PAULI_X)
+        assert np.allclose(exp1[1], np.eye(2))
+        assert np.allclose(exp2[1], np.eye(2))
+        assert np.allclose(exp1[2], exp2[2])
 
-    def test_klein_bottle_structure(self, rng):
-        pattern = build_pattern("klein_bottle", three_segment_partition(8, 1), rng)
-        assert np.allclose(pattern.experiment_1[0], pattern.base[0] @ PAULI_Y)
-        assert np.allclose(pattern.experiment_2[0], pattern.base[0].conj())
-        assert np.allclose(pattern.experiment_1[1], np.eye(2))
+    def test_klein_bottle_structure(self):
+        exp1, exp2 = first_gates("klein_bottle", three_segment_partition(8, 1))
+        assert np.allclose(exp1[0], exp2[0].conj() @ PAULI_Y)
+        assert np.allclose(exp1[1], np.eye(2))
 
-    def test_incompatible_partition(self, rng):
+    def test_incompatible_partition(self):
         with pytest.raises(ValueError, match="three-segment"):
-            build_pattern("d2", reflection_partition(8, 2), rng)
+            ProtocolParams("d2", 2, 2, reflection_partition(8, 2), 0)
         with pytest.raises(ValueError, match="reflection"):
-            build_pattern("time_reversal", three_segment_partition(8, 1), rng)
+            ProtocolParams("time_reversal", 2, 2, three_segment_partition(8, 1), 0)
 
 
 class TestCampaign:
@@ -209,25 +202,23 @@ class TestEngine:
             partition = partition_for(kind, num_sites, pairs)
             params = ProtocolParams(kind, 5, 2, partition, 40 + pairs)
             records = run_campaign(state, params, exact_probabilities=True)
+            campaign_gates = _campaign_gates(params, range(params.n_unitaries))
             for u_index in range(params.n_unitaries):
-                pattern = build_pattern(kind, partition, pattern_stream(40 + pairs, u_index))
-                experiments = [pattern.experiment_1, pattern.experiment_2][:params.experiments]
-                for experiment, gates in enumerate(experiments):
+                for experiment, gates in enumerate(campaign_gates[u_index]):
                     reference = statevector_born(state, partition, gates)
                     assert np.max(np.abs(records.outcomes[u_index, experiment] - reference)) \
                         <= 1e-12, (kind, pairs, u_index, experiment)
 
-    def test_build_pattern_gives_campaign_gates(self):
+    def test_campaign_gates_follow_seed_contract(self):
         for kind, pairs in ENGINE_LAYOUTS:
             partition = partition_for(kind, 8, pairs)
             params = ProtocolParams(kind, 4, 2, partition, 61)
             gates = _campaign_gates(params, range(4))
             assert gates.shape == (4, params.experiments, partition.interval_size, 2, 2)
             for u_index in range(4):
-                pattern = build_pattern(kind, partition, pattern_stream(61, u_index))
-                assert np.array_equal(gates[u_index, 0], pattern.experiment_1)
-                if params.experiments == 2:
-                    assert np.array_equal(gates[u_index, 1], pattern.experiment_2)
+                haar = sample_cue(pattern_stream(61, u_index), _pattern_draw_count(kind, partition))
+                expected = _pattern_gates(kind, partition, haar[None])[0]
+                assert np.array_equal(gates[u_index], expected)
 
     def test_chunking_leaves_counts_unchanged(self, state8, monkeypatch):
         import topoprobe.protocols as protocols
@@ -280,8 +271,8 @@ class TestRecordTable:
         params = ProtocolParams("reflection", 4, 8, reflection_partition(8, 2), 64)
         records = run_campaign(state8, params)
         with pytest.raises(ValueError, match="shape"):
-            estimate_reflection(records, ProtocolParams("reflection", 4, 8,
-                                                        reflection_partition(8, 1), 64))
+            estimate_raw(records, ProtocolParams("reflection", 4, 8,
+                                                 reflection_partition(8, 1), 64))
 
 
 class TestReflectionEstimator:
@@ -299,7 +290,7 @@ class TestReflectionEstimator:
         probs = np.array([1.0, 0.0, 0.0, 0.0])
         records = [MeasurementRecord(0, 1, probs, exact=True),
                    MeasurementRecord(1, 1, probs, exact=True)]
-        result = estimate_reflection(records, params)
+        result = estimate_raw(records, params)
         assert result.value == pytest.approx(2.0, abs=1e-14)
 
     def test_hand_formula_general_distribution(self, rng):
@@ -308,13 +299,13 @@ class TestReflectionEstimator:
         probs = rng.dirichlet(np.ones(4))
         records = [MeasurementRecord(i, 1, probs, exact=True) for i in range(2)]
         expected = 2.0 * (probs[0] + probs[3] - (probs[1] + probs[2]) / 2.0)
-        assert estimate_reflection(records, params).value == pytest.approx(expected, abs=1e-14)
+        assert estimate_raw(records, params).value == pytest.approx(expected, abs=1e-14)
 
     def test_infinite_shot_unbiased(self, state8):
         part = reflection_partition(8, 2)
         params = ProtocolParams("reflection", 4000, 2, part, 7)
         records = run_campaign(state8, params, exact_probabilities=True)
-        result = estimate_reflection(records, params)
+        result = estimate_raw(records, params)
         exact = exact_invariant(state8, part, "reflection").raw
         assert abs(result.value - exact) <= 3 * result.std_error
 
@@ -328,7 +319,7 @@ class TestReflectionEstimator:
 
         def value(dist):
             records = [MeasurementRecord(i, 1, dist, exact=True) for i in range(2)]
-            return estimate_reflection(records, params).value
+            return estimate_raw(records, params).value
 
         assert value(mix) == pytest.approx(alpha * value(p) + (1 - alpha) * value(q),
                                            abs=1e-14)
@@ -338,7 +329,7 @@ class TestReflectionEstimator:
         params = ProtocolParams("purity", 4, 8, part, 3)
         records = run_campaign(state8, params)
         with pytest.raises(ValueError, match="campaign"):
-            estimate_reflection(records, params)
+            estimate_raw(records, params)
 
     def test_record_permutation_invariance(self, state8):
         part = reflection_partition(8, 2)
@@ -346,15 +337,15 @@ class TestReflectionEstimator:
         records = run_campaign(state8, params)
         shuffled = list(records)
         np.random.default_rng(0).shuffle(shuffled)
-        a = estimate_reflection(records, params)
-        b = estimate_reflection(shuffled, params)
+        a = estimate_raw(records, params)
+        b = estimate_raw(shuffled, params)
         assert a.value == b.value
         assert a.std_error == b.std_error
 
 
 class TestPurityEstimator:
     def test_pure_state_close_to_one(self):
-        state = all_up_state(8)
+        state = basis_state(8, 0)
         part = reflection_partition(8, 2)
         params = ProtocolParams("purity", 200, 64, part, 11)
         records = run_campaign(state, params)
@@ -400,7 +391,7 @@ class TestCrossEstimators:
         part = reflection_partition(8, 2)
         params = ProtocolParams("time_reversal", 4000, 2, part, 15)
         records = run_campaign(state8, params, exact_probabilities=True)
-        result = estimate_time_reversal(records, params)
+        result = estimate_raw(records, params)
         exact = exact_invariant(state8, part, "time_reversal").raw
         assert abs(result.value - exact) <= 3 * result.std_error
 
@@ -414,14 +405,14 @@ class TestCrossEstimators:
         part = PartitionSpec(4, 1, ((0, 1), (1, 2)))
         params = ProtocolParams("time_reversal", 600, 128, part, 16)
         records = run_campaign(state, params)
-        result = estimate_time_reversal(records, params)
+        result = estimate_raw(records, params)
         assert abs(result.value - 0.25) <= 3 * result.std_error
 
     def test_d2_infinite_shot(self, state8):
         part = three_segment_partition(8, 1)
         params = ProtocolParams("d2", 4000, 2, part, 17)
         records = run_campaign(state8, params, exact_probabilities=True)
-        result = estimate_d2(records, params)
+        result = estimate_raw(records, params)
         exact = exact_invariant(state8, part, "d2").raw
         assert abs(result.value - exact) <= max(3 * result.std_error, 1e-9)
 
@@ -429,15 +420,15 @@ class TestCrossEstimators:
         part = three_segment_partition(8, 1)
         params = ProtocolParams("klein_bottle", 4000, 2, part, 18)
         records = run_campaign(state8, params, exact_probabilities=True)
-        result = estimate_klein_bottle(records, params)
+        result = estimate_raw(records, params)
         exact = exact_invariant(state8, part, "klein_bottle").raw
         assert abs(result.value - exact) <= max(3 * result.std_error, 1e-9)
 
     def test_d2_all_up_near_zero(self):
         part = three_segment_partition(8, 1)
         params = ProtocolParams("d2", 300, 64, part, 19)
-        records = run_campaign(all_up_state(8), params)
-        result = estimate_d2(records, params)
+        records = run_campaign(basis_state(8, 0), params)
+        result = estimate_raw(records, params)
         assert abs(result.value) <= max(3 * result.std_error, 1e-9)
 
     def test_missing_experiment_pair(self, state8):
@@ -445,7 +436,7 @@ class TestCrossEstimators:
         params = ProtocolParams("time_reversal", 8, 16, part, 20)
         records = [r for r in run_campaign(state8, params) if r.experiment == 1]
         with pytest.raises(ValueError, match="experiment-2"):
-            estimate_time_reversal(records, params)
+            estimate_raw(records, params)
 
 
 class TestNormalizedEstimator:
@@ -499,8 +490,8 @@ class TestPersistence:
         write_records(path, records, params)
         loaded, loaded_params = read_records(path)
         assert loaded_params == params
-        original = estimate_time_reversal(records, params)
-        reloaded = estimate_time_reversal(loaded, loaded_params)
+        original = estimate_raw(records, params)
+        reloaded = estimate_raw(loaded, loaded_params)
         assert original.value == reloaded.value
         assert original.std_error == reloaded.std_error
 

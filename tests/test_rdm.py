@@ -29,7 +29,7 @@ from topoprobe.spincore import (
     PAULI_Z,
     IDENTITY_2,
     SpinState,
-    all_up_state,
+    basis_state,
     random_state,
 )
 from topoprobe.protocols import (
@@ -85,7 +85,7 @@ def singlet_center_state():
 
 class TestReducedDensityMatrix:
     def test_product_state_projector(self):
-        rdm = reduced_density_matrix(all_up_state(6), reflection_partition(6, 2))
+        rdm = reduced_density_matrix(basis_state(6, 0), reflection_partition(6, 2))
         expected = np.zeros((16, 16))
         expected[0, 0] = 1.0
         np.testing.assert_allclose(rdm.matrix, expected, atol=1e-14)
@@ -116,7 +116,7 @@ class TestReducedDensityMatrix:
 
 class TestPurity:
     def test_pure_product(self):
-        rdm = reduced_density_matrix(all_up_state(4), reflection_partition(4, 1))
+        rdm = reduced_density_matrix(basis_state(4, 0), reflection_partition(4, 1))
         assert purity(rdm) == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed(self):
@@ -139,7 +139,7 @@ class TestPurity:
 
 class TestReflectionInvariant:
     def test_symmetric_product_state(self):
-        rdm = reduced_density_matrix(all_up_state(4), reflection_partition(4, 2))
+        rdm = reduced_density_matrix(basis_state(4, 0), reflection_partition(4, 2))
         value = reflection_invariant(rdm)
         assert value.raw == pytest.approx(1.0, abs=1e-12)
         assert value.normalized == pytest.approx(1.0, abs=1e-12)
@@ -187,7 +187,7 @@ class TestReflectionInvariant:
 
 class TestTimeReversalInvariant:
     def test_orthogonal_after_flip(self):
-        rdm = reduced_density_matrix(all_up_state(4), reflection_partition(4, 1))
+        rdm = reduced_density_matrix(basis_state(4, 0), reflection_partition(4, 1))
         assert time_reversal_invariant(rdm).raw == pytest.approx(0.0, abs=1e-12)
 
     def test_maximally_mixed_closed_form(self):
@@ -298,8 +298,8 @@ class TestTwoCopyInvariants:
 
     def test_all_up_zero_after_flip(self):
         part = three_segment_partition(8, 1)
-        assert d2_invariant(all_up_state(8), part).raw == pytest.approx(0.0, abs=1e-14)
-        assert klein_bottle_invariant(all_up_state(8), part).raw \
+        assert d2_invariant(basis_state(8, 0), part).raw == pytest.approx(0.0, abs=1e-14)
+        assert klein_bottle_invariant(basis_state(8, 0), part).raw \
             == pytest.approx(0.0, abs=1e-14)
 
     def test_wrong_segment_count(self, rng):

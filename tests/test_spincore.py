@@ -1,25 +1,22 @@
-"""Basis encoding, local gates, bitstring utilities, Born sampling."""
+"""Basis encoding and bitstring utilities; the gate and Born-marginal
+conventions of the statevector oracle; the campaign shot sampler."""
 import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from topoprobe.protocols import _multinomial_counts, sample_cue
 from topoprobe.spincore import (
-    LocalUnitary,
     SpinState,
-    all_up_state,
-    apply_local_unitary,
     basis_state,
-    hamming_distance,
-    marginal_probabilities,
     neel_state,
     random_state,
     reflect_index,
     reflection_permutation,
-    sample_bitstrings,
 )
-from topoprobe.protocols import sample_cue
+
+from oracles import apply_site, hamming_distance, interval_marginal
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -39,33 +36,34 @@ class TestStateBasics:
         assert state.amplitudes[0b0101] == 1.0
 
     def test_amplitudes_read_only(self):
-        state = all_up_state(3)
+        state = basis_state(3, 0)
         with pytest.raises(ValueError):
             state.amplitudes[0] = 0.0
 
 
 class TestLocalGates:
+    """The per-site gate of the statevector oracle."""
+
     def test_identity_leaves_state(self, rng):
         state = random_state(5, rng)
-        out = apply_local_unitary(state, LocalUnitary(2, np.eye(2)))
-        np.testing.assert_allclose(out.amplitudes, state.amplitudes)
+        out = apply_site(state.amplitudes, 2, np.eye(2))
+        np.testing.assert_allclose(out, state.amplitudes)
 
     def test_sigma_x_flips_site0(self):
-        out = apply_local_unitary(all_up_state(2), LocalUnitary(0, SIGMA_X))
+        out = apply_site(basis_state(2, 0).amplitudes, 0, SIGMA_X)
         expected = basis_state(2, 0b01)
-        np.testing.assert_allclose(out.amplitudes, expected.amplitudes)
+        np.testing.assert_allclose(out, expected.amplitudes)
 
     def test_unitary_then_inverse(self, rng):
         state = random_state(6, rng)
         u = sample_cue(rng)
-        forward = apply_local_unitary(state, LocalUnitary(3, u))
-        back = apply_local_unitary(forward, LocalUnitary(3, u.conj().T))
-        assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-10
+        back = apply_site(apply_site(state.amplitudes, 3, u), 3, u.conj().T)
+        assert np.max(np.abs(back - state.amplitudes)) < 1e-10
 
     def test_norm_preserved(self, rng):
         state = random_state(6, rng)
-        out = apply_local_unitary(state, LocalUnitary(4, sample_cue(rng)))
-        assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-10
+        out = apply_site(state.amplitudes, 4, sample_cue(rng))
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-10
 
     def test_gate_application_is_linear(self, rng):
         a = random_state(4, rng).amplitudes
@@ -73,20 +71,11 @@ class TestLocalGates:
         alpha, beta = 0.3 + 0.1j, -0.7 + 0.4j
         mixed = alpha * a + beta * b
         mixed /= np.linalg.norm(mixed)
-        u = LocalUnitary(1, sample_cue(rng))
-        direct = apply_local_unitary(SpinState(4, mixed), u).amplitudes
-        parts = alpha * apply_local_unitary(SpinState(4, a), u).amplitudes \
-            + beta * apply_local_unitary(SpinState(4, b), u).amplitudes
+        u = sample_cue(rng)
+        direct = apply_site(mixed, 1, u)
+        parts = alpha * apply_site(a, 1, u) + beta * apply_site(b, 1, u)
         parts /= np.linalg.norm(parts)
         assert np.max(np.abs(direct - parts)) < 1e-10
-
-    def test_site_out_of_range(self, rng):
-        with pytest.raises(ValueError, match="out of range"):
-            apply_local_unitary(all_up_state(3), LocalUnitary(3, np.eye(2)))
-
-    def test_non_unitary_rejected(self):
-        with pytest.raises(ValueError, match="unitary"):
-            LocalUnitary(0, np.array([[1.0, 0.1], [0.0, 1.0]]))
 
 
 class TestBitstrings:
@@ -125,46 +114,47 @@ class TestBitstrings:
                 assert reflect_index(int(perm[s]), length) == s
 
 
+def sample(state, first, length, n_shots, rng):
+    """Shot counts on an interval: the oracle marginal fed to the campaign
+    shot sampler."""
+    return _multinomial_counts(interval_marginal(state.amplitudes, first, length), n_shots, rng)
+
+
 class TestSampling:
     def test_deterministic_state(self, rng):
-        counts = sample_bitstrings(all_up_state(2), [0, 1], 1000, rng)
+        counts = sample(basis_state(2, 0), 0, 2, 1000, rng)
         assert counts[0] == 1000 and counts.sum() == 1000
 
     def test_born_rule_five_sigma(self):
         plus = SpinState(1, np.array([1.0, 1.0]) / np.sqrt(2.0))
         n = 100000
-        counts = sample_bitstrings(plus, [0], n, np.random.default_rng(3))
+        counts = sample(plus, 0, 1, n, np.random.default_rng(3))
         sigma = np.sqrt(n * 0.25)
         assert abs(counts[0] - n / 2) < 5 * sigma
 
     def test_bell_marginal_uniform(self):
         bell = SpinState(2, np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2.0))
         n = 100000
-        counts = sample_bitstrings(bell, [0], n, np.random.default_rng(4))
+        counts = sample(bell, 0, 1, n, np.random.default_rng(4))
         sigma = np.sqrt(n * 0.25)
         assert abs(counts[0] - n / 2) < 5 * sigma
 
     def test_same_seed_identical(self, rng):
         state = random_state(5, rng)
-        a = sample_bitstrings(state, [1, 2, 3], 500, np.random.default_rng(9))
-        b = sample_bitstrings(state, [1, 2, 3], 500, np.random.default_rng(9))
+        a = sample(state, 1, 3, 500, np.random.default_rng(9))
+        b = sample(state, 1, 3, 500, np.random.default_rng(9))
         assert np.array_equal(a, b)
 
     def test_counts_sum(self, rng):
         state = random_state(4, rng)
-        counts = sample_bitstrings(state, [0, 2], 137, rng)
+        counts = sample(state, 1, 2, 137, rng)
         assert counts.sum() == 137
 
-    def test_empty_region_rejected(self, rng):
-        with pytest.raises(ValueError, match="at least one site"):
-            sample_bitstrings(all_up_state(3), [], 10, rng)
-
-    def test_marginal_noncontiguous_matches_full(self, rng):
+    def test_interval_marginal_matches_full(self, rng):
         state = random_state(5, rng)
         full = np.abs(state.amplitudes) ** 2
-        marg = marginal_probabilities(state, [0, 3])
-        expected = np.zeros(4)
+        marg = interval_marginal(state.amplitudes, 1, 3)
+        expected = np.zeros(8)
         for k in range(32):
-            expected[((k >> 0) & 1) | (((k >> 3) & 1) << 1)] += full[k]
+            expected[(k >> 1) & 0b111] += full[k]
         np.testing.assert_allclose(marg, expected, atol=1e-12)
-
