@@ -11,7 +11,6 @@ from .spincore import (
     basis_state,
     neel_state,
     random_state,
-    reflect_index,
 )
 from .partitions import PartitionSpec, reflection_partition, three_segment_partition
 from .hamiltonians import HamiltonianSpec, matvec, dense_matrix, compile_hamiltonian
@@ -19,13 +18,9 @@ from .groundstate import EigenResult, ConvergenceError, ground_state
 from .rdm import (
     InvariantValue,
     ReducedDensityMatrix,
-    d2_invariant,
     exact_invariant,
-    klein_bottle_invariant,
     purity,
     reduced_density_matrix,
-    reflection_invariant,
-    time_reversal_invariant,
 )
 from .protocols import (
     CampaignRecords,
@@ -54,7 +49,6 @@ __all__ = [
     "basis_state",
     "neel_state",
     "random_state",
-    "reflect_index",
     "PartitionSpec",
     "reflection_partition",
     "three_segment_partition",
@@ -69,10 +63,6 @@ __all__ = [
     "ReducedDensityMatrix",
     "reduced_density_matrix",
     "purity",
-    "reflection_invariant",
-    "time_reversal_invariant",
-    "d2_invariant",
-    "klein_bottle_invariant",
     "exact_invariant",
     "ProtocolParams",
     "MeasurementRecord",

@@ -25,6 +25,8 @@ from .protocols import NORMALIZED_KINDS, ProtocolParams, estimate_raw, estimate_
 from .rdm import exact_invariant
 
 SWEEPABLE = ("j_prime", "delta", "b_field", "pairs", "n_unitaries", "n_shots")
+# axes that count something; 2.0 is accepted as 2, 1.5 is rejected
+INTEGER_AXES = ("pairs", "n_unitaries", "n_shots")
 FIT_POINT_COUNT = 3
 
 
@@ -50,10 +52,21 @@ class SweepSpec:
                 raise ValueError(f"cannot sweep over {name!r} (allowed: {SWEEPABLE})")
             if len(values) == 0 or not all(np.isfinite(v) for v in values):
                 raise ValueError(f"axis {name!r} needs finite values")
+            if name in INTEGER_AXES:
+                for value in values:
+                    _integral(name, value)
         if self.mode not in ("exact", "sampled"):
             raise ValueError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+
+
+def _integral(axis: str, value) -> int:
+    """``value`` as an int; ``ValueError`` naming the axis unless it is a
+    whole number."""
+    if not float(value).is_integer():
+        raise ValueError(f"axis {axis!r} needs integer values, got {value}")
+    return int(value)
 
 
 def _axis_grid(axes) -> list[dict]:
@@ -225,14 +238,14 @@ def error_scaling_scan(state, base: ProtocolParams, axis: str, values,
         raise ValueError(f"axis must be n_unitaries, n_shots or pairs, got {axis!r}")
     if repetitions < 8:
         raise ValueError("need at least 8 repetitions for a stable mean error")
+    values = [_integral(axis, value) for value in values]
     seed_rng = np.random.default_rng(base.master_seed)
     rows = []
     for value in values:
         if axis == "pairs":
-            partition = partition_for(base.kind, state.num_sites, int(value))
-            params = replace(base, partition=partition)
+            params = replace(base, partition=partition_for(base.kind, state.num_sites, value))
         else:
-            params = replace(base, **{axis: int(value)})
+            params = replace(base, **{axis: value})
         exact = exact_invariant(state, params.partition, base.kind).raw
         errors = np.empty(repetitions)
         for rep in range(repetitions):

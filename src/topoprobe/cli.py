@@ -183,9 +183,9 @@ def cmd_adiabatic(args) -> int:
         sample_times=tuple(sample_times),
     )
     snapshots = dynamics.adiabatic_evolve(spec, ramp)
-    partition = config.partition(spec.num_sites)
     kinds = tuple(ramp_body.get("monitor", ("reflection",)))
-    rows = dynamics.monitor_invariants(snapshots, partition, kinds, "exact")
+    rows = dynamics.monitor_invariants(snapshots, config.require("partition", "pairs"), kinds,
+                                       "exact")
     out = _out_dir(args, config)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "adiabatic.csv"
@@ -207,7 +207,7 @@ def cmd_error_scan(args) -> int:
     params = _protocol_params(config, partition, seed)
     rows = analysis.error_scaling_scan(
         state, params, config.require("error_scan", "axis"),
-        [int(v) for v in config.require("error_scan", "values")],
+        config.require("error_scan", "values"),
         config.require("error_scan", "repetitions"),
     )
     out = _out_dir(args, config)

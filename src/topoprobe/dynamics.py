@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .hamiltonians import HamiltonianSpec, _z_signs, exchange_bonds, staggered_signs
-from .partitions import PartitionSpec
+from .partitions import partition_for
 from .protocols import estimate_reported, reported_exact, run_campaign
 from .rdm import exact_invariant
 from .spincore import PAULI_X, PAULI_Y, PAULI_Z, SpinState, neel_state
@@ -163,15 +163,17 @@ def _check_norm(amps: np.ndarray) -> None:
         raise NormDriftError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL:.0e}; reduce dt")
 
 
-def monitor_invariants(snapshots: list[tuple[float, SpinState]],
-                       partition: PartitionSpec, kinds: tuple[str, ...] = ("reflection",),
+def monitor_invariants(snapshots: list[tuple[float, SpinState]], pairs: int,
+                       kinds: tuple[str, ...] = ("reflection",),
                        mode: str = "exact", params=None) -> list[dict]:
     """Invariant time series over ramp snapshots.
 
+    Each kind is measured on its own centered layout of ``pairs``-site
+    segments (``partitions.partition_for``), as in sweeps.
     ``mode='exact'`` contracts the reduced density matrix directly;
     ``mode='sampled'`` runs a randomized-measurement campaign per snapshot
-    using ``params`` (a ProtocolParams whose kind is overridden per entry;
-    snapshot ``index`` draws its master seed from
+    using ``params`` (a ProtocolParams whose kind and partition are
+    overridden per entry; snapshot ``index`` draws its master seed from
     ``SeedSequence(params.master_seed, spawn_key=(index,))``). ``value`` is
     the reported value of ``protocols.estimate_reported``: normalized for
     reflection and time reversal, raw for d2 and klein_bottle.
@@ -183,6 +185,7 @@ def monitor_invariants(snapshots: list[tuple[float, SpinState]],
     rows = []
     for index, (time_point, state) in enumerate(snapshots):
         for kind in kinds:
+            partition = partition_for(kind, state.num_sites, pairs)
             row = {"time": time_point, "kind": kind, "mode": mode}
             if mode == "exact":
                 value = exact_invariant(state, partition, kind)

@@ -9,7 +9,9 @@ its sub-segments. Two layouts are used:
   (internal-symmetry and combined invariants).
 
 Which layout an invariant kind is measured on is decided here once
-(``THREE_SEGMENT_KINDS``, ``partition_for``, ``check_layout``).
+(``THREE_SEGMENT_KINDS``, ``partition_for``, ``check_layout``), and so is
+which segment the exact contraction and the estimators weight with sigma_z
+(``PartitionSpec.middle_positions``).
 """
 from __future__ import annotations
 
@@ -61,6 +63,12 @@ class PartitionSpec:
         """Positions of segment k's sites within the interval (0 = first site)."""
         offset = self.sites[0]
         return [s - offset for s in self.segment_sites(k)]
+
+    @property
+    def middle_positions(self) -> list[int]:
+        """Positions of the sigma_z-weighted middle segment: segment 1 of a
+        three-segment layout, none on two segments."""
+        return self.segment_positions(1) if len(self.segments) == 3 else []
 
 
 def reflection_partition(num_sites: int, pairs: int) -> PartitionSpec:

@@ -441,12 +441,11 @@ def estimate_purity(records, params: ProtocolParams,
                         "purity")
 
 
-def _cross_kernels(partition: PartitionSpec, kind: str) -> tuple[list[np.ndarray], int]:
-    """Per-position kernels and prefactor exponent for two-experiment kinds."""
+def _cross_kernels(partition: PartitionSpec) -> tuple[list[np.ndarray], int]:
+    """Per-position kernels and prefactor exponent for two-experiment kinds:
+    ZZ kernels on the middle segment, pair kernels elsewhere."""
     length = partition.interval_size
-    if kind == "time_reversal":
-        return [PAIR_KERNEL] * length, length
-    middle = set(partition.segment_positions(1))
+    middle = set(partition.middle_positions)
     kernels = [ZZ_KERNEL if pos in middle else PAIR_KERNEL for pos in range(length)]
     return kernels, length - len(middle)
 
@@ -456,7 +455,7 @@ def per_unitary_cross(records, params: ProtocolParams) -> np.ndarray:
     matrix_2, _exact = _experiment_matrix(records, params, experiment=2)
     freq_1 = _frequencies(matrix_1, exact, params.n_shots)
     freq_2 = _frequencies(matrix_2, exact, params.n_shots)
-    kernels, exponent = _cross_kernels(params.partition, params.kind)
+    kernels, exponent = _cross_kernels(params.partition)
     weighted = _apply_kernel_rows(freq_2, kernels)
     # independent experiments: the frequency product is already unbiased
     return 2.0 ** exponent * np.einsum("ij,ij->i", freq_1, weighted)
@@ -531,13 +530,6 @@ TRANSPOSE_SWAP_2 = np.array([[1, 0, 0, 1],
 HAMMING_DIAGONAL = np.diag([2.0, -1.0, -1.0, 2.0]).astype(complex)
 
 
-def twirl_phi_exact(op: np.ndarray) -> np.ndarray:
-    """Closed form of the two-copy unitary twirl average of a 4x4 operator."""
-    tr = np.trace(op)
-    tr_swap = np.trace(SWAP_2 @ op)
-    return ((tr - tr_swap / 2.0) * np.eye(4) + (tr_swap - tr / 2.0) * SWAP_2) / 3.0
-
-
 @dataclass(frozen=True)
 class TwirlReport:
     channel: str
@@ -595,6 +587,12 @@ def _read_header(line: str) -> ProtocolParams:
         raise ValueError("record file missing JSON header line")
     try:
         header = json.loads(line[1:])
+        fields = [(key, header[key]) for key in
+                  ("n_unitaries", "n_shots", "master_seed", "num_sites", "pairs")]
+        fields += [("segment bound", bound) for seg in header["segments"] for bound in seg]
+        for key, value in fields:
+            if type(value) is not int:  # JSON integers only: no floats, strings or bools
+                raise TypeError(f"{key} must be an integer, got {value!r}")
         partition = PartitionSpec(header["num_sites"], header["pairs"],
                                   tuple(tuple(seg) for seg in header["segments"]))
         return ProtocolParams(header["kind"], header["n_unitaries"], header["n_shots"],

@@ -12,17 +12,24 @@ with no sampling involved. The four invariants are
 * Klein bottle:   same contraction with the first copy replaced by
                   u rho_I^{T1} u^dag.
 
-Normalization: the reflection invariant divides by
-sqrt((Tr rho_I1^2 + Tr rho_I2^2)/2), time reversal by the same bracket to
-the power 3/2. No standard normalization exists for the D2/Klein-bottle
-values; the ``normalized`` field for those divides the raw value by
-(mean of the two swapped segments' purities)^(3/2) purely as a reporting
-convention, and should be read as such.
+The last three are one quantity. Let B = Tr_I2[Z_I2 rho_I], with B = rho_I
+on the two segments of time reversal, and let flip be the first-segment
+map of the kind (sigma_x conjugation for D2, partial transpose then sigma_y
+conjugation otherwise). The flip acts on I1 only, so it commutes with the
+middle trace, and the swaps turn the two-copy trace into a product:
+Tr[S_I1 Z_I2 S_I3 (flip(rho_I) otimes rho_I)] = Tr[flip(B) B]. Only B,
+of dimension 4^pairs, is ever contracted twice.
 
-Raw values are checked against derived bounds: |Z_R| <= 1, |Z_T| <= Tr
-rho_I^2 (Cauchy-Schwarz), and for the two-copy traces of a unitary on
-(flipped copy) x rho_I, the flipped copy's trace norm: 1 for D2 and
-||rho_I^{T1}||_1 for the Klein bottle.
+Normalization: the reflection invariant divides by
+sqrt((Tr rho_I1^2 + Tr rho_Ilast^2)/2), the other three by the same
+bracket to the power 3/2, with I1 and Ilast the first and last segments.
+No standard normalization exists for the D2/Klein-bottle values; their
+``normalized`` field is a reporting convention only, and should be read
+as such.
+
+Raw values are checked against derived bounds: |Z_R| <= 1, and for the
+other three |Tr[flip(B) B]| <= Tr B^2 (Cauchy-Schwarz: the flip only
+permutes the entries of B up to sign, so it keeps the Frobenius norm).
 """
 from __future__ import annotations
 
@@ -34,7 +41,6 @@ from .partitions import PartitionSpec, check_layout
 from .spincore import SpinState, reflection_permutation
 
 MAX_INTERVAL = 12
-MAX_TWO_COPY_INTERVAL = 9
 REALNESS_ATOL = 1e-10
 BOUND_SLACK = 1e-10
 
@@ -107,12 +113,15 @@ def purity(rdm: ReducedDensityMatrix | np.ndarray) -> float:
     return float(np.vdot(mat, mat).real)
 
 
-def segment_density_matrix(rdm: ReducedDensityMatrix, segment: int) -> np.ndarray:
-    """Reduce the interval density matrix to one of its segments."""
-    keep = rdm.partition.segment_positions(segment)
-    length = rdm.partition.interval_size
-    drop = [p for p in range(length) if p not in keep]
-    tensor = rdm.matrix.reshape([2] * (2 * length))
+def _trace_out(matrix: np.ndarray, drop: list[int], z_weighted: bool = False) -> np.ndarray:
+    """Partial trace of ``matrix`` over the bit positions ``drop``, each
+    weighted by sigma_z when ``z_weighted``; the kept positions keep their
+    ascending order."""
+    if not drop:
+        return matrix
+    length = matrix.shape[0].bit_length() - 1
+    keep = [p for p in range(length) if p not in drop]
+    tensor = matrix.reshape([2] * (2 * length))
     # axis j <-> row bit position length-1-j; axis length+j <-> same column bit
     row_keep = [length - 1 - p for p in reversed(keep)]
     row_drop = [length - 1 - p for p in reversed(drop)]
@@ -121,32 +130,23 @@ def segment_density_matrix(rdm: ReducedDensityMatrix, segment: int) -> np.ndarra
     shaped = tensor.transpose(row_keep + row_drop + col_keep + col_drop).reshape(
         2 ** len(keep), 2 ** len(drop), 2 ** len(keep), 2 ** len(drop)
     )
-    return np.einsum("aibi->ab", shaped)
+    if not z_weighted:
+        return np.einsum("aibi->ab", shaped)
+    z_signs = 1.0 - 2.0 * (np.bitwise_count(np.arange(2 ** len(drop))) % 2)
+    return np.einsum("aibi,i->ab", shaped, z_signs)
 
 
-def _segment_purities(rdm: ReducedDensityMatrix, first: int, second: int) -> tuple[float, float]:
-    p1 = purity(segment_density_matrix(rdm, first))
-    p2 = purity(segment_density_matrix(rdm, second))
-    return p1, p2
+def segment_density_matrix(rdm: ReducedDensityMatrix, segment: int) -> np.ndarray:
+    """Reduce the interval density matrix to one of its segments."""
+    keep = rdm.partition.segment_positions(segment)
+    length = rdm.partition.interval_size
+    return _trace_out(rdm.matrix, [p for p in range(length) if p not in keep])
 
 
 def _real_or_raise(value: complex, what: str) -> float:
     if abs(value.imag) > REALNESS_ATOL:
         raise ValueError(f"{what} has imaginary part {value.imag:.3e}")
     return float(value.real)
-
-
-def reflection_invariant(rdm: ReducedDensityMatrix) -> InvariantValue:
-    """Expectation of the site-order-reversal operator on the interval."""
-    part = rdm.partition
-    check_layout("reflection", part)
-    length = part.interval_size
-    perm = reflection_permutation(length)
-    raw = _real_or_raise(complex(rdm.matrix[np.arange(2 ** length), perm].sum()),
-                         "reflection invariant")
-    p1, p2 = _segment_purities(rdm, 0, 1)
-    normalized = raw / np.sqrt((p1 + p2) / 2.0)
-    return InvariantValue(raw, normalized, p1, p2, "reflection")
 
 
 def partial_transpose_first_segment(matrix: np.ndarray, first_bits: int,
@@ -175,86 +175,37 @@ def _conjugate(matrix: np.ndarray, pauli: str, positions) -> np.ndarray:
     return out
 
 
-def _time_reversed_first_segment(rho: np.ndarray, part: PartitionSpec) -> np.ndarray:
-    """u rho^{T1} u^dag: partial transpose on the first segment, then
-    conjugation by sigma_y on each of its sites."""
-    first = part.segment_positions(0)
-    transposed = partial_transpose_first_segment(rho, len(first), part.interval_size)
-    return _conjugate(transposed, "y", first)
-
-
-def time_reversal_invariant(rdm: ReducedDensityMatrix) -> InvariantValue:
-    """Two-copy overlap of rho with its spin-flipped partial transpose."""
-    part = rdm.partition
-    check_layout("time_reversal", part)
-    flipped = _time_reversed_first_segment(rdm.matrix, part)
-    # Tr[rho X] = <rho, X> in the Frobenius inner product for Hermitian rho
-    raw = _real_or_raise(complex(np.vdot(rdm.matrix, flipped)),
-                         "time-reversal invariant")
-    p1, p2 = _segment_purities(rdm, 0, 1)
-    normalized = raw / ((p1 + p2) / 2.0) ** 1.5
-    return InvariantValue(raw, normalized, p1, p2, "time_reversal", purity(rdm))
-
-
-def _two_copy_contraction(x: np.ndarray, y: np.ndarray, part: PartitionSpec) -> complex:
-    """Tr[S_I1 Z_I2 S_I3 (x otimes y)] using bit arithmetic on both copies.
-
-    Per-site swaps on I1 and I3 exchange the two copies' indices; the I2
-    sites carry diagonal sigma_z weights on both copies.
-    """
-    length = part.interval_size
-    mask2 = 0
-    for pos in part.segment_positions(1):
-        mask2 |= 1 << pos
-    mask13 = (2 ** length - 1) ^ mask2
-    idx = np.arange(2 ** length)
-    r = idx[:, None]
-    q = idx[None, :]
-    u = (q & mask13) | (r & mask2)
-    v = (r & mask13) | (q & mask2)
-    z_r = 1.0 - 2.0 * (np.bitwise_count(r & mask2) % 2)
-    z_q = 1.0 - 2.0 * (np.bitwise_count(q & mask2) % 2)
-    return complex(np.sum(z_r * z_q * x[u, r] * y[v, q]))
-
-
-def _two_copy_invariant(state: SpinState, partition: PartitionSpec, kind: str,
-                        label: str, flip, bound=lambda flipped: 1.0) -> InvariantValue:
-    """Contract ``flip(rho)`` against rho on the three-segment interval;
-    ``bound(flip(rho))`` bounds |raw|."""
-    check_layout(kind, partition)
-    if partition.interval_size > MAX_TWO_COPY_INTERVAL:
-        raise ValueError(f"interval exceeds two-copy limit {MAX_TWO_COPY_INTERVAL}")
-    rdm = reduced_density_matrix(state, partition)
-    flipped = flip(rdm.matrix, partition)
-    raw = _real_or_raise(_two_copy_contraction(flipped, rdm.matrix, partition), label)
-    p1, p3 = _segment_purities(rdm, 0, 2)
-    normalized = raw / ((p1 + p3) / 2.0) ** 1.5
-    return InvariantValue(raw, normalized, p1, p3, kind, bound(flipped))
-
-
-def d2_invariant(state: SpinState, partition: PartitionSpec) -> InvariantValue:
-    """Two-copy invariant probing the group of pi spin rotations."""
-    return _two_copy_invariant(
-        state, partition, "d2", "d2 invariant",
-        lambda rho, part: _conjugate(rho, "x", part.segment_positions(0)))
-
-
-def klein_bottle_invariant(state: SpinState, partition: PartitionSpec) -> InvariantValue:
-    """Two-copy invariant combining a z rotation with time reversal."""
-    # u rho^{T1} u^dag has the trace norm of rho^{T1}
-    return _two_copy_invariant(state, partition, "klein_bottle", "klein-bottle invariant",
-                               _time_reversed_first_segment,
-                               lambda flipped: float(np.abs(np.linalg.eigvalsh(flipped)).sum()))
+def _flip_first_segment(matrix: np.ndarray, kind: str, first_bits: int) -> np.ndarray:
+    """The first-segment map of ``kind`` on the low ``first_bits`` bits:
+    sigma_x conjugation for d2; partial transpose, then sigma_y
+    conjugation, for time reversal and the Klein bottle."""
+    first = range(first_bits)
+    if kind == "d2":
+        return _conjugate(matrix, "x", first)
+    total_bits = matrix.shape[0].bit_length() - 1
+    return _conjugate(partial_transpose_first_segment(matrix, first_bits, total_bits),
+                      "y", first)
 
 
 def exact_invariant(state: SpinState, partition: PartitionSpec, kind: str) -> InvariantValue:
-    """Dispatch by invariant kind; the entry point used by sweeps and the CLI."""
+    """The exact invariant ``kind`` of ``state`` on ``partition``, from one
+    contraction of rho_I: the reversal trace for reflection, Tr[flip(B) B]
+    for the other kinds (module docstring)."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown invariant kind {kind!r}")
+    check_layout(kind, partition)
+    rdm = reduced_density_matrix(state, partition)
     if kind == "reflection":
-        return reflection_invariant(reduced_density_matrix(state, partition))
-    if kind == "time_reversal":
-        return time_reversal_invariant(reduced_density_matrix(state, partition))
-    if kind == "d2":
-        return d2_invariant(state, partition)
-    if kind == "klein_bottle":
-        return klein_bottle_invariant(state, partition)
-    raise ValueError(f"unknown invariant kind {kind!r}")
+        perm = reflection_permutation(partition.interval_size)
+        raw, bound = rdm.matrix[np.arange(perm.size), perm].sum(), 1.0
+    else:
+        traced = _trace_out(rdm.matrix, partition.middle_positions, z_weighted=True)
+        # Tr[flip(B) B] = <B, flip(B)> in the Frobenius inner product: B is Hermitian
+        raw = np.vdot(traced, _flip_first_segment(traced, kind, partition.pairs))
+        bound = purity(traced)
+    raw = _real_or_raise(complex(raw), f"{kind} invariant")
+    p1 = purity(segment_density_matrix(rdm, 0))
+    p2 = purity(segment_density_matrix(rdm, len(partition.segments) - 1))
+    mean = (p1 + p2) / 2.0
+    normalized = raw / (np.sqrt(mean) if kind == "reflection" else mean ** 1.5)
+    return InvariantValue(raw, normalized, p1, p2, kind, bound)

@@ -71,16 +71,9 @@ def random_state(num_sites: int, rng: np.random.Generator) -> SpinState:
 
 # -- bitstring utilities ---------------------------------------------------
 
-def reflect_index(index: int, length: int) -> int:
-    """Reverse the order of spins in a bitstring of the given length."""
-    out = 0
-    for j in range(length):
-        out |= ((index >> j) & 1) << (length - 1 - j)
-    return out
-
-
 def reflection_permutation(length: int) -> np.ndarray:
-    """Vectorized bit-reversal table: perm[s] = reflect_index(s, length)."""
+    """Bit-reversal table of ``length``-bit strings: perm[s] moves bit j of s
+    to bit length-1-j, reversing the order of the spins."""
     indices = np.arange(2 ** length)
     out = np.zeros_like(indices)
     for j in range(length):

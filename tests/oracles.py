@@ -6,7 +6,8 @@ program's own kernels, so an agreement is a check and not a tautology.
 """
 import numpy as np
 
-from topoprobe.protocols import twirl_phi_exact
+# two-spin swap |a, b> -> |b, a> with index = bit_a + 2 bit_b
+SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
 
 
 def apply_site(amps, site, gate):
@@ -48,6 +49,21 @@ def site_z(state, site):
     probs = np.abs(state.amplitudes) ** 2
     bit = (np.arange(state.dim) >> site) & 1
     return float(np.sum(probs * (1.0 - 2.0 * bit)))
+
+
+def reflect_index(index, length):
+    """Reverse the order of spins in a bitstring of the given length."""
+    out = 0
+    for j in range(length):
+        out |= ((index >> j) & 1) << (length - 1 - j)
+    return out
+
+
+def twirl_phi_exact(op):
+    """Closed form of the two-copy unitary twirl average of a 4x4 operator."""
+    tr = np.trace(op)
+    tr_swap = np.trace(SWAP @ op)
+    return ((tr - tr_swap / 2.0) * np.eye(4) + (tr_swap - tr / 2.0) * SWAP) / 3.0
 
 
 def twirl_psi_exact(op):

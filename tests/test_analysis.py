@@ -11,9 +11,11 @@ from topoprobe.analysis import (
     symmetry_breaking_report,
     write_rows_csv,
 )
+from topoprobe.groundstate import ground_state
 from topoprobe.hamiltonians import HamiltonianSpec
-from topoprobe.partitions import reflection_partition
+from topoprobe.partitions import partition_for, reflection_partition
 from topoprobe.protocols import ProtocolParams
+from topoprobe.rdm import exact_invariant
 
 
 class TestSweep:
@@ -82,6 +84,26 @@ class TestSweep:
         with pytest.raises(ValueError, match="sweep over"):
             SweepSpec(base=HamiltonianSpec(num_sites=8), kind="reflection", pairs=2,
                       axes=(("coupling", (1.0,)),))
+
+    @pytest.mark.parametrize("axis", ["pairs", "n_unitaries", "n_shots"])
+    def test_integer_axes_reject_fractions(self, axis):
+        base = HamiltonianSpec(num_sites=8, j=1.0, delta=0.25)
+        with pytest.raises(ValueError, match=f"axis '{axis}' needs integer values, got 1.5"):
+            SweepSpec(base=base, kind="reflection", pairs=2, axes=((axis, (1.0, 1.5, 2.0)),))
+        SweepSpec(base=base, kind="reflection", pairs=2, axes=((axis, (2.0, 3.0)),))
+
+    def test_two_copy_kinds_reach_twelve_site_intervals(self):
+        # d2 and the Klein bottle at pairs = 4 contract a 12-site interval,
+        # the campaign limit; the exact value stays within Tr B^2
+        base = HamiltonianSpec(num_sites=12, j=1.0, j_prime=3.0, delta=0.25)
+        state = ground_state(base, seed=0).state
+        for kind in ("d2", "klein_bottle"):
+            rows = run_sweep(SweepSpec(base=base, kind=kind, pairs=1,
+                                       axes=(("pairs", (1.0, 4.0)),)))
+            assert [row["error"] for row in rows] == ["", ""]
+            value = exact_invariant(state, partition_for(kind, 12, 4), kind)
+            assert rows[1]["value"] == value.raw
+            assert abs(value.raw) <= value.bound < 1.0
 
     def test_csv_round_trip(self, tmp_path):
         spec = SweepSpec(
@@ -213,6 +235,12 @@ class TestErrorScaling:
         base = ProtocolParams("reflection", 16, 32, reflection_partition(8, 2), 103)
         with pytest.raises(ValueError, match="repetitions"):
             error_scaling_scan(scan_state, base, "n_unitaries", [16], repetitions=4)
+
+    @pytest.mark.parametrize("axis", ["pairs", "n_unitaries", "n_shots"])
+    def test_fractional_values_rejected(self, scan_state, axis):
+        base = ProtocolParams("reflection", 16, 32, reflection_partition(8, 2), 105)
+        with pytest.raises(ValueError, match=f"axis '{axis}' needs integer values, got 2.5"):
+            error_scaling_scan(scan_state, base, axis, [2.0, 2.5], repetitions=8)
 
     def test_unknown_axis(self, scan_state):
         base = ProtocolParams("reflection", 16, 32, reflection_partition(8, 2), 104)

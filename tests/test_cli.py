@@ -176,6 +176,14 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(path), "--out", str(out_b)]) == 0
         assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
 
+    def test_fractional_pairs_axis_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "sweep.cfg"
+        path.write_text(TINY_CONFIG + "\n[sweep]\nmode = exact\naxis_pairs = 1, 1.5, 2\n")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: axis 'pairs' needs integer values, got 1.5\n"
+        assert not out.exists()
+
     def test_jobs_flag_removed(self, tiny_config, tmp_path):
         with pytest.raises(SystemExit):
             main(["sweep", "--config", str(tiny_config), "--jobs", "2",
@@ -239,6 +247,15 @@ class TestOtherCommands:
         assert len(lines) >= 3
         assert read_json(out / "adiabatic.json")["result"]["pinning_active"] is True
 
+    def test_adiabatic_monitors_each_kind_on_its_layout(self, tmp_path):
+        path = tmp_path / "ramp.cfg"
+        path.write_text(TINY_CONFIG + "\n[ramp]\nt_final = 1.0\ndt = 0.05\n"
+                                      "sample_times = 0, 1\nmonitor = reflection, d2\n")
+        out = tmp_path / "out"
+        assert main(["adiabatic", "--config", str(path), "--out", str(out)]) == 0
+        rows = (out / "adiabatic.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["reflection", "d2"] * 2
+
     def test_error_scan(self, tmp_path):
         path = tmp_path / "scan.cfg"
         path.write_text(TINY_CONFIG + "\n[error_scan]\naxis = n_unitaries\n"
@@ -247,6 +264,16 @@ class TestOtherCommands:
         assert main(["error-scan", "--config", str(path), "--out", str(out)]) == 0
         lines = (out / "error_scan.csv").read_text().splitlines()
         assert len(lines) == 3
+
+    def test_error_scan_fractional_value_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "scan.cfg"
+        path.write_text(TINY_CONFIG + "\n[error_scan]\naxis = n_unitaries\n"
+                                      "values = 8, 16.5\nrepetitions = 8\n")
+        out = tmp_path / "out"
+        assert main(["error-scan", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err \
+            == "error: axis 'n_unitaries' needs integer values, got 16.5\n"
+        assert not out.exists()
 
     def test_norm_drift_exits_3_without_traceback(self, tmp_path, capsys, monkeypatch):
         from topoprobe import dynamics

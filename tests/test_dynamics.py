@@ -117,8 +117,7 @@ def ramp_snapshots():
 class TestMonitoring:
     def test_neel_start_has_zero_reflection_invariant(self, ramp_snapshots):
         _spec, snapshots = ramp_snapshots
-        part = reflection_partition(12, 2)
-        rows = monitor_invariants(snapshots[:1], part, ("reflection",), "exact")
+        rows = monitor_invariants(snapshots[:1], 2, ("reflection",), "exact")
         assert rows[0]["time"] == 0.0
         assert rows[0]["value"] == pytest.approx(0.0, abs=1e-12)
 
@@ -127,7 +126,7 @@ class TestMonitoring:
         part = reflection_partition(12, 2)
         target = ground_state_cache(num_sites=12, j=1.0, j_prime=0.5, delta=0.25).state
         exact_target = exact_invariant(target, part, "reflection").normalized
-        rows = monitor_invariants(snapshots, part, ("reflection",), "exact")
+        rows = monitor_invariants(snapshots, 2, ("reflection",), "exact")
         assert abs(rows[-1]["value"] - exact_target) <= 0.1
 
     def test_shorter_interval_orders_buildup(self, ramp_snapshots):
@@ -146,15 +145,15 @@ class TestMonitoring:
         _spec, snapshots = ramp_snapshots
         part = reflection_partition(12, 2)
         params = ProtocolParams("reflection", 128, 64, part, 31)
-        rows = monitor_invariants(snapshots[-1:], part, ("reflection",), "sampled", params)
-        exact_rows = monitor_invariants(snapshots[-1:], part, ("reflection",), "exact")
+        rows = monitor_invariants(snapshots[-1:], 2, ("reflection",), "sampled", params)
+        exact_rows = monitor_invariants(snapshots[-1:], 2, ("reflection",), "exact")
         assert abs(rows[0]["value"] - exact_rows[0]["value"]) <= 4 * rows[0]["std_error"]
 
     def test_d2_monitor_reports_raw_value(self):
         spec = HamiltonianSpec(num_sites=8, j=1.0, j_prime=3.0, delta=0.25)
         snapshots = adiabatic_evolve(spec, RampSpec(t_final=1.0, dt=0.05))
         part = three_segment_partition(8, 1)
-        rows = monitor_invariants(snapshots[-1:], part, ("d2",), "exact")
+        rows = monitor_invariants(snapshots[-1:], 1, ("d2",), "exact")
         value = exact_invariant(snapshots[-1][1], part, "d2")
         assert rows[0]["value"] == value.raw == rows[0]["raw"]
         assert value.raw != value.normalized
@@ -166,7 +165,7 @@ class TestMonitoring:
         snapshots = adiabatic_evolve(spec, RampSpec(t_final=1.0, dt=0.05))
         part = three_segment_partition(8, 1)
         params = ProtocolParams("d2", 16, 16, part, 33)
-        rows = monitor_invariants(snapshots, part, ("d2",), "sampled", params)
+        rows = monitor_invariants(snapshots, 1, ("d2",), "sampled", params)
         index = len(snapshots) - 1
         seed = np.random.SeedSequence(33, spawn_key=(index,)).generate_state(1, np.uint64)[0]
         expected_params = ProtocolParams("d2", 16, 16, part, int(seed))
@@ -177,4 +176,4 @@ class TestMonitoring:
 
     def test_empty_snapshots_rejected(self):
         with pytest.raises(ValueError, match="snapshots"):
-            monitor_invariants([], reflection_partition(8, 2))
+            monitor_invariants([], 2)

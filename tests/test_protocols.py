@@ -1,4 +1,5 @@
 """Randomized-measurement campaigns, estimators, and twirling checks."""
+import json
 import tempfile
 from pathlib import Path
 
@@ -28,7 +29,6 @@ from topoprobe.protocols import (
     run_campaign,
     sample_cue,
     twirl_check,
-    twirl_phi_exact,
     write_records,
 )
 from topoprobe.rdm import (
@@ -40,7 +40,7 @@ from topoprobe.rdm import (
 )
 from topoprobe.spincore import PAULI_X, PAULI_Y, SpinState, basis_state, random_state
 
-from oracles import statevector_born, twirl_psi_exact
+from oracles import statevector_born, twirl_phi_exact, twirl_psi_exact
 
 # (kind, pairs) of every engine layout with |I| <= 6
 ENGINE_LAYOUTS = [(kind, pairs) for kind in ("reflection", "purity", "time_reversal")
@@ -559,6 +559,28 @@ class TestRecordFileErrors:
         write_lines(bad, source, lines[:1] + ["0,1,2"] + lines[1:])
         with pytest.raises(ValueError, match="line 3: expected"):
             read_records(bad)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_unitaries", 2.5), ("master_seed", 1.5), ("master_seed", "1"), ("n_shots", True),
+        ("segment bound", 1.0)])
+    def test_non_integer_header_field(self, exported, tmp_path, capsys, field, value):
+        from topoprobe.cli import main
+
+        source, lines = exported
+        header = json.loads(Path(source).read_text().splitlines()[0][1:])
+        if field == "segment bound":
+            header["segments"][0][1] = value
+        else:
+            header[field] = value
+        bad = tmp_path / "bad.records"
+        bad.write_text("\n".join(["#" + json.dumps(header)] + lines) + "\n")
+        message = f"line 1: bad record header (TypeError: {field} must be an integer, got {value!r})"
+        with pytest.raises(ValueError) as raised:
+            read_records(bad)
+        assert str(raised.value) == message
+        assert main(["campaign-analyze", "--records", str(bad),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_cli_exit_code(self, exported, tmp_path, capsys):
         from topoprobe.cli import main

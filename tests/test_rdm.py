@@ -13,15 +13,11 @@ from topoprobe.partitions import (
 )
 from topoprobe.rdm import (
     InvariantValue,
-    d2_invariant,
     exact_invariant,
-    klein_bottle_invariant,
     partial_transpose_first_segment,
     purity,
     reduced_density_matrix,
-    reflection_invariant,
     segment_density_matrix,
-    time_reversal_invariant,
 )
 from topoprobe.spincore import (
     PAULI_X,
@@ -32,10 +28,9 @@ from topoprobe.spincore import (
     basis_state,
     random_state,
 )
-from topoprobe.protocols import (
-    HAMMING_DIAGONAL,
-    twirl_phi_exact,
-)
+from topoprobe.protocols import HAMMING_DIAGONAL
+
+from oracles import twirl_phi_exact
 
 
 def kron_positions(ops):
@@ -139,22 +134,23 @@ class TestPurity:
 
 class TestReflectionInvariant:
     def test_symmetric_product_state(self):
-        rdm = reduced_density_matrix(basis_state(4, 0), reflection_partition(4, 2))
-        value = reflection_invariant(rdm)
+        value = exact_invariant(basis_state(4, 0), reflection_partition(4, 2), "reflection")
         assert value.raw == pytest.approx(1.0, abs=1e-12)
         assert value.normalized == pytest.approx(1.0, abs=1e-12)
 
     def test_singlet_antisymmetry(self):
-        rdm = reduced_density_matrix(singlet_center_state(), reflection_partition(4, 1))
-        value = reflection_invariant(rdm)
+        value = exact_invariant(singlet_center_state(), reflection_partition(4, 1),
+                                "reflection")
         assert value.raw == pytest.approx(-1.0, abs=1e-12)
 
     def test_against_dense_operator(self, rng):
         for _ in range(5):
             state = random_state(8, rng)
-            rdm = reduced_density_matrix(state, reflection_partition(8, 2))
+            part = reflection_partition(8, 2)
+            rdm = reduced_density_matrix(state, part)
             oracle = np.trace(rdm.matrix @ dense_reversal_operator(4)).real
-            assert reflection_invariant(rdm).raw == pytest.approx(oracle, abs=1e-12)
+            assert exact_invariant(state, part, "reflection").raw \
+                == pytest.approx(oracle, abs=1e-12)
 
     def test_twirled_weight_identity(self, rng):
         # assembling the exact two-copy twirl of the Hamming-weight operator
@@ -176,23 +172,23 @@ class TestReflectionInvariant:
                     full[r, c] = pair_op[pr, pc]
             assembled = assembled @ full
         estimator_route = np.trace(assembled @ rdm.matrix).real
-        assert reflection_invariant(rdm).raw == pytest.approx(estimator_route, abs=1e-10)
+        assert exact_invariant(state, part, "reflection").raw \
+            == pytest.approx(estimator_route, abs=1e-10)
 
     def test_asymmetric_partition_rejected(self, rng):
         state = random_state(6, rng)
-        rdm = reduced_density_matrix(state, PartitionSpec(6, 1, ((1, 2), (2, 4))))
         with pytest.raises(ValueError, match="equal segments"):
-            reflection_invariant(rdm)
+            exact_invariant(state, PartitionSpec(6, 1, ((1, 2), (2, 4))), "reflection")
 
 
 class TestTimeReversalInvariant:
     def test_orthogonal_after_flip(self):
-        rdm = reduced_density_matrix(basis_state(4, 0), reflection_partition(4, 1))
-        assert time_reversal_invariant(rdm).raw == pytest.approx(0.0, abs=1e-12)
+        value = exact_invariant(basis_state(4, 0), reflection_partition(4, 1), "time_reversal")
+        assert value.raw == pytest.approx(0.0, abs=1e-12)
 
     def test_maximally_mixed_closed_form(self):
-        rdm = reduced_density_matrix(two_bell_pairs(), PartitionSpec(4, 1, ((0, 1), (1, 2))))
-        value = time_reversal_invariant(rdm)
+        value = exact_invariant(two_bell_pairs(), PartitionSpec(4, 1, ((0, 1), (1, 2))),
+                                "time_reversal")
         assert value.raw == pytest.approx(0.25, abs=1e-12)
         assert value.purity_first == pytest.approx(0.5, abs=1e-12)
         assert value.normalized == pytest.approx(2 ** -0.5, abs=1e-12)
@@ -210,11 +206,13 @@ class TestTimeReversalInvariant:
     def test_against_dense_operator(self, rng):
         for n in (1, 2, 3):
             state = random_state(8, rng)
-            rdm = reduced_density_matrix(state, reflection_partition(8, n))
+            part = reflection_partition(8, n)
+            rdm = reduced_density_matrix(state, part)
             flip = kron_positions([PAULI_Y] * n + [IDENTITY_2] * n)
             transposed = partial_transpose_first_segment(rdm.matrix, n, 2 * n)
             oracle = np.trace(rdm.matrix @ flip @ transposed @ flip.conj().T).real
-            assert time_reversal_invariant(rdm).raw == pytest.approx(oracle, abs=1e-12)
+            assert exact_invariant(state, part, "time_reversal").raw \
+                == pytest.approx(oracle, abs=1e-12)
 
 
 def dense_two_copy_operator(part):
@@ -270,7 +268,7 @@ class TestTwoCopyInvariants:
                 if n == 1:
                     assert oracle == pytest.approx(np.trace(
                         dense_two_copy_operator(part) @ np.kron(flipped, rho)).real, abs=1e-12)
-                assert d2_invariant(state, part).raw == pytest.approx(oracle, abs=1e-10)
+                assert exact_invariant(state, part, "d2").raw == pytest.approx(oracle, abs=1e-10)
 
     def test_kb_against_dense_kron_oracle(self, rng):
         for n in (1, 2, 3):
@@ -285,27 +283,28 @@ class TestTwoCopyInvariants:
                 if n == 1:
                     assert oracle == pytest.approx(np.trace(
                         dense_two_copy_operator(part) @ np.kron(flipped, rho)).real, abs=1e-12)
-                assert klein_bottle_invariant(state, part).raw == pytest.approx(oracle, abs=1e-10)
+                assert exact_invariant(state, part, "klein_bottle").raw \
+                    == pytest.approx(oracle, abs=1e-10)
 
     def test_d2_maximally_mixed_zero(self):
         part = three_segment_partition(6, 1)
-        assert d2_invariant(three_bell_pairs(), part).raw == pytest.approx(0.0, abs=1e-12)
+        assert exact_invariant(three_bell_pairs(), part, "d2").raw == pytest.approx(0.0, abs=1e-12)
 
     def test_kb_maximally_mixed_zero(self):
         part = three_segment_partition(6, 1)
-        assert klein_bottle_invariant(three_bell_pairs(), part).raw \
+        assert exact_invariant(three_bell_pairs(), part, "klein_bottle").raw \
             == pytest.approx(0.0, abs=1e-12)
 
     def test_all_up_zero_after_flip(self):
         part = three_segment_partition(8, 1)
-        assert d2_invariant(basis_state(8, 0), part).raw == pytest.approx(0.0, abs=1e-14)
-        assert klein_bottle_invariant(basis_state(8, 0), part).raw \
+        assert exact_invariant(basis_state(8, 0), part, "d2").raw == pytest.approx(0.0, abs=1e-14)
+        assert exact_invariant(basis_state(8, 0), part, "klein_bottle").raw \
             == pytest.approx(0.0, abs=1e-14)
 
     def test_wrong_segment_count(self, rng):
         state = random_state(6, rng)
         with pytest.raises(ValueError, match="three equal segments"):
-            d2_invariant(state, reflection_partition(6, 2))
+            exact_invariant(state, reflection_partition(6, 2), "d2")
 
 
 class TestGroundStatePhysics:
@@ -313,15 +312,15 @@ class TestGroundStatePhysics:
         part = reflection_partition(12, 2)
         trivial = ground_state_cache(num_sites=12, j=1.0, j_prime=0.2, delta=0.25).state
         topological = ground_state_cache(num_sites=12, j=1.0, j_prime=5.0, delta=0.25).state
-        assert reflection_invariant(reduced_density_matrix(trivial, part)).normalized > 0.9
-        assert reflection_invariant(reduced_density_matrix(topological, part)).normalized < -0.9
+        assert exact_invariant(trivial, part, "reflection").normalized > 0.9
+        assert exact_invariant(topological, part, "reflection").normalized < -0.9
 
     def test_time_reversal_quantization(self, ground_state_cache):
         part = reflection_partition(12, 2)
         trivial = ground_state_cache(num_sites=12, j=1.0, j_prime=0.2, delta=0.25).state
         topological = ground_state_cache(num_sites=12, j=1.0, j_prime=5.0, delta=0.25).state
-        assert time_reversal_invariant(reduced_density_matrix(trivial, part)).normalized > 0.8
-        assert time_reversal_invariant(reduced_density_matrix(topological, part)).normalized < -0.8
+        assert exact_invariant(trivial, part, "time_reversal").normalized > 0.8
+        assert exact_invariant(topological, part, "time_reversal").normalized < -0.8
 
     def test_d2_and_kb_distinguish_phases(self, ground_state_cache):
         part = three_segment_partition(12, 2)
@@ -337,12 +336,11 @@ class TestGroundStatePhysics:
         part3 = three_segment_partition(6, 1)
         for _ in range(50):
             state = random_state(6, rng)
-            rdm = reduced_density_matrix(state, part2)
             # construction raises if the imaginary part exceeds 1e-10
-            reflection_invariant(rdm)
-            time_reversal_invariant(rdm)
-            d2_invariant(state, part3)
-            klein_bottle_invariant(state, part3)
+            exact_invariant(state, part2, "reflection")
+            exact_invariant(state, part2, "time_reversal")
+            exact_invariant(state, part3, "d2")
+            exact_invariant(state, part3, "klein_bottle")
 
 
 def mirror_singlet_state():
@@ -370,16 +368,26 @@ class TestDerivedBounds:
     def test_random_states_within_bounds(self, num_sites, pairs_draw, seed):
         state = random_state(num_sites, np.random.default_rng(seed))
         pairs = min(pairs_draw, num_sites // 2)
-        rdm = reduced_density_matrix(state, reflection_partition(num_sites, pairs))
-        assert abs(reflection_invariant(rdm).raw) <= 1.0 + 1e-10
-        assert abs(time_reversal_invariant(rdm).raw) <= purity(rdm) + 1e-10
+        part2 = reflection_partition(num_sites, pairs)
+        rdm = reduced_density_matrix(state, part2)
+        assert abs(exact_invariant(state, part2, "reflection").raw) <= 1.0 + 1e-10
+        assert abs(exact_invariant(state, part2, "time_reversal").raw) <= purity(rdm) + 1e-10
         triple = min(pairs_draw, num_sites // 3)
         part3 = three_segment_partition(num_sites, triple)
-        assert abs(d2_invariant(state, part3).raw) <= 1.0 + 1e-10
+        d2 = exact_invariant(state, part3, "d2")
+        assert abs(d2.raw) <= 1.0 + 1e-10
         rho = reduced_density_matrix(state, part3).matrix
         transposed = partial_transpose_first_segment(rho, triple, 3 * triple)
         trace_norm = np.abs(np.linalg.eigvalsh(transposed)).sum()
-        assert abs(klein_bottle_invariant(state, part3).raw) <= trace_norm + 1e-10
+        klein_bottle = exact_invariant(state, part3, "klein_bottle")
+        assert abs(klein_bottle.raw) <= trace_norm + 1e-10
+        # the derived bound Tr B^2, B = Tr_I2[Z_I2 rho], is the two-copy
+        # trace of rho against itself, and is at most 1
+        middle_purity = dense_two_copy_trace(part3, rho, rho).real
+        for value in (d2, klein_bottle):
+            assert value.bound == pytest.approx(middle_purity, abs=1e-12)
+            assert abs(value.raw) <= value.bound + 1e-10
+        assert middle_purity <= 1.0 + 1e-10
 
 
 class TestInvariantValueContract:

@@ -12,11 +12,10 @@ from topoprobe.spincore import (
     basis_state,
     neel_state,
     random_state,
-    reflect_index,
     reflection_permutation,
 )
 
-from oracles import apply_site, hamming_distance, interval_marginal
+from oracles import apply_site, hamming_distance, interval_marginal, reflect_index
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
