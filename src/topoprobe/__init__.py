@@ -17,7 +17,6 @@ from .hamiltonians import HamiltonianSpec, matvec, dense_matrix, compile_hamilto
 from .groundstate import EigenResult, ConvergenceError, ground_state
 from .rdm import (
     InvariantValue,
-    ReducedDensityMatrix,
     exact_invariant,
     purity,
     reduced_density_matrix,
@@ -60,7 +59,6 @@ __all__ = [
     "ConvergenceError",
     "ground_state",
     "InvariantValue",
-    "ReducedDensityMatrix",
     "reduced_density_matrix",
     "purity",
     "exact_invariant",

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .hamiltonians import HamiltonianSpec
-from .partitions import PartitionSpec, reflection_partition, three_segment_partition
+from .partitions import THREE_SEGMENT_KINDS, PartitionSpec, partition_for
 from .rdm import KINDS
 
 
@@ -87,16 +87,12 @@ class RunConfig:
             raise ConfigError(f"hamiltonian: {exc}") from exc
 
     def partition(self, num_sites: int) -> PartitionSpec:
-        pairs = self.require("partition", "pairs")
-        layout = self.get("partition", "layout", "reflection")
+        """The layout of ``protocol.kind``; ``partition.layout`` selects nothing."""
+        kind, pairs = self.require("protocol", "kind"), self.require("partition", "pairs")
         try:
-            if layout == "reflection":
-                return reflection_partition(num_sites, pairs)
-            if layout == "three_segment":
-                return three_segment_partition(num_sites, pairs)
+            return partition_for(kind, num_sites, pairs)
         except ValueError as exc:
             raise ConfigError(f"partition: {exc}") from exc
-        raise ConfigError(f"partition.layout must be 'reflection' or 'three_segment', got {layout!r}")
 
     def master_seed(self) -> int:
         return self.require("run", "master_seed")
@@ -121,4 +117,11 @@ def load_config(path) -> RunConfig:
             except ValueError as exc:
                 raise ConfigError(f"bad value for {section}.{key}: {raw!r} ({exc})") from exc
         sections[section] = body
+    layout = sections.get("partition", {}).get("layout")
+    kind = sections.get("protocol", {}).get("kind")
+    allowed = {"three_segment" if k in THREE_SEGMENT_KINDS else "reflection"
+               for k in ((kind,) if kind else KINDS)}  # any layout name without a kind
+    if layout is not None and layout not in allowed:
+        raise ConfigError(f"partition.layout = {layout} is not the layout of protocol.kind = "
+                          f"{kind} ({' or '.join(sorted(allowed))})")
     return RunConfig(sections, str(path))

@@ -274,7 +274,9 @@ def run_campaign(state: SpinState, params: ProtocolParams,
     (infinite-shot limit, used to validate estimator unbiasedness).
     Intervals longer than ``rdm.MAX_INTERVAL`` sites raise ``ValueError``.
     """
-    rho = reduced_density_matrix(state, params.partition).matrix
+    if params.partition.num_sites != state.num_sites:
+        raise ValueError("partition chain size does not match state")
+    rho = reduced_density_matrix(state, params.partition.sites)
     length = params.partition.interval_size
     n_unitaries, experiments = params.n_unitaries, params.experiments
     outcomes = np.empty((n_unitaries, experiments, 2 ** length),
@@ -597,7 +599,7 @@ def _read_header(line: str) -> ProtocolParams:
                                   tuple(tuple(seg) for seg in header["segments"]))
         return ProtocolParams(header["kind"], header["n_unitaries"], header["n_shots"],
                               partition, header["master_seed"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise ValueError(f"line 1: bad record header ({type(exc).__name__}: {exc})") from None
 
 

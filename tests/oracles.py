@@ -71,3 +71,10 @@ def twirl_psi_exact(op):
     op_pt = op.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
     out = twirl_phi_exact(op_pt)
     return out.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+
+
+def partial_transpose_first_segment(matrix, first_bits, total_bits):
+    """Transpose the first-segment indices (the low ``first_bits`` bits)."""
+    rest = total_bits - first_bits
+    shaped = matrix.reshape(2 ** rest, 2 ** first_bits, 2 ** rest, 2 ** first_bits)
+    return shaped.transpose(0, 3, 2, 1).reshape(matrix.shape)

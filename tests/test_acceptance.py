@@ -43,8 +43,7 @@ from topoprobe.protocols import (
     run_campaign,
     twirl_check,
 )
-from topoprobe.rdm import exact_invariant, purity, reduced_density_matrix, \
-    segment_density_matrix
+from topoprobe.rdm import exact_invariant, purity, reduced_density_matrix
 from topoprobe.spincore import random_state, reflection_permutation
 
 from oracles import hamming_distance, magnetization_diagonal
@@ -101,8 +100,7 @@ def test_criterion_01_oracle_equivalence_infinite_shot():
         hits["reflection"] += abs(est.value - exact) <= 3 * est.std_error
 
         est = estimate_purity(records_r, params_r, segment=0)
-        rdm = reduced_density_matrix(state, part2)
-        exact = purity(segment_density_matrix(rdm, 0))
+        exact = purity(reduced_density_matrix(state, part2.segment_sites(0)))
         hits["purity"] += abs(est.value - exact) <= 3 * est.std_error
 
         for kind, part in (("time_reversal", part2), ("d2", part3),

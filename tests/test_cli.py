@@ -85,6 +85,25 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="run.jobs"):
             load_config(path)
 
+    def test_layout_must_match_kind(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text(TINY_CONFIG.replace("kind = reflection", "kind = d2")
+                        .replace("pairs = 2", "pairs = 2\nlayout = reflection"))
+        with pytest.raises(ConfigError, match=r"partition\.layout = reflection .*"
+                                              r"protocol\.kind = d2 \(three_segment\)"):
+            load_config(path)
+        path.write_text(TINY_CONFIG.replace("pairs = 2", "pairs = 2\nlayout = mirror"))
+        with pytest.raises(ConfigError, match="partition.layout"):
+            load_config(path)
+        path.write_text("[partition]\npairs = 1\nlayout = mirror\n")
+        with pytest.raises(ConfigError, match=r"\(reflection or three_segment\)"):
+            load_config(path)
+        path.write_text("[partition]\npairs = 1\nlayout = three_segment\n")
+        assert load_config(path).get("partition", "layout") == "three_segment"
+        path.write_text(TINY_CONFIG.replace("kind = reflection", "kind = klein_bottle")
+                        .replace("pairs = 2", "pairs = 2\nlayout = three_segment"))
+        assert load_config(path).partition(8).segments == ((1, 3), (3, 5), (5, 7))
+
     def test_shipped_configs_parse(self):
         from pathlib import Path
 
@@ -311,6 +330,30 @@ class TestOtherCommands:
             out = tmp_path / argv[0]
             assert main(argv + ["--config", str(path), "--out", str(out)]) == 2
             assert "protocol.kind" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_partition_follows_kind(self, tmp_path):
+        # no partition.layout: d2 is measured on its three-segment layout
+        path = tmp_path / "d2.cfg"
+        path.write_text(TINY_CONFIG.replace("kind = reflection", "kind = d2")
+                        .replace("pairs = 2", "pairs = 1"))
+        out = tmp_path / "out"
+        assert main(["invariants", "--config", str(path), "--exact", "--out", str(out)]) == 0
+        assert read_json(out / "invariants.json")["result"]["kind"] == "d2"
+        assert main(["campaign-export", "--config", str(path), "--out", str(out)]) == 0
+        header = json.loads((out / "campaign.records").read_text().splitlines()[0][1:])
+        assert header["segments"] == [[3, 4], [4, 5], [5, 6]]
+
+    def test_layout_against_kind_exits_2_for_every_command(self, tmp_path, capsys):
+        path = tmp_path / "d2.cfg"
+        path.write_text(TINY_CONFIG.replace("kind = reflection", "kind = d2")
+                        .replace("pairs = 2", "pairs = 1\nlayout = reflection")
+                        + "\n[sweep]\naxis_pairs = 1, 2\n")
+        for argv in (["sweep"], ["invariants", "--exact"], ["campaign-export"]):
+            out = tmp_path / argv[0]
+            assert main(argv + ["--config", str(path), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "partition.layout" in err and "protocol.kind" in err
             assert not out.exists()
 
     def test_campaign_round_trip(self, tiny_config, tmp_path):

@@ -31,13 +31,7 @@ from topoprobe.protocols import (
     twirl_check,
     write_records,
 )
-from topoprobe.rdm import (
-    MAX_INTERVAL,
-    exact_invariant,
-    purity,
-    reduced_density_matrix,
-    segment_density_matrix,
-)
+from topoprobe.rdm import MAX_INTERVAL, exact_invariant, purity, reduced_density_matrix
 from topoprobe.spincore import PAULI_X, PAULI_Y, SpinState, basis_state, random_state
 
 from oracles import statevector_born, twirl_phi_exact, twirl_psi_exact
@@ -236,6 +230,22 @@ class TestEngine:
         with pytest.raises(ValueError, match="exceeds limit"):
             run_campaign(state, params)
 
+    def test_chain_size_mismatch_rejected(self, state8):
+        # sites 3-6 of a 10-site partition fit in 8 sites: without the check
+        # the campaign would silently measure the wrong interval
+        params = ProtocolParams("reflection", 2, 2, reflection_partition(10, 2), 0)
+        with pytest.raises(ValueError, match="chain size does not match"):
+            run_campaign(state8, params)
+
+    @pytest.mark.parametrize("factor", [1 - 5e-9, 1 + 5e-9])
+    def test_near_normalized_states_accepted(self, state8, factor):
+        for state in (basis_state(8, 0), state8):
+            near = SpinState(8, state.amplitudes * factor)
+            for kind, pairs in ENGINE_LAYOUTS:
+                params = ProtocolParams(kind, 3, 16, partition_for(kind, 8, pairs), 7)
+                records = run_campaign(near, params)
+                assert np.all(records.outcomes.sum(axis=2) == 16)
+
 
 class TestRecordTable:
     def test_list_and_table_agree(self, state8):
@@ -368,8 +378,8 @@ class TestPurityEstimator:
     def test_random_state_spectral_oracle(self, rng):
         state = random_state(6, rng)
         part = reflection_partition(6, 1)
-        rdm = reduced_density_matrix(state, part)
-        exact = float(np.sum(np.linalg.eigvalsh(segment_density_matrix(rdm, 0)) ** 2))
+        rho = reduced_density_matrix(state, part.segment_sites(0))
+        exact = float(np.sum(np.linalg.eigvalsh(rho) ** 2))
         params = ProtocolParams("purity", 1000, 1000, part, 13)
         records = run_campaign(state, params)
         result = estimate_purity(records, params, segment=0)
@@ -379,9 +389,8 @@ class TestPurityEstimator:
         part = reflection_partition(8, 2)
         params = ProtocolParams("purity", 3000, 2, part, 14)
         records = run_campaign(state8, params, exact_probabilities=True)
-        rdm = reduced_density_matrix(state8, part)
         for segment in (0, 1):
-            exact = purity(segment_density_matrix(rdm, segment))
+            exact = purity(reduced_density_matrix(state8, part.segment_sites(segment)))
             result = estimate_purity(records, params, segment=segment)
             assert abs(result.value - exact) <= 3 * result.std_error
 
@@ -581,6 +590,19 @@ class TestRecordFileErrors:
         assert main(["campaign-analyze", "--records", str(bad),
                      "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_header_not_json(self, exported, tmp_path, capsys):
+        from topoprobe.cli import main
+
+        _source, lines = exported
+        bad = tmp_path / "bad.records"
+        bad.write_text("\n".join(['#{"kind": "reflection"', "}"] + lines) + "\n")
+        with pytest.raises(ValueError, match=r"^line 1: bad record header \(JSONDecodeError: "):
+            read_records(bad)
+        assert main(["campaign-analyze", "--records", str(bad),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: line 1: bad record header (JSONDecodeError: ")
 
     def test_cli_exit_code(self, exported, tmp_path, capsys):
         from topoprobe.cli import main

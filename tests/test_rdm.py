@@ -14,10 +14,8 @@ from topoprobe.partitions import (
 from topoprobe.rdm import (
     InvariantValue,
     exact_invariant,
-    partial_transpose_first_segment,
     purity,
     reduced_density_matrix,
-    segment_density_matrix,
 )
 from topoprobe.spincore import (
     PAULI_X,
@@ -30,7 +28,7 @@ from topoprobe.spincore import (
 )
 from topoprobe.protocols import HAMMING_DIAGONAL
 
-from oracles import twirl_phi_exact
+from oracles import partial_transpose_first_segment, reflect_index, twirl_phi_exact
 
 
 def kron_positions(ops):
@@ -80,55 +78,62 @@ def singlet_center_state():
 
 class TestReducedDensityMatrix:
     def test_product_state_projector(self):
-        rdm = reduced_density_matrix(basis_state(6, 0), reflection_partition(6, 2))
+        rho = reduced_density_matrix(basis_state(6, 0), reflection_partition(6, 2).sites)
         expected = np.zeros((16, 16))
         expected[0, 0] = 1.0
-        np.testing.assert_allclose(rdm.matrix, expected, atol=1e-14)
+        np.testing.assert_allclose(rho, expected, atol=1e-14)
 
     def test_bell_pair_half_identity(self):
         bell = SpinState(2, np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
-        rdm = reduced_density_matrix(bell, PartitionSpec(2, 1, ((0, 1),)))
-        np.testing.assert_allclose(rdm.matrix, np.eye(2) / 2, atol=1e-14)
+        rho = reduced_density_matrix(bell, [0])
+        np.testing.assert_allclose(rho, np.eye(2) / 2, atol=1e-14)
 
     def test_schmidt_spectra_match(self, rng):
         state = random_state(6, rng)
-        part = PartitionSpec(6, 1, ((1, 4),))
-        rdm = reduced_density_matrix(state, part)
-        assert abs(np.trace(rdm.matrix) - 1.0) < 1e-12
+        rho = reduced_density_matrix(state, [1, 2, 3])
+        assert abs(np.trace(rho) - 1.0) < 1e-12
         tensor = state.amplitudes.reshape([2] * 6)
         kept = [6 - 1 - s for s in reversed([1, 2, 3])]
         rest = [ax for ax in range(6) if ax not in kept]
         matrix = tensor.transpose(kept + rest).reshape(8, -1)
         singular = np.linalg.svd(matrix, compute_uv=False)
-        np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(rdm.matrix)),
+        np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(rho)),
                                    np.sort(singular ** 2), atol=1e-10)
 
     def test_interval_size_guard(self, rng):
         state = random_state(14, rng)
         with pytest.raises(ValueError, match="exceeds limit"):
-            reduced_density_matrix(state, PartitionSpec(14, 1, ((0, 13),)))
+            reduced_density_matrix(state, list(range(13)))
 
 
 class TestPurity:
     def test_pure_product(self):
-        rdm = reduced_density_matrix(basis_state(4, 0), reflection_partition(4, 1))
-        assert purity(rdm) == pytest.approx(1.0, abs=1e-12)
+        rho = reduced_density_matrix(basis_state(4, 0), reflection_partition(4, 1).sites)
+        assert purity(rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed(self):
-        rdm = reduced_density_matrix(two_bell_pairs(), PartitionSpec(4, 1, ((0, 1), (1, 2))))
-        assert purity(rdm) == pytest.approx(0.25, abs=1e-12)
+        rho = reduced_density_matrix(two_bell_pairs(), [0, 1])
+        assert purity(rho) == pytest.approx(0.25, abs=1e-12)
 
     def test_bell_half(self):
         bell = SpinState(2, np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
-        rdm = reduced_density_matrix(bell, PartitionSpec(2, 1, ((0, 1),)))
-        assert purity(rdm) == pytest.approx(0.5, abs=1e-12)
+        assert purity(reduced_density_matrix(bell, [0])) == pytest.approx(0.5, abs=1e-12)
 
     def test_segment_reduction_consistency(self, rng):
-        state = random_state(6, rng)
-        part = reflection_partition(6, 2)
-        rdm = reduced_density_matrix(state, part)
-        direct = reduced_density_matrix(state, PartitionSpec(6, 2, ((1, 3),)))
-        np.testing.assert_allclose(segment_density_matrix(rdm, 0), direct.matrix,
+        # the z-weighted primitive against an explicit dense Tr_I2[Z_I2 rho_I],
+        # and the plain one against the partial trace of rho_I onto I1
+        state = random_state(9, rng)
+        n = 2
+        part = three_segment_partition(9, n)
+        rho = reduced_density_matrix(state, part.sites)
+        z_middle = kron_positions([IDENTITY_2] * n + [PAULI_Z] * n + [IDENTITY_2] * n)
+        shaped = (z_middle @ rho).reshape([2 ** n] * 6)  # (I3, I2, I1) rows, then columns
+        dense = np.einsum("aibcid->abcd", shaped).reshape(4 ** n, 4 ** n)
+        outer = part.segment_sites(0) + part.segment_sites(2)
+        np.testing.assert_allclose(
+            reduced_density_matrix(state, outer, part.segment_sites(1)), dense, atol=1e-12)
+        first = np.einsum("aiaj->ij", rho.reshape(4 ** n, 2 ** n, 4 ** n, 2 ** n))
+        np.testing.assert_allclose(first, reduced_density_matrix(state, part.segment_sites(0)),
                                    atol=1e-12)
 
 
@@ -147,8 +152,8 @@ class TestReflectionInvariant:
         for _ in range(5):
             state = random_state(8, rng)
             part = reflection_partition(8, 2)
-            rdm = reduced_density_matrix(state, part)
-            oracle = np.trace(rdm.matrix @ dense_reversal_operator(4)).real
+            rho = reduced_density_matrix(state, part.sites)
+            oracle = np.trace(rho @ dense_reversal_operator(4)).real
             assert exact_invariant(state, part, "reflection").raw \
                 == pytest.approx(oracle, abs=1e-12)
 
@@ -157,7 +162,7 @@ class TestReflectionInvariant:
         # across mirror pairs must rebuild the reversal operator itself
         state = random_state(8, rng)
         part = reflection_partition(8, 2)
-        rdm = reduced_density_matrix(state, part)
+        rho = reduced_density_matrix(state, part.sites)
         pair_op = twirl_phi_exact(HAMMING_DIAGONAL)  # 4x4, acts on (i, mirror(i))
         dim = 16
         assembled = np.eye(dim, dtype=complex)
@@ -171,7 +176,7 @@ class TestReflectionInvariant:
                     pc = ((c >> i) & 1) | (((c >> j) & 1) << 1)
                     full[r, c] = pair_op[pr, pc]
             assembled = assembled @ full
-        estimator_route = np.trace(assembled @ rdm.matrix).real
+        estimator_route = np.trace(assembled @ rho).real
         assert exact_invariant(state, part, "reflection").raw \
             == pytest.approx(estimator_route, abs=1e-10)
 
@@ -195,7 +200,7 @@ class TestTimeReversalInvariant:
 
     def test_partial_transpose_convention(self, rng):
         state = random_state(8, rng)
-        rho = reduced_density_matrix(state, reflection_partition(8, 2)).matrix
+        rho = reduced_density_matrix(state, reflection_partition(8, 2).sites)
         transposed = partial_transpose_first_segment(rho, 2, 4)
         for r in range(16):
             for c in range(16):
@@ -207,10 +212,10 @@ class TestTimeReversalInvariant:
         for n in (1, 2, 3):
             state = random_state(8, rng)
             part = reflection_partition(8, n)
-            rdm = reduced_density_matrix(state, part)
+            rho = reduced_density_matrix(state, part.sites)
             flip = kron_positions([PAULI_Y] * n + [IDENTITY_2] * n)
-            transposed = partial_transpose_first_segment(rdm.matrix, n, 2 * n)
-            oracle = np.trace(rdm.matrix @ flip @ transposed @ flip.conj().T).real
+            transposed = partial_transpose_first_segment(rho, n, 2 * n)
+            oracle = np.trace(rho @ flip @ transposed @ flip.conj().T).real
             assert exact_invariant(state, part, "time_reversal").raw \
                 == pytest.approx(oracle, abs=1e-12)
 
@@ -261,7 +266,7 @@ class TestTwoCopyInvariants:
             part = three_segment_partition(10, n)
             for _ in range(5 if n == 1 else 2):
                 state = random_state(10, rng)
-                rho = reduced_density_matrix(state, part).matrix
+                rho = reduced_density_matrix(state, part.sites)
                 flip = kron_positions([PAULI_X] * n + [IDENTITY_2] * (2 * n))
                 flipped = flip @ rho @ flip
                 oracle = dense_two_copy_trace(part, flipped, rho).real
@@ -275,7 +280,7 @@ class TestTwoCopyInvariants:
             part = three_segment_partition(10, n)
             for _ in range(5 if n == 1 else 2):
                 state = random_state(10, rng)
-                rho = reduced_density_matrix(state, part).matrix
+                rho = reduced_density_matrix(state, part.sites)
                 flip = kron_positions([PAULI_Y] * n + [IDENTITY_2] * (2 * n))
                 transposed = partial_transpose_first_segment(rho, n, 3 * n)
                 flipped = flip @ transposed @ flip.conj().T
@@ -369,14 +374,14 @@ class TestDerivedBounds:
         state = random_state(num_sites, np.random.default_rng(seed))
         pairs = min(pairs_draw, num_sites // 2)
         part2 = reflection_partition(num_sites, pairs)
-        rdm = reduced_density_matrix(state, part2)
+        rho2 = reduced_density_matrix(state, part2.sites)
         assert abs(exact_invariant(state, part2, "reflection").raw) <= 1.0 + 1e-10
-        assert abs(exact_invariant(state, part2, "time_reversal").raw) <= purity(rdm) + 1e-10
+        assert abs(exact_invariant(state, part2, "time_reversal").raw) <= purity(rho2) + 1e-10
         triple = min(pairs_draw, num_sites // 3)
         part3 = three_segment_partition(num_sites, triple)
         d2 = exact_invariant(state, part3, "d2")
         assert abs(d2.raw) <= 1.0 + 1e-10
-        rho = reduced_density_matrix(state, part3).matrix
+        rho = reduced_density_matrix(state, part3.sites)
         transposed = partial_transpose_first_segment(rho, triple, 3 * triple)
         trace_norm = np.abs(np.linalg.eigvalsh(transposed)).sum()
         klein_bottle = exact_invariant(state, part3, "klein_bottle")
@@ -388,6 +393,40 @@ class TestDerivedBounds:
             assert value.bound == pytest.approx(middle_purity, abs=1e-12)
             assert abs(value.raw) <= value.bound + 1e-10
         assert middle_purity <= 1.0 + 1e-10
+
+
+class TestStateInput:
+    @pytest.mark.parametrize("factor", [1 - 5e-9, 1 + 5e-11, 1 + 5e-10, 1 + 5e-9])
+    def test_near_normalized_states_accepted(self, rng, factor):
+        # SpinState accepts | |psi| - 1 | <= 1e-8; the invariants are those of psi/|psi|
+        layouts = [(kind, reflection_partition(6, 2)) for kind in ("reflection", "time_reversal")]
+        layouts += [(kind, three_segment_partition(6, 2)) for kind in ("d2", "klein_bottle")]
+        for state in (basis_state(6, 0), random_state(6, rng)):
+            for kind, part in layouts:
+                plain = exact_invariant(state, part, kind)
+                value = exact_invariant(SpinState(6, state.amplitudes * factor), part, kind)
+                for field in ("raw", "normalized", "purity_first", "purity_second", "bound"):
+                    assert getattr(value, field) == pytest.approx(getattr(plain, field),
+                                                                  abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["reflection", "time_reversal"])
+    def test_chain_size_mismatch_rejected(self, rng, kind):
+        # sites 3-6 of a 10-site partition fit in 8 sites, so only this check
+        # stands between the call and a silently wrong value
+        with pytest.raises(ValueError, match="chain size does not match"):
+            exact_invariant(random_state(8, rng), reflection_partition(10, 2), kind)
+
+
+class TestReach:
+    def test_reflection_on_fourteen_site_interval(self, rng):
+        # no interval matrix is built: only the 7-site segment purities
+        state = random_state(14, rng)
+        part = reflection_partition(14, 7)
+        reflected = state.amplitudes[[reflect_index(x, 14) for x in range(2 ** 14)]]
+        oracle = np.vdot(state.amplitudes, reflected).real
+        assert exact_invariant(state, part, "reflection").raw == pytest.approx(oracle, abs=1e-12)
+        with pytest.raises(ValueError, match="exceeds limit"):
+            exact_invariant(state, part, "time_reversal")
 
 
 class TestInvariantValueContract:
