@@ -12,9 +12,20 @@ The symmetry-breaking bond term folds into the bond matrices. For ramps,
 the time-dependent staggered-field weight is evaluated at the midpoint of
 each step, which preserves second-order accuracy.
 
+Each bond group is applied in two parts. Its bonds inside the lowest
+sites (4 for A, 5 for B; no bond crosses that edge) form one Kronecker
+product, a 2^4 or 2^5 square matrix that multiplies the amplitudes
+reshaped to (rest, low block). Every other bond is a batched matmul of
+its 4x4 gate with the (higher sites, bond pair, lower sites) view, whose
+inner stride is at least 2^4. D takes at most 2(N + 1) distinct values:
+the stepper keeps the distinct (pinning, staggered) pairs and an index
+code per basis state, exponentiates the small table each step and
+gathers the phases by code.
+
 The adiabatic ramp starts from the staggered product state and turns the
 strong staggered field off with weight f(t) = (t/t_final - 1)^exponent,
-so f(0) = 1 and f(t_final) = 0.
+so f(0) = 1 and f(t_final) = 0; the exponent must be a positive even
+integer, and dt must divide t_final.
 """
 from __future__ import annotations
 
@@ -30,6 +41,11 @@ from .spincore import PAULI_X, PAULI_Y, PAULI_Z, SpinState, neel_state
 
 DEFAULT_DT = 0.01
 NORM_DRIFT_TOL = 1e-8
+STEP_COUNT_RTOL = 1e-9
+# sites in the low block of each bond group; no bond of the group crosses its
+# edge, and every bond above it has an inner stride of at least 2^4
+_EVEN_BLOCK_SITES = 4
+_ODD_BLOCK_SITES = 5
 
 
 class NormDriftError(RuntimeError):
@@ -50,12 +66,26 @@ class RampSpec:
     def __post_init__(self):
         if not 0 < self.dt <= self.t_final:
             raise ValueError(f"need 0 < dt <= t_final, got dt={self.dt}, t_final={self.t_final}")
+        _step_count(self.t_final, self.dt)
+        exponent = self.ramp_exponent
+        if not isinstance(exponent, int) or exponent <= 0 or exponent % 2:
+            raise ValueError(f"ramp exponent must be a positive even integer, got {exponent!r}")
         for t in self.sample_times:
             if not 0.0 <= t <= self.t_final + 1e-12:
                 raise ValueError(f"sample time {t} outside [0, {self.t_final}]")
 
     def weight(self, t: float) -> float:
         return float((t / self.t_final - 1.0) ** self.ramp_exponent)
+
+
+def _step_count(t_total: float, dt: float) -> int:
+    """Number of steps of length dt in t_total; dt must divide t_total."""
+    if not (dt > 0 and t_total >= 0):
+        raise ValueError(f"need dt > 0 and t_total >= 0, got dt={dt}, t_total={t_total}")
+    steps = round(t_total / dt)
+    if abs(steps * dt - t_total) > STEP_COUNT_RTOL * abs(t_total):
+        raise ValueError(f"dt={dt} does not divide the evolution time {t_total}")
+    return steps
 
 
 def _two_site_matrix(op_left: np.ndarray, op_right: np.ndarray) -> np.ndarray:
@@ -81,9 +111,36 @@ def _bond_gate(h4: np.ndarray, dt: float) -> np.ndarray:
     return (evecs * np.exp(-1j * dt * evals)) @ evecs.conj().T
 
 
-def _apply_bond_gate(amps: np.ndarray, left: int, gate: np.ndarray) -> np.ndarray:
-    view = amps.reshape(-1, 4, 2 ** left)
-    return np.einsum("ab,xby->xay", gate, view).reshape(-1)
+def _low_block(bonds: list[tuple[int, np.ndarray]], width: int) -> np.ndarray:
+    """Kronecker product of the bond gates inside sites 0..width-1, with
+    identities on the sites no such bond covers; site 0 is the lowest bit."""
+    gates = dict(bonds)
+    block = np.ones((1, 1), dtype=complex)
+    site = 0
+    while site < width:
+        if site in gates and site + 1 < width:
+            block = np.kron(gates[site], block)
+            site += 2
+        else:
+            block = np.kron(np.eye(2), block)
+            site += 1
+    return block
+
+
+class _BondGroup:
+    """A product of bond gates on disjoint site pairs: the low block as one
+    dense matrix, every other bond as a 4x4 gate on a strided view."""
+
+    def __init__(self, bonds: list[tuple[int, np.ndarray]], width: int):
+        self.width = width
+        self.low_t = _low_block(bonds, width).T
+        self.high = [(left, gate) for left, gate in bonds if left + 1 >= width]
+
+    def apply(self, amps: np.ndarray) -> np.ndarray:
+        amps = (amps.reshape(-1, 2 ** self.width) @ self.low_t).reshape(-1)
+        for left, gate in self.high:
+            amps = np.matmul(gate, amps.reshape(-1, 4, 2 ** left)).reshape(-1)
+        return amps
 
 
 class TrotterStepper:
@@ -93,36 +150,39 @@ class TrotterStepper:
         self.spec = spec
         self.dt = dt
         n = spec.num_sites
-        self.even_bonds = []
-        self.odd_bonds = []
+        even_bonds = []
+        odd_bonds = []
         for left, _right, coupling in exchange_bonds(spec):
             h4 = _bond_hamiltonian(coupling, spec.delta, spec.b_field)
             gate = _bond_gate(h4, dt / 2.0)
-            (self.even_bonds if left % 2 == 0 else self.odd_bonds).append((left, gate))
+            (even_bonds if left % 2 == 0 else odd_bonds).append((left, gate))
+        self.even_group = _BondGroup(even_bonds, min(_EVEN_BLOCK_SITES, n))
+        self.odd_group = _BondGroup(odd_bonds, min(_ODD_BLOCK_SITES, n))
         zsign = _z_signs(n)
-        self.static_diag = spec.pinning * zsign[0]
-        self.neel_diag = sum(s * z for s, z in zip(staggered_signs(n), zsign))
+        static_diag = spec.pinning * zsign[0]
+        neel_diag = sum(s * z for s, z in zip(staggered_signs(n), zsign))
+        pairs, codes = np.unique(np.stack([static_diag, neel_diag], axis=1), axis=0,
+                                 return_inverse=True)
+        self.static_values, self.neel_values = pairs.T
+        self.diag_codes = codes.reshape(-1)
+
+    def phases(self, neel_weight: float) -> np.ndarray:
+        """exp(-i dt D) per basis state, from the table of distinct entries of D."""
+        diag = self.static_values + self.spec.neel_delta * neel_weight * self.neel_values
+        return np.exp(-1j * self.dt * diag)[self.diag_codes]
 
     def step(self, amps: np.ndarray, neel_weight: float) -> np.ndarray:
         """One symmetric step; ``neel_weight`` is the midpoint field weight."""
-        for left, gate in self.even_bonds:
-            amps = _apply_bond_gate(amps, left, gate)
-        for left, gate in self.odd_bonds:
-            amps = _apply_bond_gate(amps, left, gate)
-        diag = self.static_diag + self.spec.neel_delta * neel_weight * self.neel_diag
-        amps = np.exp(-1j * self.dt * diag) * amps
-        for left, gate in self.odd_bonds:
-            amps = _apply_bond_gate(amps, left, gate)
-        for left, gate in self.even_bonds:
-            amps = _apply_bond_gate(amps, left, gate)
-        return amps
+        amps = self.odd_group.apply(self.even_group.apply(amps))
+        amps = self.phases(neel_weight) * amps
+        return self.even_group.apply(self.odd_group.apply(amps))
 
 
 def evolve(spec: HamiltonianSpec, state: SpinState, t_total: float,
            dt: float = DEFAULT_DT) -> SpinState:
     """Evolve under the time-independent Hamiltonian of ``spec``."""
+    steps = _step_count(t_total, dt)
     stepper = TrotterStepper(spec, dt)
-    steps = int(round(t_total / dt))
     amps = state.amplitudes
     for _ in range(steps):
         amps = stepper.step(amps, spec.neel_weight)
@@ -142,7 +202,7 @@ def adiabatic_evolve(spec: HamiltonianSpec, ramp: RampSpec) -> list[tuple[float,
                       "the initial product state is a poor ground state", stacklevel=2)
     stepper = TrotterStepper(replace(spec, neel_delta=ramp.neel_delta, neel_weight=1.0),
                              ramp.dt)
-    total_steps = int(round(ramp.t_final / ramp.dt))
+    total_steps = _step_count(ramp.t_final, ramp.dt)
     sample_steps = sorted({0, total_steps}
                           | {int(round(t / ramp.dt)) for t in ramp.sample_times})
 

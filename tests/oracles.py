@@ -78,3 +78,92 @@ def partial_transpose_first_segment(matrix, first_bits, total_bits):
     rest = total_bits - first_bits
     shaped = matrix.reshape(2 ** rest, 2 ** first_bits, 2 ** rest, 2 ** first_bits)
     return shaped.transpose(0, 3, 2, 1).reshape(matrix.shape)
+
+
+PAULI = {"x": np.array([[0, 1], [1, 0]], dtype=complex),
+         "y": np.array([[0, -1j], [1j, 0]]),
+         "z": np.diag([1.0, -1.0]).astype(complex)}
+
+
+def site_operator(num_sites, ops):
+    """Kronecker product with ops[site] on the named sites and identities
+    elsewhere; site 0 is the least-significant bit."""
+    out = np.eye(1, dtype=complex)
+    for site in range(num_sites):
+        out = np.kron(ops.get(site, np.eye(2)), out)
+    return out
+
+
+def trotter_terms(spec, neel_weight):
+    """Dense (H_A, H_B, H_D) of the Trotter splitting: the strong
+    (even-left) bonds, the weak (odd-left) bonds, and the diagonal
+    staggered field at ``neel_weight`` plus the pinning field."""
+    n = spec.num_sites
+    x, y, z = PAULI["x"], PAULI["y"], PAULI["z"]
+    groups = [np.zeros((2 ** n, 2 ** n), dtype=complex) for _ in range(2)]
+    for left in range(n - 1):
+        right = left + 1
+        coupling = spec.j if left % 2 == 0 else spec.j_prime
+        groups[left % 2] += 0.5 * coupling * (
+            site_operator(n, {left: x, right: x}) + site_operator(n, {left: y, right: y})
+            + spec.delta * site_operator(n, {left: z, right: z}))
+        groups[left % 2] += spec.b_field * (
+            site_operator(n, {left: x, right: z}) - site_operator(n, {left: z, right: x}))
+    diag = spec.pinning * site_operator(n, {0: z})
+    for site in range(n):
+        diag += spec.neel_delta * neel_weight * (-1) ** site * site_operator(n, {site: z})
+    return groups[0], groups[1], diag
+
+
+def hermitian_propagator(h, t):
+    """exp(-i h t) of a Hermitian matrix, through its eigendecomposition."""
+    evals, evecs = np.linalg.eigh(h)
+    return (evecs * np.exp(-1j * t * evals)) @ evecs.conj().T
+
+
+def dense_trotter_step(spec, dt, neel_weight):
+    """Dense A(dt/2) B(dt/2) D(dt) B(dt/2) A(dt/2) from the exponentiated
+    group Hamiltonians of ``trotter_terms``."""
+    h_a, h_b, h_d = trotter_terms(spec, neel_weight)
+    a = hermitian_propagator(h_a, dt / 2.0)
+    b = hermitian_propagator(h_b, dt / 2.0)
+    return a @ b @ hermitian_propagator(h_d, dt) @ b @ a
+
+
+class EinsumTrotterStepper:
+    """Reference Trotter step: each bond gate by its own einsum on the
+    (higher sites, bond pair, lower sites) view, strong bonds then weak
+    bonds, and the diagonal phase exponentiated over all 2^N entries."""
+
+    def __init__(self, spec, dt):
+        from topoprobe.dynamics import _bond_gate, _bond_hamiltonian
+
+        n = spec.num_sites
+        self.spec = spec
+        self.dt = dt
+        self.even_bonds = []
+        self.odd_bonds = []
+        for left in range(n - 1):
+            coupling = spec.j if left % 2 == 0 else spec.j_prime
+            gate = _bond_gate(_bond_hamiltonian(coupling, spec.delta, spec.b_field), dt / 2.0)
+            (self.even_bonds if left % 2 == 0 else self.odd_bonds).append((left, gate))
+        zsign = [1.0 - 2.0 * ((np.arange(2 ** n) >> site) & 1) for site in range(n)]
+        self.static_diag = spec.pinning * zsign[0]
+        self.neel_diag = sum((-1.0) ** site * zsign[site] for site in range(n))
+
+    def phases(self, neel_weight):
+        diag = self.static_diag + self.spec.neel_delta * neel_weight * self.neel_diag
+        return np.exp(-1j * self.dt * diag)
+
+    def step(self, amps, neel_weight):
+        for left, gate in self.even_bonds + self.odd_bonds:
+            amps = _apply_bond_gate(amps, left, gate)
+        amps = self.phases(neel_weight) * amps
+        for left, gate in self.odd_bonds + self.even_bonds:
+            amps = _apply_bond_gate(amps, left, gate)
+        return amps
+
+
+def _apply_bond_gate(amps, left, gate):
+    view = amps.reshape(-1, 4, 2 ** left)
+    return np.einsum("ab,xby->xay", gate, view).reshape(-1)

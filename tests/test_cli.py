@@ -275,6 +275,22 @@ class TestOtherCommands:
         rows = (out / "adiabatic.csv").read_text().splitlines()[1:]
         assert [row.split(",")[1] for row in rows] == ["reflection", "d2"] * 2
 
+    @pytest.mark.parametrize("ramp, message", [
+        ("dt = 0.6", "dt=0.6 does not divide the evolution time 1.0"),
+        ("dt = 0.3", "dt=0.3 does not divide the evolution time 1.0"),
+        ("exponent = 3", "ramp exponent must be a positive even integer, got 3"),
+        ("exponent = 1", "ramp exponent must be a positive even integer, got 1"),
+        ("exponent = 0", "ramp exponent must be a positive even integer, got 0"),
+        ("exponent = -2", "ramp exponent must be a positive even integer, got -2"),
+    ])
+    def test_adiabatic_bad_ramp_exits_2(self, tmp_path, capsys, ramp, message):
+        path = tmp_path / "ramp.cfg"
+        path.write_text(TINY_CONFIG + f"\n[ramp]\nt_final = 1.0\n{ramp}\n")
+        out = tmp_path / "out"
+        assert main(["adiabatic", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_error_scan(self, tmp_path):
         path = tmp_path / "scan.cfg"
         path.write_text(TINY_CONFIG + "\n[error_scan]\naxis = n_unitaries\n"

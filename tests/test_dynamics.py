@@ -1,5 +1,7 @@
-"""Trotterized evolution: splitting order, norm and energy conservation,
-adiabatic ramp behavior."""
+"""Trotterized evolution: the step against dense and per-bond references,
+splitting order, norm and energy conservation, adiabatic ramp behavior."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from topoprobe.partitions import reflection_partition, three_segment_partition
 from topoprobe.rdm import exact_invariant
 from topoprobe.spincore import neel_state, random_state
 
+from oracles import EinsumTrotterStepper, dense_trotter_step, trotter_terms
+
 
 class TestRampSpec:
     def test_weight_endpoints(self):
@@ -29,6 +33,63 @@ class TestRampSpec:
     def test_sample_times_bounds(self):
         with pytest.raises(ValueError, match="sample time"):
             RampSpec(t_final=1.0, dt=0.1, sample_times=(2.0,))
+
+    @pytest.mark.parametrize("dt", [0.6, 0.3])
+    def test_dt_must_divide_t_final(self, dt):
+        # round(1.0 / 0.6) steps would end at t = 1.2, round(1.0 / 0.3) at 0.9
+        message = f"dt={dt} does not divide the evolution time 1.0"
+        with pytest.raises(ValueError, match=message):
+            RampSpec(t_final=1.0, dt=dt)
+        spec = HamiltonianSpec(num_sites=4, j=1.0, j_prime=0.5, delta=0.25)
+        with pytest.raises(ValueError, match=message):
+            evolve(spec, neel_state(4), 1.0, dt)
+
+    @pytest.mark.parametrize("t_total, dt", [(1.0, -0.1), (-1.0, 0.1), (1.0, 0.0)])
+    def test_evolve_rejects_negative_time_or_step(self, t_total, dt):
+        spec = HamiltonianSpec(num_sites=4, j=1.0, j_prime=0.5, delta=0.25)
+        with pytest.raises(ValueError, match="need dt > 0 and t_total >= 0"):
+            evolve(spec, neel_state(4), t_total, dt)
+
+    @pytest.mark.parametrize("exponent", [3, 1, 0, -2])
+    def test_exponent_must_be_positive_even(self, exponent):
+        with pytest.raises(ValueError, match="positive even integer"):
+            RampSpec(t_final=1.0, dt=0.1, ramp_exponent=exponent)
+
+
+class TestTrotterStep:
+    @pytest.mark.parametrize("num_sites", [4, 6, 8])
+    def test_step_matches_dense_splitting(self, num_sites, rng):
+        # N = 4 puts the whole chain inside both low blocks
+        spec = HamiltonianSpec(num_sites=num_sites, j=1.0, j_prime=0.6, delta=0.3,
+                               b_field=0.1, pinning=0.07, neel_delta=5.0)
+        weight, dt = 0.3, 0.05
+        h_a, h_b, h_d = trotter_terms(spec, weight)
+        assert np.allclose(h_a + h_b + h_d, dense_matrix(replace(spec, neel_weight=weight)),
+                           atol=1e-13)
+        psi = random_state(num_sites, rng).amplitudes
+        stepped = TrotterStepper(spec, dt).step(psi, weight)
+        assert np.max(np.abs(stepped - dense_trotter_step(spec, dt, weight) @ psi)) <= 1e-12
+
+    def test_ramp_matches_per_bond_reference(self):
+        spec = HamiltonianSpec(num_sites=12, j=1.0, j_prime=0.5, delta=0.25, b_field=0.1,
+                               neel_delta=40.0)
+        ramp = RampSpec(t_final=2.0, dt=0.01, neel_delta=40.0)
+        final = adiabatic_evolve(spec, ramp)[-1][1].amplitudes
+        reference = EinsumTrotterStepper(spec, ramp.dt)
+        amps = neel_state(12).amplitudes
+        for step in range(1, 201):
+            amps = reference.step(amps, ramp.weight((step - 0.5) * ramp.dt))
+        assert np.max(np.abs(final - amps)) <= 1e-12
+
+    @pytest.mark.parametrize("num_sites", [6, 12])
+    def test_phase_table_is_exact(self, num_sites):
+        spec = HamiltonianSpec(num_sites=num_sites, j=1.0, j_prime=0.5, delta=0.25,
+                               pinning=0.05, neel_delta=40.0)
+        stepper = TrotterStepper(spec, 0.01)
+        reference = EinsumTrotterStepper(spec, 0.01)
+        for weight in (1.0, 0.37, 1e-5, 0.0):
+            assert np.array_equal(stepper.phases(weight).view(np.uint64),
+                                  reference.phases(weight).view(np.uint64))
 
 
 class TestTrotterAccuracy:
