@@ -482,7 +482,8 @@ def estimate_normalized(records, params) -> EstimatorResult:
     """Normalized invariant with jointly bootstrapped error bar.
 
     The segment purities come from the same records (experiment 1), so the
-    resampling happens coherently along the unitary axis.
+    resampling happens coherently along the unitary axis. A mean sampled
+    purity <= 0 (possible for tiny campaigns) raises ``ValueError``.
     """
     if params.kind not in NORMALIZED_KINDS:
         raise ValueError(
@@ -497,7 +498,12 @@ def estimate_normalized(records, params) -> EstimatorResult:
         mean_p = (purity_1[picks].mean(axis=1) + purity_2[picks].mean(axis=1)) / 2.0
         return np.maximum(mean_p, 1e-12) ** power
 
-    value = raw.mean() / (max((purity_1.mean() + purity_2.mean()) / 2.0, 1e-12) ** power)
+    mean_purity = (purity_1.mean() + purity_2.mean()) / 2.0
+    if mean_purity <= 0.0:
+        raise ValueError(f"mean sampled segment purity {mean_purity:.6g} is not positive "
+                         f"({params.n_unitaries} unitaries x {params.n_shots} shots); "
+                         f"the {params.kind} estimate cannot be normalized")
+    value = raw.mean() / mean_purity ** power
     std = _bootstrap_std(raw, params.master_seed, denominator)
     return EstimatorResult(float(value), std, params.kind, params.n_unitaries,
                            params.n_shots, params.master_seed)

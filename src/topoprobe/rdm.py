@@ -1,11 +1,11 @@
 """Exact ground truth: reduced density matrices and topological invariants.
 
 Everything here is computed by direct contraction of the amplitude tensor,
-with no sampling involved. The one primitive is ``reduced_density_matrix``:
-it orders the tensor axes as (sites, z_sites, rest), weights the z_sites
-block by (-1)^popcount and returns the Gram product
-Tr_Z[Z rho_{sites + z_sites}]; with no z_sites that is plain rho_sites.
-The four invariants are
+with no sampling involved. One helper, ``_ordered``, orders the tensor axes
+as (sites, z_sites, rest) and returns the matrix M with rows over ``sites``
+and its copy weighted by (-1)^popcount on the z_sites block. The primitive
+``reduced_density_matrix`` is their Gram product Tr_Z[Z rho_{sites + z_sites}];
+with no z_sites that is plain rho_sites. The four invariants are
 
 * reflection:     Z_R = Tr[rho_I R_I] = <psi|R_I|psi> with R_I the site-order
                   reversal of I (Pollmann & Turner, PRB 86, 125441 (2012)),
@@ -19,7 +19,7 @@ The four invariants are
 
 Reflection is one ``vdot`` of the tensor with itself, the interval's axes
 taken in reverse order; no interval matrix is built. The last three are one
-quantity. Let B = Tr_I2[Z_I2 rho_I], one primitive call on the outer
+quantity. Let B = Tr_I2[Z_I2 rho_I], the Gram product on the outer
 segments with z_sites = I2, and B = rho_I on the two segments of time
 reversal; let flip be the first-segment map of the kind (sigma_x
 conjugation for D2, partial transpose then sigma_y conjugation otherwise).
@@ -31,9 +31,31 @@ reverses that index: on the (hi, lo, hi, lo) view of B the flip reverses
 both lo axes, and for time reversal and the Klein bottle also swaps them
 (the partial transpose) and weights them by the sigma_y signs.
 
-``MAX_INTERVAL`` caps the rows of every matrix built, so it binds time
-reversal and campaigns (|I| rows); D2 and the Klein bottle build 2 pairs
-rows, and reflection only the pairs-row segment matrices of its purities.
+Time reversal contracts Tr[flip(B) B] on one of the two sides of the cut
+between the 2k outer sites (k = pairs) and the C = 2^(N - 2k) columns of
+the rest:
+
+* row side: build B (16^k entries) and contract its flipped views;
+* column side: with L = M and R = conj(M), B = L R^T, so the trace
+  regroups over pairs of (I1, column) indices: the sum of P * Q over two
+  products P and Q of 4^k C^2 entries each, the sigma_y signs folded into
+  the factors. The bound Tr B^2 comes from the two C x C column Grams.
+
+The side with fewer intermediate entries wins: 16^k against 2 * 4^k C^2,
+that is the column side exactly when 3k > N; a tie cannot occur. The rule
+depends on shapes only. D2 and the Klein bottle stay on the row side. The
+Klein bottle's three segments fit the chain (3k <= N), so its column side
+would never be smaller. D2's column side would be two C x C products and
+win once 4k > N, which no campaign or benchmark workload reaches yet.
+
+``MAX_INTERVAL`` caps the rows of every interval matrix built: campaigns
+(|I| rows), the segment purities (k rows), and ``reduced_density_matrix``.
+The two-copy intermediates are capped at 4^MAX_INTERVAL entries in total
+(B, or P and Q together), the size of the largest interval matrix; more
+raises before anything is allocated. The cap bounds the intermediates
+only: the normalized state and its reordered copies, a few arrays of 2^N
+entries, come on top. So time reversal reaches the whole chain for
+N <= 22, D2 and the Klein bottle 12 outer sites.
 
 Normalization: the reflection invariant divides by
 sqrt((Tr rho_I1^2 + Tr rho_Ilast^2)/2), the other three by the same
@@ -88,6 +110,26 @@ def _sign(bits: int) -> np.ndarray:
     return 1.0 - 2.0 * (np.bitwise_count(np.arange(2 ** bits)) % 2)
 
 
+def _ordered(state: SpinState, sites, z_sites=()) -> tuple[np.ndarray, np.ndarray]:
+    """The amplitudes as a (2^len(sites), columns) matrix and its signed copy.
+
+    Rows run over ``sites`` with sites[0] least significant; columns over
+    (z_sites, rest), z_sites most significant. The signed copy weights the
+    z_sites block by (-1)^popcount; without z_sites it is the matrix itself.
+    """
+    n = state.num_sites
+    tensor = state.amplitudes.reshape([2] * n)  # axis j <-> site n-1-j
+    # order axes so the row index has sites[0] least significant
+    kept = [n - 1 - s for s in reversed(sites)]
+    weighted = [n - 1 - s for s in z_sites]
+    rest = [ax for ax in range(n) if ax not in kept and ax not in weighted]
+    mat = tensor.transpose(kept + weighted + rest).reshape(2 ** len(sites), -1)
+    if not z_sites:
+        return mat, mat
+    signed = mat.reshape(2 ** len(sites), 2 ** len(z_sites), -1) * _sign(len(z_sites))[:, None]
+    return mat, signed.reshape(2 ** len(sites), -1)
+
+
 def reduced_density_matrix(state: SpinState, sites, z_sites=()) -> np.ndarray:
     """Tr_Z[Z rho] on ``sites``: everything else is traced out, the
     ``z_sites`` under sigma_z weights; plain rho_sites without ``z_sites``.
@@ -99,17 +141,8 @@ def reduced_density_matrix(state: SpinState, sites, z_sites=()) -> np.ndarray:
     length = len(sites)
     if length > MAX_INTERVAL:
         raise ValueError(f"interval of {length} sites exceeds limit {MAX_INTERVAL}")
-    n = state.num_sites
-    tensor = state.amplitudes.reshape([2] * n)  # axis j <-> site n-1-j
-    # order axes so the row index has sites[0] least significant
-    kept = [n - 1 - s for s in reversed(sites)]
-    weighted = [n - 1 - s for s in z_sites]
-    rest = [ax for ax in range(n) if ax not in kept and ax not in weighted]
-    mat = tensor.transpose(kept + weighted + rest).reshape(2 ** length, -1)
-    if not z_sites:
-        return mat @ mat.conj().T
-    signed = mat.reshape(2 ** length, 2 ** len(z_sites), -1) * _sign(len(z_sites))[:, None]
-    return signed.reshape(2 ** length, -1) @ mat.conj().T
+    mat, signed = _ordered(state, sites, z_sites)
+    return signed @ mat.conj().T
 
 
 def purity(rho: np.ndarray) -> float:
@@ -123,6 +156,58 @@ def _real_or_raise(value: complex, what: str) -> float:
     return float(value.real)
 
 
+def _column_side(kind: str, num_sites: int, pairs: int) -> bool:
+    """Whether the two-copy contraction of ``kind`` runs on the column side:
+    only time reversal does, and only with fewer intermediate entries than
+    B; raises when the chosen side exceeds 4^MAX_INTERVAL entries."""
+    rows, columns = 2 ** pairs, 2 ** (num_sites - 2 * pairs)
+    row_entries, column_entries = rows ** 4, 2 * rows ** 2 * columns ** 2
+    column_side = kind == "time_reversal" and column_entries < row_entries
+    entries = column_entries if column_side else row_entries
+    if entries > 4 ** MAX_INTERVAL:
+        raise ValueError(f"{kind} on {2 * pairs} outer sites of a {num_sites}-site chain "
+                         f"needs {entries} entries, which exceeds limit 4^{MAX_INTERVAL}")
+    return column_side
+
+
+def _two_copy(state: SpinState, partition: PartitionSpec, kind: str) -> tuple[complex, float]:
+    """Tr[flip(B) B] and its bound Tr B^2, contracted on the side of the cut
+    between the outer segments and the rest that ``_column_side`` picks."""
+    k = partition.pairs
+    column_side = _column_side(kind, state.num_sites, k)
+    rows, columns = 2 ** k, 2 ** (state.num_sites - 2 * k)
+    outer = partition.segment_sites(0) + partition.segment_sites(-1)
+    middle = [partition.sites[0] + p for p in partition.middle_positions]
+    mat, signed = _ordered(state, outer, middle)  # I1 is the low k bits of each row
+    sign = _sign(k)
+    if not column_side:
+        traced = signed @ mat.conj().T
+        view = traced.reshape(rows, rows, rows, rows)  # (I3, I1, I3, I1)
+        flipped_bits = view[:, ::-1, :, ::-1]
+        # Tr[flip(B) B] = sum conj(B) flip(B) = sum B[g,m,h,l] flip(B)[h,l,g,m] (B is
+        # Hermitian); the partial transpose swaps the I1 axes, sigma_y adds its signs
+        if kind == "d2":
+            raw = np.einsum("gmhl,hlgm->", view, flipped_bits)
+        else:
+            raw = np.einsum("gmhl,hmgl,ml->", view, flipped_bits, np.outer(sign, sign))
+        return raw, purity(traced)
+    # time reversal (no middle segment, so signed is mat): B = L R^T with
+    # L = mat and R = conj(mat); Tr B^2 = sum (L^T L*) * (R^T R*) from the
+    # two column Grams
+    right = mat.conj()
+    bound = np.sum((mat.T @ right) * (right.T @ mat))
+    # sum P[m,c,l,d] Q[l,c,m,d], P = sum_g L_s[g,m,c] R_rs[g,l,d] and
+    # Q = sum_h R[h,l,c] L_r[h,m,d] over (I3, I1, column) views, L_r and R_r
+    # with I1 reversed and the sigma_y signs folded into L_s and R_rs
+    left, right = mat.reshape(rows, rows, columns), right.reshape(rows, rows, columns)
+    weighted = (left * sign[:, None]).reshape(rows, -1)
+    weighted_flip = (right[:, ::-1] * sign[:, None]).reshape(rows, -1)
+    shape = (rows, columns, rows, columns)
+    p = (weighted.T @ weighted_flip).reshape(shape)
+    q = (right.reshape(rows, -1).T @ left[:, ::-1].reshape(rows, -1)).reshape(shape)
+    return np.einsum("mcld,lcmd->", p, q), float(bound.real)
+
+
 def exact_invariant(state: SpinState, partition: PartitionSpec, kind: str) -> InvariantValue:
     """The exact invariant ``kind`` of psi/|psi| on ``partition``:
     <psi|R_I|psi> or Tr[flip(B) B] (module docstring)."""
@@ -132,6 +217,8 @@ def exact_invariant(state: SpinState, partition: PartitionSpec, kind: str) -> In
     n = state.num_sites
     if partition.num_sites != n:
         raise ValueError("partition chain size does not match state")
+    if kind != "reflection":
+        _column_side(kind, n, partition.pairs)  # raises before the normalized copy
     state = SpinState(n, state.amplitudes / np.linalg.norm(state.amplitudes))
     if kind == "reflection":
         order, low, high = list(range(n)), n - 1 - partition.sites[-1], n - partition.sites[0]
@@ -139,19 +226,7 @@ def exact_invariant(state: SpinState, partition: PartitionSpec, kind: str) -> In
         tensor = state.amplitudes.reshape([2] * n)
         raw, bound = np.vdot(tensor, tensor.transpose(order)), 1.0
     else:
-        outer = partition.segment_sites(0) + partition.segment_sites(-1)
-        middle = [partition.sites[0] + p for p in partition.middle_positions]
-        traced = reduced_density_matrix(state, outer, middle)
-        k = partition.pairs  # I1 is the low k bits of each index
-        view = traced.reshape(2 ** k, 2 ** k, 2 ** k, 2 ** k)  # (I3, I1, I3, I1)
-        flipped_bits = view[:, ::-1, :, ::-1]
-        # Tr[flip(B) B] = sum conj(B) flip(B) = sum B[g,m,h,l] flip(B)[h,l,g,m] (B is
-        # Hermitian); the partial transpose swaps the I1 axes, sigma_y adds its signs
-        if kind == "d2":
-            raw = np.einsum("gmhl,hlgm->", view, flipped_bits)
-        else:
-            raw = np.einsum("gmhl,hmgl,ml->", view, flipped_bits, np.outer(_sign(k), _sign(k)))
-        bound = purity(traced)
+        raw, bound = _two_copy(state, partition, kind)
     raw = _real_or_raise(complex(raw), f"{kind} invariant")
     p1 = purity(reduced_density_matrix(state, partition.segment_sites(0)))
     p2 = purity(reduced_density_matrix(state, partition.segment_sites(-1)))

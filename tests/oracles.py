@@ -94,6 +94,16 @@ def site_operator(num_sites, ops):
     return out
 
 
+def whole_chain_time_reversal(amps, pairs):
+    """Tr[rho u rho^{T1} u^dag] on the whole chain of a pure 2 ``pairs``-site
+    state: sum u[a,x] u*[a',y] rho1[a',x] conj(rho1[a,y]), with rho1 the
+    first-half reduced density matrix and u = sigma_y on every first-half site."""
+    psi = amps.reshape(2 ** pairs, 2 ** pairs).T  # (first half, second half)
+    rho1 = psi @ psi.conj().T
+    u = site_operator(pairs, {site: PAULI["y"] for site in range(pairs)})
+    return np.einsum("ax,by,bx,ay->", u, u.conj(), rho1, rho1.conj(), optimize=True)
+
+
 def trotter_terms(spec, neel_weight):
     """Dense (H_A, H_B, H_D) of the Trotter splitting: the strong
     (even-left) bonds, the weak (odd-left) bonds, and the diagonal

@@ -65,6 +65,18 @@ class TestSweep:
         assert "pairs" in rows[1]["error"] or "fit" in rows[1]["error"]
         assert rows[1]["value"] is None
 
+    def test_unnormalizable_point_recorded(self):
+        # 2 unitaries x 2 shots at seed 0: every repetition's mean sampled
+        # segment purity is <= 0, so no normalized value exists
+        spec = SweepSpec(
+            base=HamiltonianSpec(num_sites=8, j=1.0, j_prime=5.0, delta=0.25),
+            kind="reflection", pairs=2, axes=(("j_prime", (5.0,)),), mode="sampled",
+            n_unitaries=2, n_shots=2, master_seed=0, repetitions=2,
+        )
+        for row in run_sweep(spec):
+            assert row["value"] is None and row["exact"] is not None
+            assert row["error"].startswith("ValueError: mean sampled segment purity")
+
     def test_sampled_rows_consistent_with_exact(self):
         # bootstrap error bars must cover the exact value at the 3-sigma
         # level for nearly every point

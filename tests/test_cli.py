@@ -322,6 +322,18 @@ class TestOtherCommands:
         assert err.startswith("error: norm drift")
         assert "Traceback" not in err
 
+    def test_exact_time_reversal_on_whole_chain(self, tmp_path):
+        # 14 sites: the column side of the cut keeps the contraction at 2 * 4^7 entries
+        path = tmp_path / "whole.cfg"
+        path.write_text(TINY_CONFIG.replace("num_sites = 8", "num_sites = 14")
+                        .replace("pairs = 2", "pairs = 7")
+                        .replace("kind = reflection", "kind = time_reversal"))
+        out = tmp_path / "out"
+        assert main(["invariants", "--config", str(path), "--exact", "--out", str(out)]) == 0
+        result = read_json(out / "invariants.json")["result"]
+        assert result["kind"] == "time_reversal"
+        assert result["purity_first"] == pytest.approx(result["purity_second"], abs=1e-12)
+
     def test_campaign_interval_above_limit_exits_2(self, tmp_path, capsys):
         path = tmp_path / "long.cfg"
         path.write_text(TINY_CONFIG.replace("num_sites = 8", "num_sites = 14")
@@ -329,6 +341,24 @@ class TestOtherCommands:
         assert main(["campaign-export", "--config", str(path),
                      "--out", str(tmp_path / "out")]) == 2
         assert "exceeds limit" in capsys.readouterr().err
+
+    def test_unnormalizable_sampled_estimate_exits_2(self, tmp_path, capsys):
+        # 2 unitaries x 2 shots at seed 1: the mean sampled segment purity is -0.5
+        path = tmp_path / "tiny.cfg"
+        path.write_text(TINY_CONFIG.replace("n_unitaries = 32", "n_unitaries = 2")
+                        .replace("n_shots = 32", "n_shots = 2")
+                        .replace("master_seed = 5", "master_seed = 1"))
+        out = tmp_path / "out"
+        assert main(["invariants", "--config", str(path), "--sampled", "--out", str(out)]) == 2
+        assert main(["campaign-export", "--config", str(path), "--out", str(out)]) == 0
+        assert main(["campaign-analyze", "--records", str(out / "campaign.records"),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error: mean sampled segment purity -0.5 is not positive "
+                         "(2 unitaries x 2 shots)") == 2
+        assert "Traceback" not in err
+        assert not (out / "invariants.json").exists()
+        assert not (out / "campaign_analysis.json").exists()
 
     def test_missing_records_file_exits_2_without_traceback(self, tmp_path, capsys):
         missing = tmp_path / "absent.records"

@@ -457,6 +457,18 @@ class TestNormalizedEstimator:
         exact = exact_invariant(state8, part, "reflection").normalized
         assert abs(result.value - exact) <= 3 * result.std_error
 
+    @pytest.mark.parametrize("state_seed, master_seed", [(0, 1), (2024, 5)])
+    def test_nonpositive_mean_purity_rejected(self, state_seed, master_seed):
+        # 2 unitaries x 2 shots: the unbiased purity estimates can go negative;
+        # state seed 0 gives -0.5 on both segments, state seed 2024 -2 and 1
+        state = random_state(8, np.random.default_rng(state_seed))
+        params = ProtocolParams("reflection", 2, 2, reflection_partition(8, 2), master_seed)
+        records = run_campaign(state, params)
+        with pytest.raises(ValueError, match=r"purity -0.5 is not positive \(2 unitaries "
+                                             r"x 2 shots\)"):
+            estimate_normalized(records, params)
+        estimate_raw(records, params)  # the raw estimate is still defined
+
     def test_rejects_unnormalizable_kind(self, state8):
         part = three_segment_partition(8, 1)
         params = ProtocolParams("d2", 8, 16, part, 22)

@@ -28,7 +28,12 @@ from topoprobe.spincore import (
 )
 from topoprobe.protocols import HAMMING_DIAGONAL
 
-from oracles import partial_transpose_first_segment, reflect_index, twirl_phi_exact
+from oracles import (
+    partial_transpose_first_segment,
+    reflect_index,
+    twirl_phi_exact,
+    whole_chain_time_reversal,
+)
 
 
 def kron_positions(ops):
@@ -209,7 +214,7 @@ class TestTimeReversalInvariant:
                 assert transposed[r, c] == rho[(b << 2) | ap, (bp << 2) | a]
 
     def test_against_dense_operator(self, rng):
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):  # n = 4 is the whole chain
             state = random_state(8, rng)
             part = reflection_partition(8, n)
             rho = reduced_density_matrix(state, part.sites)
@@ -425,8 +430,26 @@ class TestReach:
         reflected = state.amplitudes[[reflect_index(x, 14) for x in range(2 ** 14)]]
         oracle = np.vdot(state.amplitudes, reflected).real
         assert exact_invariant(state, part, "reflection").raw == pytest.approx(oracle, abs=1e-12)
+        # time reversal runs on the column side: 2 * 4^7 entries, not 16^7
+        oracle = whole_chain_time_reversal(state.amplitudes, 7).real
+        assert exact_invariant(state, part, "time_reversal").raw \
+            == pytest.approx(oracle, abs=1e-12)
+
+    def test_time_reversal_on_sixteen_site_chain(self, rng):
+        state = random_state(16, rng)
+        value = exact_invariant(state, reflection_partition(16, 8), "time_reversal")
+        assert value.raw == pytest.approx(
+            whole_chain_time_reversal(state.amplitudes, 8).real, abs=1e-12)
+        # a pure state: both halves have the same purity, and Tr rho^2 = 1
+        assert value.purity_first == pytest.approx(value.purity_second, abs=1e-12)
+        assert value.bound == pytest.approx(1.0, abs=1e-12)
+
+    def test_both_sides_above_limit_rejected(self, rng):
+        # N = 20, pairs 7: 16^7 = 4^14 row-side and 2 * 4^7 * 4^6 column-side
+        # entries, both above 4^12; the check runs before anything is allocated
+        state = random_state(20, rng)
         with pytest.raises(ValueError, match="exceeds limit"):
-            exact_invariant(state, part, "time_reversal")
+            exact_invariant(state, reflection_partition(20, 7), "time_reversal")
 
 
 class TestInvariantValueContract:
