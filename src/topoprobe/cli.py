@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -58,6 +57,20 @@ def _out_dir(args, config: RunConfig | None) -> Path:
     if config is not None and config.get("run", "out"):
         return Path(config.get("run", "out"))
     return Path(".")
+
+
+def _write_rows(args, config: RunConfig, seed: int, name: str, rows: list[dict],
+                **extra) -> int:
+    """Write ``rows`` to ``<name>.csv`` and a JSON sidecar ``<name>.json``
+    with the row count, the CSV file name and ``extra``; print both paths."""
+    out = _out_dir(args, config)
+    out.mkdir(parents=True, exist_ok=True)
+    csv_path = out / f"{name}.csv"
+    analysis.write_rows_csv(csv_path, rows)
+    _write_json(out / f"{name}.json", _payload(config, seed, name.replace("_", "-"), {
+        "rows": len(rows), "csv": csv_path.name, **extra}))
+    print(csv_path)
+    return 0
 
 
 def _seed(args, config: RunConfig) -> int:
@@ -109,16 +122,14 @@ def cmd_invariants(args) -> int:
     else:
         params = _protocol_params(config, partition, seed)
         est = protocols.estimate_reported(protocols.run_campaign(state, params), params)
-        if args.exact_reference:
-            reference = protocols.reported_exact(exact_invariant(state, partition, kind))
-            est = replace(est, exact_reference=reference)
         body = {
             "kind": kind, "mode": "sampled", "value": est.value,
             "std_error": est.std_error, "n_unitaries": params.n_unitaries,
             "n_shots": params.n_shots, "master_seed": seed,
         }
-        if est.exact_reference is not None:
-            body["exact_reference"] = est.exact_reference
+        if args.exact_reference:
+            body["exact_reference"] = protocols.reported_exact(
+                exact_invariant(state, partition, kind))
     _write_json(_out_dir(args, config) / "invariants.json",
                 _payload(config, seed, "invariants", body))
     return 0
@@ -146,27 +157,19 @@ def cmd_sweep(args) -> int:
     seed = _seed(args, config)
     kinds = config.get("sweep", "kinds") or (config.require("protocol", "kind"),)
     tables = [analysis.run_sweep(_sweep_spec(config, kind, seed)) for kind in kinds]
-    rows = []
-    for table in tables:
-        rows.extend(table)
-    out = _out_dir(args, config)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "sweep.csv"
-    analysis.write_rows_csv(csv_path, rows)
-    sidecar = _payload(config, seed, "sweep", {"rows": len(rows), "csv": csv_path.name})
+    rows = [row for table in tables for row in table]
     # correlation-length fits whenever the interval size is an axis
     fits, skipped = [], []
     for kind, table in zip(kinds, tables):
         kind_fits, kind_skipped = analysis.correlation_length_fits(kind, table)
         fits += kind_fits
         skipped += kind_skipped
+    extra = {}
     if fits:
-        sidecar["result"]["correlation_lengths"] = fits
+        extra["correlation_lengths"] = fits
     if skipped:
-        sidecar["result"]["correlation_lengths_skipped"] = skipped
-    _write_json(out / "sweep.json", sidecar)
-    print(csv_path)
-    return 0
+        extra["correlation_lengths_skipped"] = skipped
+    return _write_rows(args, config, seed, "sweep", rows, **extra)
 
 
 def cmd_adiabatic(args) -> int:
@@ -186,17 +189,8 @@ def cmd_adiabatic(args) -> int:
     kinds = tuple(ramp_body.get("monitor", ("reflection",)))
     rows = dynamics.monitor_invariants(snapshots, config.require("partition", "pairs"), kinds,
                                        "exact")
-    out = _out_dir(args, config)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "adiabatic.csv"
-    analysis.write_rows_csv(csv_path, rows)
-    _write_json(out / "adiabatic.json", _payload(config, seed, "adiabatic", {
-        "rows": len(rows), "csv": csv_path.name,
-        "pinning_active": spec.pinning != 0.0,
-        "t_final": ramp.t_final, "dt": ramp.dt,
-    }))
-    print(csv_path)
-    return 0
+    return _write_rows(args, config, seed, "adiabatic", rows,
+                       pinning_active=spec.pinning != 0.0, t_final=ramp.t_final, dt=ramp.dt)
 
 
 def cmd_error_scan(args) -> int:
@@ -210,14 +204,7 @@ def cmd_error_scan(args) -> int:
         config.require("error_scan", "values"),
         config.require("error_scan", "repetitions"),
     )
-    out = _out_dir(args, config)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "error_scan.csv"
-    analysis.write_rows_csv(csv_path, rows)
-    _write_json(out / "error_scan.json",
-                _payload(config, seed, "error-scan", {"rows": len(rows), "csv": csv_path.name}))
-    print(csv_path)
-    return 0
+    return _write_rows(args, config, seed, "error_scan", rows)
 
 
 def cmd_twirl_check(args) -> int:

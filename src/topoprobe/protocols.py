@@ -28,12 +28,20 @@ campaign are one (n_unitaries, n_experiments, 2^|I|) array
 experiment) view of it used for iteration, record files and hand-built
 test inputs.
 
-Estimators translate outcome statistics into invariant values through
-Hamming-distance weights (-2)^(-D). Finite-shot bias is handled per
-estimator: the reflection estimator is linear in the probabilities, the
-single-experiment purity estimator needs the without-replacement pair
-correction, and the two-experiment estimators multiply independent
-frequency estimates, which is already unbiased.
+Estimators read the outcome table once (``campaign_records``). Every
+second-order estimate is one kernel form per unitary,
+sum_{s,s'} P(s) K(s, s') P'(s'), with K the tensor product of one 2x2
+kernel per interval site (``_hamming_form``); the pair kernel, 2 (-2)^(-d)
+for d = 0, 1 mismatches, gives 2^n (-2)^(-D) over n paired sites at
+Hamming distance D. The segment purity pairs experiment 1 with itself,
+pair kernels on the segment's sites and all-ones kernels (the marginal)
+elsewhere (Elben, Vermersch, Roos & Zoller, PRA 99, 052323 (2019)); it
+needs the without-replacement pair correction for shot counts.
+The cross-correlation of the two-experiment kinds pairs experiment 1 with
+experiment 2, pair kernels everywhere but the middle segment, which gets
+sigma_z product (ZZ) kernels; the experiments are independent, so the
+frequency product is already unbiased. Reflection is linear in the
+probabilities, with the mirror weights (-2)^(-D[s, reversed(s)]/2).
 
 Error bars are nonparametric bootstrap over the unitary axis (the unitary
 ensemble is the dominant fluctuation axis and resampling it captures shot
@@ -70,6 +78,8 @@ CHUNK_ELEMENTS = 2 ** 19
 PAIR_KERNEL = np.array([[1.0, -0.5], [-0.5, 1.0]])
 # sigma_z eigenvalue product kernel for untouched middle-segment sites
 ZZ_KERNEL = np.array([[1.0, -1.0], [-1.0, 1.0]])
+# marginal kernel: sums out a position that the form does not weight
+ONES_KERNEL = np.ones((2, 2))
 
 
 @dataclass(frozen=True)
@@ -144,7 +154,6 @@ class EstimatorResult:
     n_unitaries: int
     n_shots: int
     master_seed: int
-    exact_reference: float | None = None
 
     def __post_init__(self):
         if not np.isfinite(self.value):
@@ -334,18 +343,26 @@ def campaign_records(records, params: ProtocolParams) -> CampaignRecords:
     return CampaignRecords(outcomes, exact)
 
 
-def _experiment_matrix(records, params: ProtocolParams,
-                       experiment: int) -> tuple[np.ndarray, bool]:
-    """One experiment's counts (or probabilities) as a float
-    (n_unitaries, 2^|I|) matrix."""
-    if not 1 <= experiment <= params.experiments:
-        raise ValueError(f"a {params.kind!r} campaign has no experiment {experiment}")
+def _outcome_matrices(records, params: ProtocolParams) -> tuple[np.ndarray, bool]:
+    """The validated outcomes of ``records`` as one float (experiments,
+    n_unitaries, 2^|I|) array, each experiment's matrix contiguous, and
+    whether they are probabilities rather than shot counts."""
     table = campaign_records(records, params)
-    return np.ascontiguousarray(table.outcomes[:, experiment - 1], dtype=float), table.exact
+    return np.ascontiguousarray(table.outcomes.transpose(1, 0, 2), dtype=float), table.exact
 
 
-def _frequencies(matrix: np.ndarray, exact: bool, n_shots: int) -> np.ndarray:
-    return matrix if exact else matrix / n_shots
+def _kernels(partition: PartitionSpec, segment: int | None = None) -> list[np.ndarray]:
+    """Per-position 2x2 kernels of a Hamming form (position j = bit j of the
+    outcome index). For the purity of ``segment``: pair kernels on its
+    positions, all-ones kernels (the marginal) elsewhere. Without a segment,
+    for the cross-correlation: ZZ kernels on the middle segment, pair
+    kernels elsewhere."""
+    if segment is None:
+        paired = set(range(partition.interval_size)) - set(partition.middle_positions)
+        other = ZZ_KERNEL
+    else:
+        paired, other = set(partition.segment_positions(segment)), ONES_KERNEL
+    return [PAIR_KERNEL if pos in paired else other for pos in range(partition.interval_size)]
 
 
 def _apply_kernel_rows(matrix: np.ndarray, kernels: list[np.ndarray]) -> np.ndarray:
@@ -357,6 +374,14 @@ def _apply_kernel_rows(matrix: np.ndarray, kernels: list[np.ndarray]) -> np.ndar
         view = out.reshape(rows, -1, 2, 2 ** pos)
         out = np.einsum("ab,xcbd->xcad", kernel, view).reshape(rows, dim)
     return out
+
+
+def _hamming_form(left: np.ndarray, right: np.ndarray, kernels: list[np.ndarray]) -> np.ndarray:
+    """Per row, sum_{s,s'} left[s] K[s, s'] right[s'] with K the tensor
+    product of ``kernels``, times 2 per pair-kernel position: the weight
+    2^n (-2)^(-D) of the n paired positions."""
+    scale = 2.0 ** sum(kernel is PAIR_KERNEL for kernel in kernels)
+    return scale * np.einsum("ij,ij->i", left, _apply_kernel_rows(right, kernels))
 
 
 def _bootstrap_std(per_unitary: np.ndarray, master_seed: int, normalizer=None) -> float:
@@ -396,86 +421,44 @@ def reflection_weights(partition: PartitionSpec) -> np.ndarray:
     return np.where(half % 2 == 0, 1.0, -1.0) * 0.5 ** half
 
 
-def per_unitary_reflection(records, params: ProtocolParams) -> np.ndarray:
-    matrix, exact = _experiment_matrix(records, params, experiment=1)
-    freqs = _frequencies(matrix, exact, params.n_shots)
-    weights = reflection_weights(params.partition)
-    return 2 ** params.partition.pairs * (freqs @ weights)
+def _per_unitary_raw(outcomes: np.ndarray, exact: bool, params: ProtocolParams) -> np.ndarray:
+    """Per-unitary raw invariant: mirror weights for reflection, the
+    cross-correlation of the two experiments for the other invariants."""
+    freqs = outcomes if exact else outcomes / params.n_shots
+    if params.kind == "reflection":
+        return 2 ** params.partition.pairs * (freqs[0] @ reflection_weights(params.partition))
+    # independent experiments: the frequency product is already unbiased
+    return _hamming_form(freqs[0], freqs[1], _kernels(params.partition))
 
 
-def _segment_counts(matrix: np.ndarray, partition: PartitionSpec, segment: int) -> np.ndarray:
-    """Marginalize interval outcome vectors onto one segment."""
-    length = partition.interval_size
-    positions = partition.segment_positions(segment)
-    rows = matrix.shape[0]
-    tensor = matrix.reshape([rows] + [2] * length)  # axis 1+j <-> position length-1-j
-    keep = [1 + length - 1 - p for p in reversed(positions)]
-    drop = tuple(ax for ax in range(1, length + 1) if ax not in keep)
-    if drop:
-        # segments are contiguous, so the kept axes stay in order after the sum
-        tensor = tensor.sum(axis=drop)
-    return tensor.reshape(rows, -1)
-
-
-def per_unitary_purity(records, params: ProtocolParams,
-                       segment: int, experiment: int = 1) -> np.ndarray:
-    matrix, exact = _experiment_matrix(records, params, experiment)
-    counts = _segment_counts(matrix, params.partition, segment)
-    n_seg = counts.shape[1].bit_length() - 1
-    kernels = [PAIR_KERNEL] * n_seg
-    weighted = _apply_kernel_rows(counts, kernels)
-    quadratic = np.einsum("ij,ij->i", counts, weighted)
+def _per_unitary_purity(outcomes: np.ndarray, exact: bool, params: ProtocolParams,
+                        segment: int) -> np.ndarray:
+    """Per-unitary purity of ``segment`` from experiment 1."""
+    first = outcomes[0]
+    form = _hamming_form(first, first, _kernels(params.partition, segment))
     if exact:
-        pair_products = quadratic
-    else:
-        shots = params.n_shots
-        # unbiased without-replacement pair average: the kernel diagonal is
-        # exactly 1, so subtracting the shot total removes the s = s' bias
-        pair_products = (quadratic - shots) / (shots * (shots - 1))
-    return 2 ** n_seg * pair_products
+        return form
+    shots = params.n_shots
+    # unbiased without-replacement pair average: the kernel diagonal is
+    # exactly 1, so each shot paired with itself adds 2^n to the form
+    paired = len(params.partition.segment_positions(segment))
+    return (form - 2 ** paired * shots) / (shots * (shots - 1))
 
 
-def estimate_purity(records, params: ProtocolParams,
-                    segment: int, experiment: int = 1) -> EstimatorResult:
+def estimate_purity(records, params: ProtocolParams, segment: int) -> EstimatorResult:
     """Segment purity from the same campaign records (second-order in the
     outcome frequencies, with the finite-shot pair correction)."""
-    return _mean_result(per_unitary_purity(records, params, segment, experiment), params,
+    outcomes, exact = _outcome_matrices(records, params)
+    return _mean_result(_per_unitary_purity(outcomes, exact, params, segment), params,
                         "purity")
-
-
-def _cross_kernels(partition: PartitionSpec) -> tuple[list[np.ndarray], int]:
-    """Per-position kernels and prefactor exponent for two-experiment kinds:
-    ZZ kernels on the middle segment, pair kernels elsewhere."""
-    length = partition.interval_size
-    middle = set(partition.middle_positions)
-    kernels = [ZZ_KERNEL if pos in middle else PAIR_KERNEL for pos in range(length)]
-    return kernels, length - len(middle)
-
-
-def per_unitary_cross(records, params: ProtocolParams) -> np.ndarray:
-    matrix_1, exact = _experiment_matrix(records, params, experiment=1)
-    matrix_2, _exact = _experiment_matrix(records, params, experiment=2)
-    freq_1 = _frequencies(matrix_1, exact, params.n_shots)
-    freq_2 = _frequencies(matrix_2, exact, params.n_shots)
-    kernels, exponent = _cross_kernels(params.partition)
-    weighted = _apply_kernel_rows(freq_2, kernels)
-    # independent experiments: the frequency product is already unbiased
-    return 2.0 ** exponent * np.einsum("ij,ij->i", freq_1, weighted)
-
-
-def _per_unitary_raw(records, params: ProtocolParams) -> np.ndarray:
-    """Per-unitary raw invariant: mirror-paired weights for reflection,
-    the cross-correlation of the two experiments for the other invariants."""
-    if params.kind == "purity":
-        raise ValueError(f"no raw invariant estimator for a {params.kind!r} campaign")
-    if params.kind == "reflection":
-        return per_unitary_reflection(records, params)
-    return per_unitary_cross(records, params)
 
 
 def estimate_raw(records, params) -> EstimatorResult:
     """Raw (unnormalized) invariant of the campaign's kind."""
-    return _mean_result(_per_unitary_raw(records, params), params, params.kind)
+    if params.kind == "purity":
+        raise ValueError(f"no raw invariant estimator for a {params.kind!r} campaign")
+    outcomes, exact = _outcome_matrices(records, params)
+    return _mean_result(_per_unitary_raw(outcomes, exact, params), params, params.kind)
 
 
 def estimate_normalized(records, params) -> EstimatorResult:
@@ -483,26 +466,33 @@ def estimate_normalized(records, params) -> EstimatorResult:
 
     The segment purities come from the same records (experiment 1), so the
     resampling happens coherently along the unitary axis. A mean sampled
-    purity <= 0 (possible for tiny campaigns) raises ``ValueError``.
+    purity <= 0 (possible for tiny campaigns), over the campaign or over
+    any bootstrap resample, raises ``ValueError``.
     """
     if params.kind not in NORMALIZED_KINDS:
         raise ValueError(
             f"normalized estimates are defined for reflection/time_reversal, not {params.kind!r}"
         )
-    raw = _per_unitary_raw(records, params)
+    outcomes, exact = _outcome_matrices(records, params)
+    raw = _per_unitary_raw(outcomes, exact, params)
     power = 0.5 if params.kind == "reflection" else 1.5
-    purity_1 = per_unitary_purity(records, params, segment=0)
-    purity_2 = per_unitary_purity(records, params, segment=1)
+    purity_1 = _per_unitary_purity(outcomes, exact, params, segment=0)
+    purity_2 = _per_unitary_purity(outcomes, exact, params, segment=1)
+    campaign = f"({params.n_unitaries} unitaries x {params.n_shots} shots)"
 
     def denominator(picks: np.ndarray) -> np.ndarray:
         mean_p = (purity_1[picks].mean(axis=1) + purity_2[picks].mean(axis=1)) / 2.0
-        return np.maximum(mean_p, 1e-12) ** power
+        nonpositive = np.count_nonzero(mean_p <= 0.0)
+        if nonpositive:
+            raise ValueError(f"{nonpositive} of {BOOTSTRAP_RESAMPLES} bootstrap resamples have "
+                             f"mean sampled segment purity <= 0 {campaign}; the "
+                             f"{params.kind} error bar cannot be normalized")
+        return mean_p ** power
 
     mean_purity = (purity_1.mean() + purity_2.mean()) / 2.0
     if mean_purity <= 0.0:
         raise ValueError(f"mean sampled segment purity {mean_purity:.6g} is not positive "
-                         f"({params.n_unitaries} unitaries x {params.n_shots} shots); "
-                         f"the {params.kind} estimate cannot be normalized")
+                         f"{campaign}; the {params.kind} estimate cannot be normalized")
     value = raw.mean() / mean_purity ** power
     std = _bootstrap_std(raw, params.master_seed, denominator)
     return EstimatorResult(float(value), std, params.kind, params.n_unitaries,

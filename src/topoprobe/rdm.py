@@ -3,9 +3,10 @@
 Everything here is computed by direct contraction of the amplitude tensor,
 with no sampling involved. One helper, ``_ordered``, orders the tensor axes
 as (sites, z_sites, rest) and returns the matrix M with rows over ``sites``
-and its copy weighted by (-1)^popcount on the z_sites block. The primitive
-``reduced_density_matrix`` is their Gram product Tr_Z[Z rho_{sites + z_sites}];
-with no z_sites that is plain rho_sites. The four invariants are
+and its copy weighted by (-1)^popcount on the z_sites block; their Gram
+product is Tr_Z[Z rho_{sites + z_sites}]. The primitive
+``reduced_density_matrix`` is that product without z_sites, plain
+rho_sites. The four invariants are
 
 * reflection:     Z_R = Tr[rho_I R_I] = <psi|R_I|psi> with R_I the site-order
                   reversal of I (Pollmann & Turner, PRB 86, 125441 (2012)),
@@ -130,19 +131,18 @@ def _ordered(state: SpinState, sites, z_sites=()) -> tuple[np.ndarray, np.ndarra
     return mat, signed.reshape(2 ** len(sites), -1)
 
 
-def reduced_density_matrix(state: SpinState, sites, z_sites=()) -> np.ndarray:
-    """Tr_Z[Z rho] on ``sites``: everything else is traced out, the
-    ``z_sites`` under sigma_z weights; plain rho_sites without ``z_sites``.
+def reduced_density_matrix(state: SpinState, sites) -> np.ndarray:
+    """rho on ``sites``, everything else traced out.
 
     Row/column index bit j belongs to ``sites[j]``, matching the sampling
     convention for ascending sites. The result is the Gram product
-    M diag(z) M^dag of the reordered amplitudes, Hermitian by construction.
+    M M^dag of the reordered amplitudes, Hermitian by construction.
     """
     length = len(sites)
     if length > MAX_INTERVAL:
         raise ValueError(f"interval of {length} sites exceeds limit {MAX_INTERVAL}")
-    mat, signed = _ordered(state, sites, z_sites)
-    return signed @ mat.conj().T
+    mat, _ = _ordered(state, sites)
+    return mat @ mat.conj().T
 
 
 def purity(rho: np.ndarray) -> float:

@@ -469,12 +469,116 @@ class TestNormalizedEstimator:
             estimate_normalized(records, params)
         estimate_raw(records, params)  # the raw estimate is still defined
 
+    def test_nonpositive_resample_purity_rejected(self, state8):
+        # 4 unitaries x 2 shots: the campaign's mean purity is positive, but
+        # 23 of the bootstrap resamples average a purity <= 0, which no
+        # error bar can be divided by
+        params = ProtocolParams("reflection", 4, 2, reflection_partition(8, 2), 2)
+        records = run_campaign(state8, params)
+        with pytest.raises(ValueError, match=r"23 of 200 bootstrap resamples have mean sampled "
+                                             r"segment purity <= 0 \(4 unitaries x 2 shots\)"):
+            estimate_normalized(records, params)
+
     def test_rejects_unnormalizable_kind(self, state8):
         part = three_segment_partition(8, 1)
         params = ProtocolParams("d2", 8, 16, part, 22)
         records = run_campaign(state8, params)
         with pytest.raises(ValueError, match="normalized"):
             estimate_normalized(records, params)
+
+
+class TestGoldenEstimates:
+    # every estimator on the fixed N = 8 state, 24 unitaries x 7 shots,
+    # master seed 31: (value, std_error) pinned bit for bit on shot counts
+    # (7 shots, so the cross-correlation frequencies are not dyadic) and to
+    # 1e-12 on Born probabilities; any change to the estimator arithmetic,
+    # the bootstrap stream or the campaign moves them
+    GOLDEN = {
+        "reflection": {
+            "sampled": {
+                "raw": (-0.053571428571428575, 0.1763005382384389),
+                "normalized": (-0.09970501410659877, 0.36405539491149563),
+                "purity_first": (0.24999999999999997, 0.13228092315366372),
+                "purity_last": (0.32738095238095233, 0.11219752973597445),
+            },
+            "exact": {
+                "raw": (0.27756585517780974, 0.028415829283892146),
+                "normalized": (0.5467087372631422, 0.05648572010929484),
+                "purity_first": (0.25503128250846335, 0.0007308313087783925),
+                "purity_last": (0.26049409250341027, 0.0017996578553647932),
+            },
+        },
+        "purity": {
+            "sampled": {
+                "purity_first": (0.2619047619047619, 0.12598390760691236),
+                "purity_last": (0.21428571428571427, 0.08176387189267693),
+            },
+            "exact": {
+                "purity_first": (0.2560895269942146, 0.0005677221976427578),
+                "purity_last": (0.26006622543184194, 0.001732496474138091),
+            },
+        },
+        "time_reversal": {
+            "sampled": {
+                "raw": (0.20663265306122444, 0.14082227647515555),
+                "normalized": (1.31180340667481, 1.1617265033778745),
+                "purity_first": (0.2916666666666667, 0.10066537425399134),
+                "purity_last": (0.2916666666666667, 0.115729640246219),
+            },
+            "exact": {
+                "raw": (0.07436701539236001, 0.004844456511434545),
+                "normalized": (0.5675336928398758, 0.03876484288354084),
+                "purity_first": (0.25590141374450776, 0.0009418492012769495),
+                "purity_last": (0.2600662254318419, 0.00173249647413809),
+            },
+        },
+        "d2": {
+            "sampled": {
+                "raw": (-0.004251700680272104, 0.07075197398145952),
+                "purity_first": (0.4761904761904761, 0.05477196465569678),
+                "purity_last": (0.5357142857142857, 0.08539438899796403),
+            },
+            "exact": {
+                "raw": (-0.004661640887760117, 0.001789082870579843),
+                "purity_first": (0.5009503443020478, 0.00021039215415184068),
+                "purity_last": (0.5012233396762574, 0.0002321834572366291),
+            },
+        },
+        "klein_bottle": {
+            "sampled": {
+                "raw": (0.08078231292517006, 0.055164278483801364),
+                "purity_first": (0.5595238095238094, 0.08024407830596973),
+                "purity_last": (0.5119047619047619, 0.0642339959509578),
+            },
+            "exact": {
+                "raw": (-0.008944773339190304, 0.001353213810569118),
+                "purity_first": (0.5008703501832579, 0.00016446645814832076),
+                "purity_last": (0.5012233396762574, 0.00023218345723662886),
+            },
+        },
+    }
+
+    @pytest.mark.parametrize("mode", ["sampled", "exact"])
+    @pytest.mark.parametrize("kind", list(GOLDEN))
+    def test_golden_estimates(self, state8, kind, mode):
+        part = partition_for(kind, 8, 1 if kind in ("d2", "klein_bottle") else 2)
+        params = ProtocolParams(kind, 24, 7, part, 31)
+        records = run_campaign(state8, params, exact_probabilities=mode == "exact")
+        estimates = {"purity_first": estimate_purity(records, params, segment=0),
+                     "purity_last": estimate_purity(records, params, segment=-1)}
+        if kind != "purity":
+            estimates["raw"] = estimate_raw(records, params)
+        if kind in ("reflection", "time_reversal"):
+            estimates["normalized"] = estimate_normalized(records, params)
+        golden = self.GOLDEN[kind][mode]
+        assert set(estimates) == set(golden)
+        for name, (value, std_error) in golden.items():
+            result = estimates[name]
+            if mode == "sampled":
+                assert (result.value, result.std_error) == (value, std_error), name
+            else:
+                assert result.value == pytest.approx(value, abs=1e-12), name
+                assert result.std_error == pytest.approx(std_error, abs=1e-12), name
 
 
 class TestTwirl:

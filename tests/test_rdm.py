@@ -13,6 +13,7 @@ from topoprobe.partitions import (
 )
 from topoprobe.rdm import (
     InvariantValue,
+    _ordered,
     exact_invariant,
     purity,
     reduced_density_matrix,
@@ -125,8 +126,9 @@ class TestPurity:
         assert purity(reduced_density_matrix(bell, [0])) == pytest.approx(0.5, abs=1e-12)
 
     def test_segment_reduction_consistency(self, rng):
-        # the z-weighted primitive against an explicit dense Tr_I2[Z_I2 rho_I],
-        # and the plain one against the partial trace of rho_I onto I1
+        # the z-weighted Gram product of the reordered amplitudes against an
+        # explicit dense Tr_I2[Z_I2 rho_I], and the plain reduced density
+        # matrix against the partial trace of rho_I onto I1
         state = random_state(9, rng)
         n = 2
         part = three_segment_partition(9, n)
@@ -135,8 +137,8 @@ class TestPurity:
         shaped = (z_middle @ rho).reshape([2 ** n] * 6)  # (I3, I2, I1) rows, then columns
         dense = np.einsum("aibcid->abcd", shaped).reshape(4 ** n, 4 ** n)
         outer = part.segment_sites(0) + part.segment_sites(2)
-        np.testing.assert_allclose(
-            reduced_density_matrix(state, outer, part.segment_sites(1)), dense, atol=1e-12)
+        mat, signed = _ordered(state, outer, part.segment_sites(1))
+        np.testing.assert_allclose(signed @ mat.conj().T, dense, atol=1e-12)
         first = np.einsum("aiaj->ij", rho.reshape(4 ** n, 2 ** n, 4 ** n, 2 ** n))
         np.testing.assert_allclose(first, reduced_density_matrix(state, part.segment_sites(0)),
                                    atol=1e-12)
