@@ -13,7 +13,7 @@ from .spincore import (
     random_state,
 )
 from .partitions import PartitionSpec, reflection_partition, three_segment_partition
-from .hamiltonians import HamiltonianSpec, matvec, dense_matrix, compile_hamiltonian
+from .hamiltonians import HamiltonianSpec, compile_hamiltonian
 from .groundstate import EigenResult, ConvergenceError, ground_state
 from .rdm import (
     InvariantValue,
@@ -52,8 +52,6 @@ __all__ = [
     "reflection_partition",
     "three_segment_partition",
     "HamiltonianSpec",
-    "matvec",
-    "dense_matrix",
     "compile_hamiltonian",
     "EigenResult",
     "ConvergenceError",

@@ -88,6 +88,8 @@ def cmd_ground_state(args) -> int:
         "residual_norm": result.residual_norm,
         "iterations": result.iterations,
         "num_sites": spec.num_sites,
+        "sector": result.sector,
+        "sector_gap": result.sector_gap,
     }
     _write_json(_out_dir(args, config) / "ground_state.json",
                 _payload(config, _seed(args, config), "ground-state", body))

@@ -4,26 +4,40 @@ The Krylov basis is one real array, fully reorthogonalized on every step
 by two classical Gram-Schmidt passes (BLAS matrix-vector products). A
 Krylov space at its cap restarts from the current Ritz vector; a result is
 returned once its true residual ||H psi - E psi|| is at most ``tol``.
+
+Only the B term changes sum_i S_i^z. At B = 0, J, J' >= 0 and delta > -1
+each sector sum_i S_i^z = 0, +1, -1 is solved on its own basis (at most
+C(N, N/2) states) and the winner is embedded in the full space; other
+specs are solved in the full space (delta = -2, N = 8 has its ground state
+at sum_i S_i^z = -4). The lowest energy wins; energies within ``tol`` of
+the lowest tie, and a tie goes to the smaller |sum_i S_i^z|, then to +1.
+``EigenResult.sector`` is the chosen sum_i S_i^z (None: full space) and
+``sector_gap`` the lowest other sector energy minus the chosen one (below
+0 only in a tie).
+``max_iter`` bounds each sector's steps; ``iterations`` sums them.
+
 Converged results are memoized per process by ``(spec, tol, max_iter,
 seed)`` and shared (specs are frozen, amplitudes read-only); failures are
-not. Degenerate ground states are not detected; the boundary pinning field
-in the Hamiltonian is the intended degeneracy-breaking mechanism.
+not. The least recently used go once the amplitudes held pass MEMO_BYTES.
 """
 from __future__ import annotations
 
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .hamiltonians import CompiledHamiltonian, HamiltonianSpec, compile_hamiltonian
 from .spincore import SpinState
 
-MAX_SITES = 16
+MAX_SITES = 16  # full space
+MAX_SECTOR_SITES = 20  # sector path: C(20, 10) = 184 756 states per sector
+SECTORS = (0, 1, -1)  # in tie-break order
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 2000
 KRYLOV_CAP = 200
-MEMO_SIZE = 32  # converged results kept; an N = 16 state holds 1 MiB
+MEMO_BYTES = 64 * 2 ** 20  # 64 states at N = 16, 4 at N = 20
+MemoInfo = namedtuple("MemoInfo", "misses currsize nbytes")
 
 
 class ConvergenceError(RuntimeError):
@@ -38,6 +52,8 @@ class EigenResult:
     state: SpinState = field(repr=False)
     residual_norm: float
     iterations: int
+    sector: int | None
+    sector_gap: float | None
 
 
 def _lanczos_sweep(ham: CompiledHamiltonian, start: np.ndarray, tol: float,
@@ -76,41 +92,89 @@ def _lanczos_sweep(ham: CompiledHamiltonian, start: np.ndarray, tol: float,
     raise AssertionError("unreachable")
 
 
+def _uses_sectors(spec: HamiltonianSpec) -> bool:
+    """Whether ``spec`` is solved in the sectors rather than the full space."""
+    return spec.b_field == 0.0 and spec.j >= 0.0 and spec.j_prime >= 0.0 and spec.delta > -1.0
+
+
 def ground_state(spec: HamiltonianSpec, tol: float = DEFAULT_TOL,
                  max_iter: int = DEFAULT_MAX_ITER, seed: int = 0) -> EigenResult:
     """Lowest-energy eigenpair of the Hamiltonian, deterministic in ``seed``.
 
     Raises ConvergenceError (carrying the final residual) if the true
-    residual ||H psi - E psi|| does not reach ``tol`` within ``max_iter``
-    total Lanczos steps across restarts. Equal arguments return one result.
+    residual ||H psi - E psi|| of a sector does not reach ``tol`` within
+    ``max_iter`` Lanczos steps across restarts. Equal arguments return one
+    result.
     """
-    if spec.num_sites > MAX_SITES:
-        raise ValueError(f"ground_state limited to N <= {MAX_SITES}, got {spec.num_sites}")
+    limit = MAX_SECTOR_SITES if _uses_sectors(spec) else MAX_SITES
+    if spec.num_sites > limit:
+        raise ValueError(f"ground_state limited to N <= {limit} here, got {spec.num_sites} "
+                         f"({MAX_SECTOR_SITES} sites need b_field = 0, j, j' >= 0, delta > -1)")
     if tol <= 0:
         raise ValueError("tol must be positive")
     return _solve(spec, tol, max_iter, seed)
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _solve(spec: HamiltonianSpec, tol: float, max_iter: int, seed: int) -> EigenResult:
-    """The memoized Lanczos solve behind ``ground_state``."""
-    ham = compile_hamiltonian(spec)
-    rng = np.random.default_rng(seed)
-    # H is real in this basis, so the ground vector can be kept real
-    vec = rng.standard_normal(spec.dim)
+def _lowest(ham: CompiledHamiltonian, vec: np.ndarray, tol: float,
+            max_iter: int) -> tuple[float, np.ndarray, float, int]:
+    """Restarted Lanczos from ``vec``; returns (energy, vector, residual, steps)."""
     total_steps = 0
-    energy = np.inf
     residual = np.inf
     while total_steps < max_iter:
-        sweep_cap = min(KRYLOV_CAP, max_iter - total_steps, spec.dim)
+        sweep_cap = min(KRYLOV_CAP, max_iter - total_steps, ham.dim)
         energy, vec, residual, steps = _lanczos_sweep(ham, vec, tol, sweep_cap)
         total_steps += steps
-        hv = ham.apply(vec)
-        residual = float(np.linalg.norm(hv - energy * vec))
+        residual = float(np.linalg.norm(ham.apply(vec) - energy * vec))
         if residual <= tol:
-            state = SpinState(spec.num_sites, vec.astype(complex))
-            return EigenResult(energy, state, residual, total_steps)
+            return energy, vec, residual, total_steps
     raise ConvergenceError(
         f"no convergence after {total_steps} iterations (residual {residual:.3e}, tol {tol:.1e})",
         residual_norm=residual,
     )
+
+
+def _solve_uncached(spec: HamiltonianSpec, tol: float, max_iter: int, seed: int) -> EigenResult:
+    """Lowest eigenpair over the sectors of ``spec`` (or its full space)."""
+    rng = np.random.default_rng(seed)
+    solved = []  # (energy, vector, residual, steps, sector, full-space index)
+    for sector in SECTORS if _uses_sectors(spec) else (None,):
+        ham = compile_hamiltonian(spec, sector)
+        # H is real in this basis, so the ground vector can be kept real
+        solved.append(_lowest(ham, rng.standard_normal(ham.dim), tol, max_iter)
+                      + (sector, slice(None) if sector is None else ham.states))
+    iterations = sum(steps for _e, _v, _r, steps, *_ in solved)
+    energies = [energy for energy, *_ in solved]
+    # sectors come in tie-break order: the first within tol of the lowest wins
+    pick = next(k for k, energy in enumerate(energies) if energy <= min(energies) + tol)
+    energy, vec, residual, _steps, sector, index = solved.pop(pick)
+    amplitudes = np.zeros(spec.dim, dtype=complex)
+    amplitudes[index] = vec
+    gap = min(other for other, *_ in solved) - energy if solved else None
+    return EigenResult(energy, SpinState(spec.num_sites, amplitudes), residual, iterations,
+                       sector, gap)
+
+
+class _Memo(OrderedDict):
+    """``_solve_uncached`` results by argument tuple, least recently used first."""
+    misses = 0
+
+    def __call__(self, *key) -> EigenResult:
+        if key not in self:
+            self.misses += 1
+            self[key] = _solve_uncached(*key)
+        self.move_to_end(key)
+        result = self[key]
+        while self.cache_info().nbytes > MEMO_BYTES:
+            self.popitem(last=False)
+        return result
+
+    def cache_clear(self) -> None:
+        self.clear()
+        self.misses = 0
+
+    def cache_info(self) -> MemoInfo:
+        held = sum(result.state.amplitudes.nbytes for result in self.values())
+        return MemoInfo(self.misses, len(self), held)
+
+
+_solve = _Memo()

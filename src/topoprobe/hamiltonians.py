@@ -13,10 +13,11 @@ strong-field ground state is |down, up, down, ...>, matching the initial
 state of the adiabatic ramp, and the pinning term then prefers the same
 edge orientation.
 
-``matvec`` applies H term-by-term through strided views of the amplitude
-array, never materializing the 2^N x 2^N matrix; ``dense_matrix`` builds
-the same operator from explicit Kronecker products and exists as an
-independent cross-check for small N.
+``CompiledHamiltonian.apply`` applies H without materializing the
+2^N x 2^N matrix: term by term through strided views of the amplitude
+array in the full space, or through index pairs within one sector of
+fixed sum_i S_i^z. Only the B term changes sum_i S_i^z, so at B = 0 H is
+block diagonal over those sectors.
 """
 from __future__ import annotations
 
@@ -24,10 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spincore import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, SpinState
-
 DEFAULT_PINNING_FRACTION = 0.05
-MAX_DENSE_SITES = 10
 
 
 @dataclass(frozen=True)
@@ -77,10 +75,10 @@ def staggered_signs(num_sites: int) -> np.ndarray:
     return np.array([1.0 if i % 2 == 0 else -1.0 for i in range(num_sites)])
 
 
-def _z_signs(num_sites: int) -> list[np.ndarray]:
-    """sigma_z eigenvalue (+1 up, -1 down) of every basis state, one array
-    per site: no allocation exceeds 2^N doubles."""
-    indices = np.arange(2 ** num_sites)
+def _z_signs(num_sites: int, states: np.ndarray | None = None) -> list[np.ndarray]:
+    """sigma_z eigenvalue (+1 up, -1 down) of every basis state, or of the
+    given basis states, one array per site: no allocation exceeds 2^N doubles."""
+    indices = np.arange(2 ** num_sites) if states is None else states
     return [1.0 - 2.0 * ((indices >> site) & 1) for site in range(num_sites)]
 
 
@@ -90,14 +88,24 @@ def _bond_view(amplitudes: np.ndarray, left: int) -> np.ndarray:
 
 
 class CompiledHamiltonian:
-    """Precomputed diagonal; off-diagonal terms act through strided views."""
+    """H on the full 2^N space, or on the sorted basis ``states`` of one S^z
+    sector (B = 0 only); the off-diagonal terms act through strided views or,
+    in a sector, through per-bond (coupling, source, target) index triples."""
 
-    def __init__(self, spec: HamiltonianSpec):
+    def __init__(self, spec: HamiltonianSpec, sector: int | None = None):
         self.spec = spec
-        zsign = _z_signs(spec.num_sites)
+        self.sector = sector
+        n = spec.num_sites
+        self.states = None
+        if sector is not None:
+            if spec.b_field != 0.0:
+                raise ValueError("S^z sectors need b_field = 0: the B term changes sum S^z")
+            # sum_i S_i^z = sector: the states with N/2 - sector down spins (bit 1)
+            self.states = np.flatnonzero(np.bitwise_count(np.arange(2 ** n)) == n // 2 - sector)
+        zsign = _z_signs(n, self.states)
 
         # diagonal: zz exchange parts + staggered field + pinning
-        diag = np.zeros(spec.dim)
+        diag = np.zeros(zsign[0].shape[0])
         for left, right, coupling in exchange_bonds(spec):
             diag += 0.5 * coupling * spec.delta * zsign[left] * zsign[right]
         # sum_i (-1)^i z_i; exact in any summation order. It stays alive with
@@ -105,21 +113,32 @@ class CompiledHamiltonian:
         # moves the heap arrays allocated later across 2 MiB huge-page
         # boundaries, which raised the peak RSS of the shipped desk configs,
         # run in one process, from 103 to 122 MB
-        self.neel_diag = sum(s * z for s, z in zip(staggered_signs(spec.num_sites), zsign))
+        self.neel_diag = sum(s * z for s, z in zip(staggered_signs(n), zsign))
         diag += spec.neel_delta * spec.neel_weight * self.neel_diag
         diag += spec.pinning * zsign[0]
         self.diagonal = diag
+        self.dim = diag.shape[0]
         # (c/2)(XX+YY) couples |01> <-> |10> of a bond with amplitude c
         self.exchange = [(left, coupling) for left, _right, coupling in exchange_bonds(spec)
                          if coupling != 0.0]
+        if sector is not None:
+            lookup = np.empty(2 ** n, dtype=np.int64)
+            lookup[self.states] = np.arange(self.dim)
+            pairs = []
+            for left, coupling in self.exchange:
+                source = np.flatnonzero(((self.states >> left) ^ (self.states >> (left + 1))) & 1)
+                pairs.append((coupling, source, lookup[self.states[source] ^ (3 << left)]))
+            self.exchange = pairs
 
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        """H |psi> on a flat amplitude array."""
-        if amplitudes.shape[0] != self.spec.dim:
-            raise ValueError(
-                f"state dimension {amplitudes.shape[0]} does not match 2**{self.spec.num_sites}"
-            )
+        """H |psi> on a flat amplitude array over this basis."""
+        if amplitudes.shape[0] != self.dim:
+            raise ValueError(f"state dimension {amplitudes.shape[0]} does not match {self.dim}")
         out = self.diagonal * amplitudes
+        if self.sector is not None:
+            for coupling, source, target in self.exchange:
+                out[target] += coupling * amplitudes[source]
+            return out
         for left, coupling in self.exchange:
             source, target = _bond_view(amplitudes, left), _bond_view(out, left)
             target[:, 1, 0] += coupling * source[:, 0, 1]
@@ -137,60 +156,5 @@ class CompiledHamiltonian:
         return out
 
 
-def compile_hamiltonian(spec: HamiltonianSpec) -> CompiledHamiltonian:
-    return CompiledHamiltonian(spec)
-
-
-def matvec(spec: HamiltonianSpec, state: SpinState) -> np.ndarray:
-    """H |psi> as a raw (unnormalized) amplitude array."""
-    if state.num_sites != spec.num_sites:
-        raise ValueError(
-            f"state has {state.num_sites} sites, spec has {spec.num_sites}"
-        )
-    return compile_hamiltonian(spec).apply(state.amplitudes)
-
-
-def _kron_chain(ops: list[np.ndarray]) -> np.ndarray:
-    # kron ordering: last site is the most significant factor
-    out = ops[0]
-    for op in ops[1:]:
-        out = np.kron(op, out)
-    return out
-
-
-def _site_operator(num_sites: int, ops_by_site: dict[int, np.ndarray]) -> np.ndarray:
-    factors = [ops_by_site.get(i, IDENTITY_2) for i in range(num_sites)]
-    return _kron_chain(factors)
-
-
-def dense_matrix(spec: HamiltonianSpec) -> np.ndarray:
-    """Explicit 2^N x 2^N matrix built from Kronecker products (N <= 10).
-
-    Independent of ``matvec``; used as its cross-check oracle in tests.
-    """
-    n = spec.num_sites
-    if n > MAX_DENSE_SITES:
-        raise ValueError(f"dense matrix limited to N <= {MAX_DENSE_SITES}, got {n}")
-    dim = spec.dim
-    h = np.zeros((dim, dim), dtype=complex)
-    for left, right, coupling in exchange_bonds(spec):
-        h += 0.5 * coupling * (
-            _site_operator(n, {left: PAULI_X, right: PAULI_X})
-            + _site_operator(n, {left: PAULI_Y, right: PAULI_Y})
-            + spec.delta * _site_operator(n, {left: PAULI_Z, right: PAULI_Z})
-        )
-    if spec.b_field != 0.0:
-        for left in range(n - 1):
-            h += spec.b_field * (
-                _site_operator(n, {left: PAULI_X, left + 1: PAULI_Z})
-                - _site_operator(n, {left: PAULI_Z, left + 1: PAULI_X})
-            )
-    stagger = staggered_signs(n)
-    for i in range(n):
-        coeff = spec.neel_delta * spec.neel_weight * stagger[i]
-        if i == 0:
-            coeff += spec.pinning
-        if coeff != 0.0:
-            h += coeff * _site_operator(n, {i: PAULI_Z})
-    return h
-
+def compile_hamiltonian(spec: HamiltonianSpec, sector: int | None = None) -> CompiledHamiltonian:
+    return CompiledHamiltonian(spec, sector)

@@ -447,7 +447,12 @@ def _per_unitary_purity(outcomes: np.ndarray, exact: bool, params: ProtocolParam
 
 def estimate_purity(records, params: ProtocolParams, segment: int) -> EstimatorResult:
     """Segment purity from the same campaign records (second-order in the
-    outcome frequencies, with the finite-shot pair correction)."""
+    outcome frequencies, with the finite-shot pair correction). The middle
+    segment of a three-segment campaign gets no random unitaries, so its
+    purity raises ``ValueError``."""
+    if params.partition.segment_positions(segment) == params.partition.middle_positions:
+        raise ValueError(f"segment 1 of a {params.kind} campaign gets no random unitaries; "
+                         "its purity cannot be estimated")
     outcomes, exact = _outcome_matrices(records, params)
     return _mean_result(_per_unitary_purity(outcomes, exact, params, segment), params,
                         "purity")

@@ -6,6 +6,8 @@ program's own kernels, so an agreement is a check and not a tautology.
 """
 import numpy as np
 
+from topoprobe.hamiltonians import compile_hamiltonian, exchange_bonds, staggered_signs
+
 # two-spin swap |a, b> -> |b, a> with index = bit_a + 2 bit_b
 SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
 
@@ -177,3 +179,42 @@ class EinsumTrotterStepper:
 def _apply_bond_gate(amps, left, gate):
     view = amps.reshape(-1, 4, 2 ** left)
     return np.einsum("ab,xby->xay", gate, view).reshape(-1)
+
+
+MAX_DENSE_SITES = 10
+
+
+def dense_matrix(spec):
+    """Explicit 2^N x 2^N matrix of the chain built from Kronecker products
+    (N <= 10), independent of the program's matrix-free operator."""
+    n = spec.num_sites
+    if n > MAX_DENSE_SITES:
+        raise ValueError(f"dense matrix limited to N <= {MAX_DENSE_SITES}, got {n}")
+    x, y, z = PAULI["x"], PAULI["y"], PAULI["z"]
+    h = np.zeros((spec.dim, spec.dim), dtype=complex)
+    for left, right, coupling in exchange_bonds(spec):
+        h += 0.5 * coupling * (
+            site_operator(n, {left: x, right: x})
+            + site_operator(n, {left: y, right: y})
+            + spec.delta * site_operator(n, {left: z, right: z})
+        )
+    if spec.b_field != 0.0:
+        for left in range(n - 1):
+            h += spec.b_field * (site_operator(n, {left: x, left + 1: z})
+                                 - site_operator(n, {left: z, left + 1: x}))
+    stagger = staggered_signs(n)
+    for i in range(n):
+        coeff = spec.neel_delta * spec.neel_weight * stagger[i]
+        if i == 0:
+            coeff += spec.pinning
+        if coeff != 0.0:
+            h += coeff * site_operator(n, {i: z})
+    return h
+
+
+def matvec(spec, state):
+    """H |psi> as a raw (unnormalized) amplitude array, through the
+    program's full-space operator."""
+    if state.num_sites != spec.num_sites:
+        raise ValueError(f"state has {state.num_sites} sites, spec has {spec.num_sites}")
+    return compile_hamiltonian(spec).apply(state.amplitudes)

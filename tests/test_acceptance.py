@@ -32,7 +32,7 @@ from topoprobe.analysis import error_scaling_scan, fit_correlation_length, \
     symmetry_breaking_report
 from topoprobe.dynamics import RampSpec, adiabatic_evolve, evolve
 from topoprobe.groundstate import ground_state
-from topoprobe.hamiltonians import HamiltonianSpec, compile_hamiltonian, dense_matrix
+from topoprobe.hamiltonians import HamiltonianSpec, compile_hamiltonian
 from topoprobe.partitions import reflection_partition, three_segment_partition
 from topoprobe.protocols import (
     MeasurementRecord,
@@ -46,7 +46,7 @@ from topoprobe.protocols import (
 from topoprobe.rdm import exact_invariant, purity, reduced_density_matrix
 from topoprobe.spincore import random_state, reflection_permutation
 
-from oracles import hamming_distance, magnetization_diagonal
+from oracles import dense_matrix, hamming_distance, magnetization_diagonal
 
 N_ORACLE_STATES = 20
 ORACLE_DRAWS = 20000

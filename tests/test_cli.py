@@ -127,6 +127,17 @@ class TestGroundStateCommand:
         assert payload["config"]["hamiltonian"]["num_sites"] == 8
         assert payload["master_seed"] == 5
 
+    def test_sector_keys(self, tiny_config, tmp_path):
+        out = tmp_path / "out"
+        main(["ground-state", "--config", str(tiny_config), "--out", str(out / "b0")])
+        result = read_json(out / "b0" / "ground_state.json")["result"]
+        assert result["sector"] == 0 and result["sector_gap"] > 0
+        path = tmp_path / "b.cfg"
+        path.write_text(TINY_CONFIG.replace("delta = 0.25", "delta = 0.25\nb_field = 0.1"))
+        main(["ground-state", "--config", str(path), "--out", str(out / "b")])
+        result = read_json(out / "b" / "ground_state.json")["result"]
+        assert result["sector"] is None and result["sector_gap"] is None
+
     def test_odd_sites_exit_code_names_field(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text(TINY_CONFIG.replace("num_sites = 8", "num_sites = 7"))

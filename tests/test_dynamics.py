@@ -12,12 +12,12 @@ from topoprobe.dynamics import (
     evolve,
     monitor_invariants,
 )
-from topoprobe.hamiltonians import HamiltonianSpec, dense_matrix
+from topoprobe.hamiltonians import HamiltonianSpec
 from topoprobe.partitions import reflection_partition, three_segment_partition
 from topoprobe.rdm import exact_invariant
 from topoprobe.spincore import neel_state, random_state
 
-from oracles import EinsumTrotterStepper, dense_trotter_step, trotter_terms
+from oracles import EinsumTrotterStepper, dense_matrix, dense_trotter_step, trotter_terms
 
 
 class TestRampSpec:

@@ -1,5 +1,6 @@
 """Lanczos solver against dense diagonalization."""
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ import pytest
 from topoprobe import groundstate
 from topoprobe.analysis import SweepSpec, run_sweep
 from topoprobe.groundstate import DEFAULT_TOL, ConvergenceError, ground_state
-from topoprobe.hamiltonians import HamiltonianSpec, dense_matrix, matvec
+from topoprobe.hamiltonians import HamiltonianSpec, compile_hamiltonian
+from topoprobe.partitions import partition_for
+from topoprobe.rdm import exact_invariant
 from topoprobe.spincore import neel_state, random_state
 
-from oracles import site_z
+from oracles import dense_matrix, matvec, site_z
 
 
 class TestAgainstDense:
@@ -76,7 +79,9 @@ class TestSolverContract:
 
     def test_size_guard(self):
         with pytest.raises(ValueError, match="N <= 16"):
-            ground_state(HamiltonianSpec(num_sites=18))
+            ground_state(HamiltonianSpec(num_sites=18, b_field=0.1))
+        with pytest.raises(ValueError, match="N <= 20"):
+            ground_state(HamiltonianSpec(num_sites=22))
 
     def test_bad_tolerance(self):
         with pytest.raises(ValueError, match="tol"):
@@ -86,6 +91,80 @@ class TestSolverContract:
         result = ground_state_cache(num_sites=12, j=1.0, j_prime=4.0, delta=0.25,
                                     pinning=0.05)
         assert abs(np.linalg.norm(result.state.amplitudes) - 1.0) < 1e-10
+
+
+def _full_space(spec, monkeypatch):
+    """The same solve with the sector path switched off (no memo)."""
+    monkeypatch.setattr(groundstate, "_uses_sectors", lambda spec: False)
+    return groundstate._solve_uncached(spec, DEFAULT_TOL, groundstate.DEFAULT_MAX_ITER, 0)
+
+
+def _dense_sector_energies(spec):
+    """Lowest dense eigenvalue of every sum S^z block, keyed by sum S^z."""
+    dense = dense_matrix(spec)
+    half = spec.num_sites // 2
+    return {sector: np.linalg.eigvalsh(dense[np.ix_(states, states)])[0]
+            for sector in range(-half, half + 1)
+            for states in [compile_hamiltonian(spec, sector).states]}
+
+
+class TestSectors:
+    @pytest.mark.parametrize("num_sites, j_prime, delta", [
+        (8, 0.3, 0.25), (12, 3.0, 0.6), (16, 1.0, 0.25), (16, 5.0, 0.25)])
+    def test_matches_full_space(self, num_sites, j_prime, delta, monkeypatch):
+        spec = HamiltonianSpec(num_sites=num_sites, j=1.0, j_prime=j_prime, delta=delta)
+        sectors = ground_state(spec)
+        full = _full_space(spec, monkeypatch)
+        assert sectors.sector == 0 and full.sector is None and full.sector_gap is None
+        assert sectors.energy == pytest.approx(full.energy, abs=1e-12)
+        for kind in ("reflection", "time_reversal", "d2", "klein_bottle"):
+            for pairs in (1, 2) if num_sites < 16 else (2, 4):
+                partition = partition_for(kind, num_sites, pairs)
+                a = exact_invariant(sectors.state, partition, kind)
+                b = exact_invariant(full.state, partition, kind)
+                assert a.raw == pytest.approx(b.raw, abs=1e-10)
+                assert a.normalized == pytest.approx(b.normalized, abs=1e-10)
+
+    def test_random_grid_against_dense_sectors(self):
+        grid = np.random.default_rng(606)
+        for num_sites in (6, 8, 10) * 4:
+            spec = HamiltonianSpec(
+                num_sites=num_sites, j=float(grid.uniform(0, 5)),
+                j_prime=float(grid.uniform(0, 5)), delta=float(grid.uniform(-0.99, 3)),
+                neel_delta=float(grid.uniform(-3, 3)), neel_weight=float(grid.uniform(0, 1)),
+                pinning=float(grid.uniform(-5, 5)))
+            result = ground_state(spec)
+            dense = _dense_sector_energies(spec)
+            lowest = min(dense.values())
+            assert result.energy == pytest.approx(lowest, abs=1e-9)
+            assert min(dense[0], dense[1], dense[-1]) == pytest.approx(lowest, abs=1e-9)
+            assert dense[result.sector] == pytest.approx(result.energy, abs=1e-9)
+            others = [dense[s] for s in (0, 1, -1) if s != result.sector]
+            assert result.sector_gap == pytest.approx(min(others) - result.energy, abs=1e-9)
+
+    def test_ferromagnetic_anisotropy_stays_in_full_space(self):
+        spec = HamiltonianSpec(num_sites=8, j=1.0, j_prime=0.7, delta=-2.0)
+        result = ground_state(spec)
+        dense = _dense_sector_energies(spec)
+        assert min(dense, key=dense.get) == -4
+        assert result.sector is None and result.sector_gap is None
+        assert result.energy == pytest.approx(dense[-4], abs=1e-9)
+
+    def test_exact_tie_goes_to_zero(self):
+        # J = 0 leaves sites 0 and N-1 free: sum S^z = 0, +1, -1 are degenerate
+        result = ground_state(HamiltonianSpec(num_sites=8, j=0.0, j_prime=1.0, delta=0.5))
+        assert result.sector == 0
+        assert abs(result.sector_gap) <= DEFAULT_TOL
+        assert groundstate.SECTORS == (0, 1, -1)
+
+    def test_n20_residual(self):
+        spec = HamiltonianSpec(num_sites=20, j=1.0, j_prime=1.0, delta=0.25)
+        result = groundstate._solve_uncached(spec, DEFAULT_TOL, groundstate.DEFAULT_MAX_ITER, 0)
+        amplitudes = result.state.amplitudes
+        residual = np.linalg.norm(compile_hamiltonian(spec).apply(amplitudes)
+                                  - result.energy * amplitudes)
+        assert result.sector == 0
+        assert residual <= DEFAULT_TOL
 
 
 @pytest.fixture()
@@ -137,6 +216,16 @@ class TestMemo:
         assert result.iterations > 12
         assert result.energy == pytest.approx(dense_energy, abs=1e-8)
         assert result.residual_norm <= DEFAULT_TOL
+
+    def test_memory_bound(self, empty_memo, monkeypatch):
+        # unwritten 16 MiB arrays stand in for N = 20 states: nothing is resident
+        monkeypatch.setattr(groundstate, "_solve_uncached", lambda *key: SimpleNamespace(
+            state=SimpleNamespace(amplitudes=np.empty(2 ** 20, dtype=complex))))
+        for seed in range(8):
+            empty_memo(self.SPEC, DEFAULT_TOL, groundstate.DEFAULT_MAX_ITER, seed)
+        info = empty_memo.cache_info()
+        assert info.currsize == 4 and info.nbytes == 64 * 2 ** 20 <= groundstate.MEMO_BYTES
+        assert [key[-1] for key in empty_memo] == [4, 5, 6, 7]
 
     def test_memoized_amplitudes_read_only(self, empty_memo):
         first = ground_state(self.SPEC)

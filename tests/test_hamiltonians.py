@@ -1,16 +1,13 @@
 """Matrix-free Hamiltonian against explicit Kronecker-product construction."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from topoprobe.hamiltonians import (
-    HamiltonianSpec,
-    compile_hamiltonian,
-    dense_matrix,
-    matvec,
-)
+from topoprobe.hamiltonians import HamiltonianSpec, compile_hamiltonian
 from topoprobe.spincore import basis_state, random_state
 
-from oracles import magnetization_diagonal
+from oracles import dense_matrix, magnetization_diagonal, matvec
 
 # N=2 coupling block of the exchange term in the spin basis (up,up / down,up /
 # up,down / down,down with site 0 the low bit): XX+YY flips the middle two
@@ -110,6 +107,27 @@ class TestDenseOracle:
             vec = rng.standard_normal(spec.dim) + 1j * rng.standard_normal(spec.dim)
             vec /= np.linalg.norm(vec)
             np.testing.assert_allclose(compiled.apply(vec), dense @ vec, atol=1e-12)
+
+    @pytest.mark.parametrize("num_sites", [4, 6, 8])
+    def test_sectors_match_dense_blocks(self, num_sites, rng):
+        spec = replace(random_spec(rng, num_sites), b_field=0.0)
+        dense = dense_matrix(spec)
+        half = num_sites // 2
+        sizes = 0
+        for sector in range(-half, half + 1):
+            compiled = compile_hamiltonian(spec, sector)
+            states = compiled.states
+            assert np.all(np.diff(states) > 0)
+            assert np.all(np.bitwise_count(states) == half - sector)
+            block = dense[np.ix_(states, states)]
+            for vec in rng.standard_normal((5, len(states))):
+                np.testing.assert_allclose(compiled.apply(vec), block @ vec, atol=1e-12)
+            sizes += len(states)
+        assert sizes == spec.dim
+
+    def test_sector_needs_zero_b_field(self):
+        with pytest.raises(ValueError, match="b_field"):
+            compile_hamiltonian(HamiltonianSpec(num_sites=6, b_field=0.1), 0)
 
     def test_eigenvalues_real(self, rng):
         spec = random_spec(rng)

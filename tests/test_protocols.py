@@ -394,6 +394,20 @@ class TestPurityEstimator:
             result = estimate_purity(records, params, segment=segment)
             assert abs(result.value - exact) <= 3 * result.std_error
 
+    @pytest.mark.parametrize("kind", ["d2", "klein_bottle"])
+    def test_middle_segment_without_unitaries_rejected(self, state8, kind):
+        # the middle segment gets identity gates: its "purity" was 0.50671 +- 7e-17
+        # (2000 unitaries) against the exact 0.51209
+        part = three_segment_partition(8, 1)
+        params = ProtocolParams(kind, 64, 2, part, 3)
+        records = run_campaign(state8, params, exact_probabilities=True)
+        with pytest.raises(ValueError, match="no random unitaries"):
+            estimate_purity(records, params, segment=1)
+        for segment in (0, 2, -1):
+            exact = purity(reduced_density_matrix(state8, part.segment_sites(segment)))
+            result = estimate_purity(records, params, segment=segment)
+            assert abs(result.value - exact) <= 4 * result.std_error
+
 
 class TestCrossEstimators:
     def test_time_reversal_infinite_shot(self, state8):
