@@ -13,7 +13,7 @@ from .spincore import (
     random_state,
 )
 from .partitions import PartitionSpec, reflection_partition, three_segment_partition
-from .hamiltonians import HamiltonianSpec, compile_hamiltonian
+from .hamiltonians import CompiledHamiltonian, HamiltonianSpec
 from .groundstate import EigenResult, ConvergenceError, ground_state
 from .rdm import (
     InvariantValue,
@@ -52,7 +52,7 @@ __all__ = [
     "reflection_partition",
     "three_segment_partition",
     "HamiltonianSpec",
-    "compile_hamiltonian",
+    "CompiledHamiltonian",
     "EigenResult",
     "ConvergenceError",
     "ground_state",

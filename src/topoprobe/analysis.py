@@ -76,23 +76,16 @@ def _axis_grid(axes) -> list[dict]:
     return points
 
 
-def _hamiltonian_at(spec: SweepSpec, point: dict) -> HamiltonianSpec:
-    updates = {k: v for k, v in point.items() if k in ("j_prime", "delta", "b_field")}
-    return replace(spec.base, **updates) if updates else spec.base
-
-
-def _sweep_point(spec: SweepSpec, point: dict, repetition: int, point_seed: int,
-                 ground_cache: dict, failed_solves: dict) -> dict:
+def _sweep_point(spec: SweepSpec, point: dict, repetition: int, point_seed: int) -> dict:
     row = {name: point[name] for name, _values in spec.axes}
     row.update(repetition=repetition, kind=spec.kind, mode=spec.mode,
                seed=point_seed, value=None, std_error=None, exact=None, error="")
     try:
-        ham = _hamiltonian_at(spec, point)
+        ham = replace(spec.base, **{k: v for k, v in point.items()
+                                    if k in ("j_prime", "delta", "b_field")})
         pairs = int(point.get("pairs", spec.pairs))
         partition = partition_for(spec.kind, ham.num_sites, pairs)
-        if ham not in ground_cache:
-            raise RuntimeError(f"ground-state solve failed: {failed_solves.get(ham, 'unknown')}")
-        state = ground_cache[ham]
+        state = ground_state(ham, seed=0).state
         row["exact"] = reported_exact(exact_invariant(state, partition, spec.kind))
         if spec.mode == "exact":
             row["value"] = row["exact"]
@@ -113,28 +106,15 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     """Evaluate the sweep grid; rows are ordered by the axis tuples and are
     a pure function of (spec, master_seed).
 
-    Ground states are solved once per distinct Hamiltonian up front; the
-    grid points are then evaluated in order with pre-assigned seeds.
+    Ground states come from the ``ground_state`` memo, so a sweep holds
+    ``MEMO_BYTES`` plus one state. A Hamiltonian is solved again only if
+    the memo evicted it: more distinct Hamiltonians than the memo holds,
+    with a protocol axis listed before the Hamiltonian axes. Failed solves
+    are not memoized, so each point of a failing Hamiltonian retries.
     """
     seed_rng = np.random.default_rng(spec.master_seed)
-    tasks = []
-    ground_cache: dict[HamiltonianSpec, object] = {}
-    failed_solves: dict[HamiltonianSpec, str] = {}
-    for point in _axis_grid(spec.axes):
-        for repetition in range(spec.repetitions):
-            tasks.append((point, repetition, int(seed_rng.integers(0, 2 ** 63 - 1))))
-        try:
-            ham = _hamiltonian_at(spec, point)
-        except Exception:
-            continue  # recorded per row when the point runs
-        if ham not in ground_cache and ham not in failed_solves:
-            try:
-                ground_cache[ham] = ground_state(ham, seed=0).state
-            except Exception as exc:
-                failed_solves[ham] = f"{type(exc).__name__}: {exc}"
-
-    return [_sweep_point(spec, point, repetition, point_seed, ground_cache, failed_solves)
-            for point, repetition, point_seed in tasks]
+    return [_sweep_point(spec, point, repetition, int(seed_rng.integers(0, 2 ** 63 - 1)))
+            for point in _axis_grid(spec.axes) for repetition in range(spec.repetitions)]
 
 
 def write_rows_csv(path, rows: list[dict]) -> None:
@@ -191,8 +171,8 @@ def fit_correlation_length(pair_counts, values, target_sign: float | None = None
 
 def correlation_length_fits(kind: str, rows: list[dict]) -> tuple[list[dict], list[dict]]:
     """One correlation-length fit per series of sweep rows along the pairs
-    axis, a series per combination of the other axes; rows with an error
-    are left out.
+    axis, a series per combination of the other axes and repetition; rows
+    with an error are left out.
 
     Returns ``(fits, skipped)``. A series the fit rejects (fewer than
     ``FIT_POINT_COUNT`` points, or some |value| >= 1) goes to ``skipped``
@@ -204,8 +184,8 @@ def correlation_length_fits(kind: str, rows: list[dict]) -> tuple[list[dict], li
         return fits, skipped
     by_pairs = [row for row in rows if "pairs" in row and not row["error"]]
     other_keys = sorted({k for row in by_pairs for k in row
-                         if k not in ("pairs", "repetition", "kind", "mode",
-                                      "seed", "value", "std_error", "exact", "error")})
+                         if k not in ("pairs", "kind", "mode", "seed", "value",
+                                      "std_error", "exact", "error")})
     groups: dict[tuple, list] = {}
     for row in by_pairs:
         groups.setdefault(tuple(row[k] for k in other_keys), []).append(row)

@@ -34,21 +34,9 @@ def _payload(config: RunConfig | None, master_seed, schema: str, result) -> dict
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True, default=_json_default)
+        json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(path)
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if hasattr(obj, "__dict__"):
-        return obj.__dict__
-    raise TypeError(f"cannot serialize {type(obj)}")
 
 
 def _out_dir(args, config: RunConfig | None) -> Path:

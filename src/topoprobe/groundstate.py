@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hamiltonians import CompiledHamiltonian, HamiltonianSpec, compile_hamiltonian
+from .hamiltonians import CompiledHamiltonian, HamiltonianSpec
 from .spincore import SpinState
 
 MAX_SITES = 16  # full space
@@ -138,7 +138,7 @@ def _solve_uncached(spec: HamiltonianSpec, tol: float, max_iter: int, seed: int)
     rng = np.random.default_rng(seed)
     solved = []  # (energy, vector, residual, steps, sector, full-space index)
     for sector in SECTORS if _uses_sectors(spec) else (None,):
-        ham = compile_hamiltonian(spec, sector)
+        ham = CompiledHamiltonian(spec, sector)
         # H is real in this basis, so the ground vector can be kept real
         solved.append(_lowest(ham, rng.standard_normal(ham.dim), tol, max_iter)
                       + (sector, slice(None) if sector is None else ham.states))

@@ -155,6 +155,3 @@ class CompiledHamiltonian:
                 target[:, :, 1] += b * source[:, ::-1, 1]
         return out
 
-
-def compile_hamiltonian(spec: HamiltonianSpec, sector: int | None = None) -> CompiledHamiltonian:
-    return CompiledHamiltonian(spec, sector)

@@ -600,7 +600,7 @@ def _read_header(line: str) -> ProtocolParams:
                                   tuple(tuple(seg) for seg in header["segments"]))
         return ProtocolParams(header["kind"], header["n_unitaries"], header["n_shots"],
                               partition, header["master_seed"])
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ValueError(f"line 1: bad record header ({type(exc).__name__}: {exc})") from None
 
 

@@ -6,7 +6,7 @@ program's own kernels, so an agreement is a check and not a tautology.
 """
 import numpy as np
 
-from topoprobe.hamiltonians import compile_hamiltonian, exchange_bonds, staggered_signs
+from topoprobe.hamiltonians import CompiledHamiltonian, exchange_bonds, staggered_signs
 
 # two-spin swap |a, b> -> |b, a> with index = bit_a + 2 bit_b
 SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
@@ -217,4 +217,4 @@ def matvec(spec, state):
     program's full-space operator."""
     if state.num_sites != spec.num_sites:
         raise ValueError(f"state has {state.num_sites} sites, spec has {spec.num_sites}")
-    return compile_hamiltonian(spec).apply(state.amplitudes)
+    return CompiledHamiltonian(spec).apply(state.amplitudes)

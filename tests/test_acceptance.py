@@ -32,7 +32,7 @@ from topoprobe.analysis import error_scaling_scan, fit_correlation_length, \
     symmetry_breaking_report
 from topoprobe.dynamics import RampSpec, adiabatic_evolve, evolve
 from topoprobe.groundstate import ground_state
-from topoprobe.hamiltonians import HamiltonianSpec, compile_hamiltonian
+from topoprobe.hamiltonians import CompiledHamiltonian, HamiltonianSpec
 from topoprobe.partitions import reflection_partition, three_segment_partition
 from topoprobe.protocols import (
     MeasurementRecord,
@@ -339,7 +339,7 @@ def test_criterion_10_property_bundle(rng):
     # Hermiticity and magnetization commutator
     spec = HamiltonianSpec(num_sites=6, j=1.0, j_prime=1.6, delta=0.5,
                            neel_delta=0.2, neel_weight=1.0)
-    compiled = compile_hamiltonian(spec)
+    compiled = CompiledHamiltonian(spec)
     psi = random_state(6, rng).amplitudes
     phi = random_state(6, rng).amplitudes
     if abs(np.vdot(phi, compiled.apply(psi))

@@ -1,7 +1,10 @@
 """Sweeps, correlation-length fits, error scaling, symmetry diagnostics."""
+import weakref
+
 import numpy as np
 import pytest
 
+from topoprobe import analysis, groundstate
 from topoprobe.analysis import (
     SweepSpec,
     correlation_length_fits,
@@ -64,6 +67,43 @@ class TestSweep:
         assert rows[0]["error"] == ""
         assert "pairs" in rows[1]["error"] or "fit" in rows[1]["error"]
         assert rows[1]["value"] is None
+
+    def test_failed_solve_recorded_on_every_row(self):
+        spec = SweepSpec(
+            base=HamiltonianSpec(num_sites=18, j=1.0, delta=0.25, b_field=0.1),
+            kind="reflection", pairs=2, axes=(("j_prime", (0.5, 2.0)),), repetitions=2,
+        )
+        rows = run_sweep(spec)
+        assert len(rows) == 4
+        for row in rows:
+            assert row["value"] is None and row["exact"] is None
+            assert row["error"].startswith("ValueError: ground_state limited to N <= 16 here, "
+                                           "got 18")
+
+    def test_sweep_holds_no_states_beyond_the_memo(self, monkeypatch):
+        # the memo holds two N = 8 states; the sweep may keep none of its own
+        groundstate._solve.cache_clear()
+        monkeypatch.setattr(groundstate, "MEMO_BYTES", 2 * 2 ** 8 * 16)
+        returned, alive = [], []
+
+        def tracked(*args, **kwargs):
+            result = groundstate.ground_state(*args, **kwargs)
+            if not any(ref() is result.state for ref in returned):
+                returned.append(weakref.ref(result.state))
+            alive.append(sum(ref() is not None for ref in returned))
+            return result
+
+        monkeypatch.setattr(analysis, "ground_state", tracked)
+        spec = SweepSpec(base=HamiltonianSpec(num_sites=8, j=1.0, delta=0.25),
+                         kind="reflection", pairs=2,
+                         axes=(("j_prime", (0.4, 0.8, 1.2, 1.6, 2.4, 3.2)),))
+        try:
+            rows = run_sweep(spec)
+        finally:
+            groundstate._solve.cache_clear()
+        assert not any(row["error"] for row in rows)
+        assert len(returned) == 6
+        assert max(alive) <= 2
 
     def test_unnormalizable_point_recorded(self):
         # 2 unitaries x 2 shots at seed 0: every repetition's mean sampled
@@ -183,19 +223,23 @@ class TestCorrelationLengthFit:
         assert fit.length_scale == pytest.approx(2.0, abs=1e-6)
 
     def test_sweep_groups_fitted_or_listed_as_skipped(self):
-        def row(j_prime, pairs, value, error=""):
-            return {"j_prime": j_prime, "pairs": pairs, "repetition": 0, "kind": "reflection",
-                    "mode": "exact", "seed": 0, "value": value, "std_error": None,
-                    "exact": value, "error": error}
+        def row(j_prime, pairs, value, error="", repetition=0):
+            return {"j_prime": j_prime, "pairs": pairs, "repetition": repetition,
+                    "kind": "reflection", "mode": "exact", "seed": 0, "value": value,
+                    "std_error": None, "exact": value, "error": error}
 
         good = [row(0.5, n, 1 - 0.5 * np.exp(-n / 2.0)) for n in (1, 2, 3)]
+        # a second repetition of the same point is its own series
+        again = [row(0.5, n, 1 - 0.5 * np.exp(-n / 3.0), repetition=1) for n in (1, 2, 3)]
         overshoot = [row(3.0, n, v) for n, v in ((1, -0.9), (2, -1.01), (3, -0.99))]
         short = [row(1.0, 1, 0.5), row(1.0, 2, 0.6), row(1.0, 3, None, error="boom")]
-        fits, skipped = correlation_length_fits("reflection", good + overshoot + short)
-        assert [(fit["j_prime"], fit["kind"]) for fit in fits] == [(0.5, "reflection")]
+        fits, skipped = correlation_length_fits("reflection", good + again + overshoot + short)
+        assert [(fit["j_prime"], fit["repetition"], fit["kind"]) for fit in fits] \
+            == [(0.5, 0, "reflection"), (0.5, 1, "reflection")]
         assert fits[0]["length_scale"] == pytest.approx(2.0, abs=1e-6)
-        assert [(entry["j_prime"], entry["pair_counts"]) for entry in skipped] \
-            == [(3.0, [1, 2, 3]), (1.0, [1, 2])]
+        assert fits[1]["length_scale"] == pytest.approx(3.0, abs=1e-6)
+        assert [(entry["j_prime"], entry["repetition"], entry["pair_counts"])
+                for entry in skipped] == [(3.0, 0, [1, 2, 3]), (1.0, 0, [1, 2])]
         assert skipped[0]["values"] == [-0.9, -1.01, -0.99]
         assert "|value| < 1" in skipped[0]["reason"]
         assert "at least 3" in skipped[1]["reason"]

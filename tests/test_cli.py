@@ -371,6 +371,26 @@ class TestOtherCommands:
         assert not (out / "invariants.json").exists()
         assert not (out / "campaign_analysis.json").exists()
 
+    @pytest.mark.parametrize("command, body, message", [
+        (["sweep"], TINY_CONFIG + "\n[sweep]\nmode = exact\n",
+         "sweep needs at least one axis_* key"),
+        (["ground-state"], TINY_CONFIG.replace("num_sites = 8\n", ""),
+         "missing required key hamiltonian.num_sites"),
+        (["invariants", "--exact"], TINY_CONFIG.replace("pairs = 2\n", ""),
+         "missing required key partition.pairs"),
+        (["invariants", "--exact"], TINY_CONFIG.replace("pairs = 2", "pairs = 5"),
+         "partition: pairs=5 does not fit in half the chain (4)"),
+        (["campaign-analyze"], "0,1,0,32\n", "record file missing JSON header line"),
+    ])
+    def test_bad_input_exits_2_with_message(self, tmp_path, capsys, command, body, message):
+        path = tmp_path / "input"
+        path.write_text(body)
+        out = tmp_path / "out"
+        source = "--records" if command == ["campaign-analyze"] else "--config"
+        assert main(command + [source, str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_missing_records_file_exits_2_without_traceback(self, tmp_path, capsys):
         missing = tmp_path / "absent.records"
         assert main(["campaign-analyze", "--records", str(missing),

@@ -134,9 +134,9 @@ class TestTrotterAccuracy:
         amps = result.state.amplitudes
         reference = result.energy
         worst = 0.0
-        from topoprobe.hamiltonians import compile_hamiltonian
+        from topoprobe.hamiltonians import CompiledHamiltonian
 
-        compiled = compile_hamiltonian(spec)
+        compiled = CompiledHamiltonian(spec)
         for step in range(1000):
             amps = stepper.step(amps, spec.neel_weight)
             if step % 100 == 99:

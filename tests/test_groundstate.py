@@ -8,7 +8,7 @@ import pytest
 from topoprobe import groundstate
 from topoprobe.analysis import SweepSpec, run_sweep
 from topoprobe.groundstate import DEFAULT_TOL, ConvergenceError, ground_state
-from topoprobe.hamiltonians import HamiltonianSpec, compile_hamiltonian
+from topoprobe.hamiltonians import CompiledHamiltonian, HamiltonianSpec
 from topoprobe.partitions import partition_for
 from topoprobe.rdm import exact_invariant
 from topoprobe.spincore import neel_state, random_state
@@ -105,7 +105,7 @@ def _dense_sector_energies(spec):
     half = spec.num_sites // 2
     return {sector: np.linalg.eigvalsh(dense[np.ix_(states, states)])[0]
             for sector in range(-half, half + 1)
-            for states in [compile_hamiltonian(spec, sector).states]}
+            for states in [CompiledHamiltonian(spec, sector).states]}
 
 
 class TestSectors:
@@ -161,7 +161,7 @@ class TestSectors:
         spec = HamiltonianSpec(num_sites=20, j=1.0, j_prime=1.0, delta=0.25)
         result = groundstate._solve_uncached(spec, DEFAULT_TOL, groundstate.DEFAULT_MAX_ITER, 0)
         amplitudes = result.state.amplitudes
-        residual = np.linalg.norm(compile_hamiltonian(spec).apply(amplitudes)
+        residual = np.linalg.norm(CompiledHamiltonian(spec).apply(amplitudes)
                                   - result.energy * amplitudes)
         assert result.sector == 0
         assert residual <= DEFAULT_TOL

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from topoprobe.hamiltonians import HamiltonianSpec, compile_hamiltonian
+from topoprobe.hamiltonians import CompiledHamiltonian, HamiltonianSpec
 from topoprobe.spincore import basis_state, random_state
 
 from oracles import dense_matrix, magnetization_diagonal, matvec
@@ -92,7 +92,7 @@ class TestDenseOracle:
         spec = HamiltonianSpec(num_sites=6, j=1.0, j_prime=0.7, delta=0.3,
                                b_field=0.2, neel_delta=0.4, neel_weight=1.0)
         dense = dense_matrix(spec)
-        compiled = compile_hamiltonian(spec)
+        compiled = CompiledHamiltonian(spec)
         for k in range(spec.dim):
             unit = np.zeros(spec.dim, dtype=complex)
             unit[k] = 1.0
@@ -102,7 +102,7 @@ class TestDenseOracle:
     def test_matvec_matches_dense_on_random_vectors(self, num_sites, rng):
         spec = random_spec(rng, num_sites)
         dense = dense_matrix(spec)
-        compiled = compile_hamiltonian(spec)
+        compiled = CompiledHamiltonian(spec)
         for _ in range(100):
             vec = rng.standard_normal(spec.dim) + 1j * rng.standard_normal(spec.dim)
             vec /= np.linalg.norm(vec)
@@ -115,7 +115,7 @@ class TestDenseOracle:
         half = num_sites // 2
         sizes = 0
         for sector in range(-half, half + 1):
-            compiled = compile_hamiltonian(spec, sector)
+            compiled = CompiledHamiltonian(spec, sector)
             states = compiled.states
             assert np.all(np.diff(states) > 0)
             assert np.all(np.bitwise_count(states) == half - sector)
@@ -127,7 +127,7 @@ class TestDenseOracle:
 
     def test_sector_needs_zero_b_field(self):
         with pytest.raises(ValueError, match="b_field"):
-            compile_hamiltonian(HamiltonianSpec(num_sites=6, b_field=0.1), 0)
+            CompiledHamiltonian(HamiltonianSpec(num_sites=6, b_field=0.1), 0)
 
     def test_eigenvalues_real(self, rng):
         spec = random_spec(rng)
@@ -151,7 +151,7 @@ class TestSymmetries:
     def test_magnetization_conserved_without_breaking_term(self, rng):
         spec = HamiltonianSpec(num_sites=6, j=1.0, j_prime=1.3, delta=0.5,
                                b_field=0.0, neel_delta=0.7, neel_weight=1.0)
-        compiled = compile_hamiltonian(spec)
+        compiled = CompiledHamiltonian(spec)
         mz = magnetization_diagonal(6)
         psi = random_state(6, rng).amplitudes
         commutator = compiled.apply(mz * psi) - mz * compiled.apply(psi)
@@ -160,7 +160,7 @@ class TestSymmetries:
 
     def test_magnetization_broken_by_b_field(self, rng):
         spec = HamiltonianSpec(num_sites=6, j=1.0, j_prime=1.3, delta=0.5, b_field=0.4)
-        compiled = compile_hamiltonian(spec)
+        compiled = CompiledHamiltonian(spec)
         mz = magnetization_diagonal(6)
         psi = random_state(6, rng).amplitudes
         commutator = compiled.apply(mz * psi) - mz * compiled.apply(psi)
@@ -169,7 +169,7 @@ class TestSymmetries:
     def test_reflection_symmetry_clean_chain(self, rng):
         spec = HamiltonianSpec(num_sites=6, j=1.0, j_prime=2.0, delta=0.8,
                                b_field=0.0, neel_delta=0.0, pinning=0.0)
-        compiled = compile_hamiltonian(spec)
+        compiled = CompiledHamiltonian(spec)
         mirror = _mirror_table(6)
         psi = random_state(6, rng).amplitudes
         h_then_mirror = compiled.apply(psi)[mirror]
@@ -179,7 +179,7 @@ class TestSymmetries:
     def test_reflection_broken_by_pinning(self, rng):
         spec = HamiltonianSpec(num_sites=6, j=1.0, j_prime=2.0, delta=0.8,
                                b_field=0.0, neel_delta=0.0, pinning=0.05)
-        compiled = compile_hamiltonian(spec)
+        compiled = CompiledHamiltonian(spec)
         mirror = _mirror_table(6)
         psi = random_state(6, rng).amplitudes
         difference = compiled.apply(psi)[mirror] - compiled.apply(psi[mirror])

@@ -734,6 +734,25 @@ class TestRecordFileErrors:
         assert capsys.readouterr().err.startswith(
             "error: line 1: bad record header (JSONDecodeError: ")
 
+    @pytest.mark.parametrize("field, value, detail", [
+        ("segments", [[2, 4, 9], [4, 6]], "too many values to unpack"),
+        ("kind", "bogus", "unknown protocol kind 'bogus'")])
+    def test_malformed_header_value(self, exported, tmp_path, capsys, field, value, detail):
+        from topoprobe.cli import main
+
+        source, lines = exported
+        header = json.loads(Path(source).read_text().splitlines()[0][1:])
+        header[field] = value
+        bad = tmp_path / "bad.records"
+        bad.write_text("\n".join(["#" + json.dumps(header)] + lines) + "\n")
+        message = f"line 1: bad record header (ValueError: {detail}"
+        with pytest.raises(ValueError) as raised:
+            read_records(bad)
+        assert str(raised.value).startswith(message)
+        assert main(["campaign-analyze", "--records", str(bad),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     def test_cli_exit_code(self, exported, tmp_path, capsys):
         from topoprobe.cli import main
 
