@@ -1,9 +1,11 @@
 """Lowest eigenpair of a chain Hamiltonian via Lanczos iteration.
 
 The Krylov basis is one real array, fully reorthogonalized on every step
-by two classical Gram-Schmidt passes (BLAS matrix-vector products). A
-Krylov space at its cap restarts from the current Ritz vector; a result is
-returned once its true residual ||H psi - E psi|| is at most ``tol``.
+by a classical Gram-Schmidt pass (BLAS matrix-vector products) and by a
+second one only when the first left less than 1/sqrt(2) of the norm of
+the new vector. A Krylov space at its cap restarts from the current Ritz
+vector; a result is returned once its true residual ||H psi - E psi|| is
+at most ``tol``.
 
 Only the B term changes sum_i S_i^z. At B = 0, J, J' >= 0 and delta > -1
 each sector sum_i S_i^z = 0, +1, -1 is solved on its own basis (at most
@@ -61,22 +63,24 @@ def _lanczos_sweep(ham: CompiledHamiltonian, start: np.ndarray, tol: float,
     """One restart-free Lanczos pass; returns (energy, vector, residual, steps)."""
     basis = np.empty((max_steps, start.shape[0]))  # untouched rows are never resident
     basis[0] = start / np.linalg.norm(start)
-    alphas: list[float] = []
-    betas: list[float] = []
+    tri = np.zeros((max_steps, max_steps))  # Lanczos alphas and betas
     w = ham.apply(basis[0])
     for step in range(1, max_steps + 1):
         krylov = basis[:step]
-        alphas.append(float(krylov[-1] @ w))
-        w -= alphas[-1] * krylov[-1]
+        tri[step - 1, step - 1] = alpha = float(krylov[-1] @ w)
+        w -= alpha * krylov[-1]
         if step > 1:
-            w -= betas[-1] * krylov[-2]
-        # full reorthogonalization: two classical Gram-Schmidt passes
-        for _ in range(2):
-            w -= krylov.T @ (krylov @ w)
+            w -= tri[step - 1, step - 2] * krylov[-2]
+        # full reorthogonalization: a second classical Gram-Schmidt pass only
+        # when the first removed most of w (Daniel, Gragg, Kaufman, Stewart 1976)
+        before = np.linalg.norm(w)
+        w -= krylov.T @ (krylov @ w)
         beta = float(np.linalg.norm(w))
+        if beta < before / np.sqrt(2.0):
+            w -= krylov.T @ (krylov @ w)
+            beta = float(np.linalg.norm(w))
 
-        tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-        evals, evecs = np.linalg.eigh(tri)
+        evals, evecs = np.linalg.eigh(tri[:step, :step])
         ritz_coeffs = evecs[:, 0]
         energy = float(evals[0])
         # residual of the Ritz pair is |beta * last coefficient|
@@ -87,7 +91,7 @@ def _lanczos_sweep(ham: CompiledHamiltonian, start: np.ndarray, tol: float,
             return energy, vector, residual_est, step
 
         basis[step] = w / beta
-        betas.append(beta)
+        tri[step, step - 1] = tri[step - 1, step] = beta
         w = ham.apply(basis[step])
     raise AssertionError("unreachable")
 
@@ -110,8 +114,10 @@ def ground_state(spec: HamiltonianSpec, tol: float = DEFAULT_TOL,
     if spec.num_sites > limit:
         raise ValueError(f"ground_state limited to N <= {limit} here, got {spec.num_sites} "
                          f"({MAX_SECTOR_SITES} sites need b_field = 0, j, j' >= 0, delta > -1)")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:  # also rejects nan
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise ValueError(f"max_iter must be a positive integer, got {max_iter!r}")
     return _solve(spec, tol, max_iter, seed)
 
 

@@ -15,9 +15,10 @@ edge orientation.
 
 ``CompiledHamiltonian.apply`` applies H without materializing the
 2^N x 2^N matrix: term by term through strided views of the amplitude
-array in the full space, or through index pairs within one sector of
-fixed sum_i S_i^z. Only the B term changes sum_i S_i^z, so at B = 0 H is
-block diagonal over those sectors.
+array in the full space, or, within one sector of fixed sum_i S_i^z,
+through one partner-index table per bond that gathers from the amplitudes
+padded with a zero slot. Only the B term changes sum_i S_i^z, so at B = 0
+H is block diagonal over those sectors.
 """
 from __future__ import annotations
 
@@ -90,7 +91,9 @@ def _bond_view(amplitudes: np.ndarray, left: int) -> np.ndarray:
 class CompiledHamiltonian:
     """H on the full 2^N space, or on the sorted basis ``states`` of one S^z
     sector (B = 0 only); the off-diagonal terms act through strided views or,
-    in a sector, through per-bond (coupling, source, target) index triples."""
+    in a sector, through per-bond (coupling, partner) pairs: ``partner`` holds
+    the index of the state the bond flips each state into, or the zero slot
+    ``dim`` where the bond does not flip it."""
 
     def __init__(self, spec: HamiltonianSpec, sector: int | None = None):
         self.spec = spec
@@ -122,13 +125,12 @@ class CompiledHamiltonian:
         self.exchange = [(left, coupling) for left, _right, coupling in exchange_bonds(spec)
                          if coupling != 0.0]
         if sector is not None:
-            lookup = np.empty(2 ** n, dtype=np.int64)
+            # every state outside the sector maps to the zero slot dim; flipping
+            # both bits of a 00 or 11 bond leaves the sector
+            lookup = np.full(2 ** n, self.dim, dtype=np.intp)
             lookup[self.states] = np.arange(self.dim)
-            pairs = []
-            for left, coupling in self.exchange:
-                source = np.flatnonzero(((self.states >> left) ^ (self.states >> (left + 1))) & 1)
-                pairs.append((coupling, source, lookup[self.states[source] ^ (3 << left)]))
-            self.exchange = pairs
+            self.exchange = [(coupling, lookup[self.states ^ (3 << left)])
+                             for left, coupling in self.exchange]
 
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
         """H |psi> on a flat amplitude array over this basis."""
@@ -136,8 +138,9 @@ class CompiledHamiltonian:
             raise ValueError(f"state dimension {amplitudes.shape[0]} does not match {self.dim}")
         out = self.diagonal * amplitudes
         if self.sector is not None:
-            for coupling, source, target in self.exchange:
-                out[target] += coupling * amplitudes[source]
+            padded = np.append(amplitudes, 0.0)
+            for coupling, partner in self.exchange:
+                out += coupling * padded[partner]
             return out
         for left, coupling in self.exchange:
             source, target = _bond_view(amplitudes, left), _bond_view(out, left)

@@ -218,3 +218,18 @@ def matvec(spec, state):
     if state.num_sites != spec.num_sites:
         raise ValueError(f"state has {state.num_sites} sites, spec has {spec.num_sites}")
     return CompiledHamiltonian(spec).apply(state.amplitudes)
+
+
+def sector_scatter_apply(compiled, amplitudes):
+    """H |psi> in one S^z sector as a per-bond scatter of (coupling, source,
+    target) index triples: every state whose bond flips adds its amplitude to
+    its partner. The program's gather form must match it bit for bit."""
+    states = compiled.states
+    out = compiled.diagonal * amplitudes
+    for left, _right, coupling in exchange_bonds(compiled.spec):
+        if coupling == 0.0:
+            continue
+        source = np.flatnonzero(((states >> left) ^ (states >> (left + 1))) & 1)
+        target = np.searchsorted(states, states[source] ^ (3 << left))
+        out[target] += coupling * amplitudes[source]
+    return out

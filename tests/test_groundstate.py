@@ -83,9 +83,24 @@ class TestSolverContract:
         with pytest.raises(ValueError, match="N <= 20"):
             ground_state(HamiltonianSpec(num_sites=22))
 
-    def test_bad_tolerance(self):
-        with pytest.raises(ValueError, match="tol"):
-            ground_state(HamiltonianSpec(num_sites=4), tol=0.0)
+    @pytest.mark.parametrize("name, value", [
+        ("tol", 0.0), ("tol", np.inf), ("tol", np.nan),
+        ("max_iter", 0), ("max_iter", -5), ("max_iter", 2.5)])
+    def test_bad_tolerance(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ground_state(HamiltonianSpec(num_sites=4), **{name: value})
+
+    def test_second_gram_schmidt_pass_at_full_dimension(self):
+        # with tol = 0 this start vector runs to all 70 states of the sector; on
+        # the last step w is at rounding level, so the second pass runs
+        spec = HamiltonianSpec(num_sites=8, j=1.0, j_prime=2.4, delta=0.6)
+        ham = CompiledHamiltonian(spec, 0)
+        start = np.random.default_rng(0).standard_normal(ham.dim)
+        energy, vector, _residual, steps = groundstate._lanczos_sweep(ham, start, 0.0, ham.dim)
+        block = dense_matrix(spec)[np.ix_(ham.states, ham.states)]
+        assert steps == ham.dim == 70
+        assert energy == pytest.approx(np.linalg.eigvalsh(block)[0], abs=1e-12)
+        assert np.linalg.norm(ham.apply(vector) - energy * vector) <= 1e-12
 
     def test_state_normalized(self, ground_state_cache):
         result = ground_state_cache(num_sites=12, j=1.0, j_prime=4.0, delta=0.25,

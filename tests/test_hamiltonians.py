@@ -7,7 +7,7 @@ import pytest
 from topoprobe.hamiltonians import CompiledHamiltonian, HamiltonianSpec
 from topoprobe.spincore import basis_state, random_state
 
-from oracles import dense_matrix, magnetization_diagonal, matvec
+from oracles import dense_matrix, magnetization_diagonal, matvec, sector_scatter_apply
 
 # N=2 coupling block of the exchange term in the spin basis (up,up / down,up /
 # up,down / down,down with site 0 the low bit): XX+YY flips the middle two
@@ -72,6 +72,16 @@ class TestMatvec:
         left = np.vdot(phi.amplitudes, matvec(spec, psi))
         right = np.vdot(psi.amplitudes, matvec(spec, phi))
         assert abs(left - np.conj(right)) < 1e-10
+
+    @pytest.mark.parametrize("num_sites", [8, 12, 16, 20])
+    def test_sector_gather_matches_scatter_bitwise(self, num_sites, rng):
+        spec = HamiltonianSpec(num_sites=num_sites, j=1.0, j_prime=2.6, delta=0.4,
+                               neel_delta=0.7, neel_weight=0.5)
+        # one apply at N = 20 takes about 15 ms: one vector in sector 0 there
+        for sector in (0, 1, -1) if num_sites < 20 else (0,):
+            compiled = CompiledHamiltonian(spec, sector)
+            for vec in rng.standard_normal((3 if num_sites < 20 else 1, compiled.dim)):
+                assert np.array_equal(compiled.apply(vec), sector_scatter_apply(compiled, vec))
 
     def test_dimension_mismatch(self, rng):
         spec = HamiltonianSpec(num_sites=6)
