@@ -8,7 +8,10 @@ where A collects the strong (even-left) bonds, B the weak (odd-left)
 bonds, and D the diagonal field part (staggered field and pinning). Bonds
 inside each group act on disjoint site pairs, so the group exponentials
 are exact; only the splitting between groups carries the O(dt^2) error.
-The symmetry-breaking bond term folds into the bond matrices. For ramps,
+The bond and diagonal terms are read from one full-space
+``hamiltonians.CompiledHamiltonian``: each gate exponentiates its 4x4 bond
+matrix (exchange, anisotropy and the symmetry-breaking term), and D takes
+its ``diagonal`` at zero staggered weight and its ``neel_diag``. For ramps,
 the time-dependent staggered-field weight is evaluated at the midpoint of
 each step, which preserves second-order accuracy.
 
@@ -33,11 +36,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hamiltonians import HamiltonianSpec, _z_signs, exchange_bonds, staggered_signs
+from .hamiltonians import CompiledHamiltonian, HamiltonianSpec
 from .partitions import partition_for
 from .protocols import estimate_reported, reported_exact, run_campaign
 from .rdm import exact_invariant
-from .spincore import PAULI_X, PAULI_Y, PAULI_Z, SpinState, neel_state
+from .spincore import SpinState, neel_state
 
 DEFAULT_DT = 0.01
 NORM_DRIFT_TOL = 1e-8
@@ -88,24 +91,6 @@ def _step_count(t_total: float, dt: float) -> int:
     return steps
 
 
-def _two_site_matrix(op_left: np.ndarray, op_right: np.ndarray) -> np.ndarray:
-    # pair basis index = bit(left) + 2*bit(right)
-    return np.kron(op_right, op_left)
-
-
-def _bond_hamiltonian(coupling: float, delta: float, b_field: float) -> np.ndarray:
-    h = 0.5 * coupling * (
-        _two_site_matrix(PAULI_X, PAULI_X)
-        + _two_site_matrix(PAULI_Y, PAULI_Y)
-        + delta * _two_site_matrix(PAULI_Z, PAULI_Z)
-    )
-    if b_field != 0.0:
-        h = h + b_field * (
-            _two_site_matrix(PAULI_X, PAULI_Z) - _two_site_matrix(PAULI_Z, PAULI_X)
-        )
-    return h
-
-
 def _bond_gate(h4: np.ndarray, dt: float) -> np.ndarray:
     evals, evecs = np.linalg.eigh(h4)
     return (evecs * np.exp(-1j * dt * evals)) @ evecs.conj().T
@@ -149,20 +134,14 @@ class TrotterStepper:
     def __init__(self, spec: HamiltonianSpec, dt: float):
         self.spec = spec
         self.dt = dt
-        n = spec.num_sites
-        even_bonds = []
-        odd_bonds = []
-        for left, _right, coupling in exchange_bonds(spec):
-            h4 = _bond_hamiltonian(coupling, spec.delta, spec.b_field)
-            gate = _bond_gate(h4, dt / 2.0)
-            (even_bonds if left % 2 == 0 else odd_bonds).append((left, gate))
-        self.even_group = _BondGroup(even_bonds, min(_EVEN_BLOCK_SITES, n))
-        self.odd_group = _BondGroup(odd_bonds, min(_ODD_BLOCK_SITES, n))
-        zsign = _z_signs(n)
-        static_diag = spec.pinning * zsign[0]
-        neel_diag = sum(s * z for s, z in zip(staggered_signs(n), zsign))
-        pairs, codes = np.unique(np.stack([static_diag, neel_diag], axis=1), axis=0,
-                                 return_inverse=True)
+        compiled = CompiledHamiltonian(replace(spec, neel_weight=0.0))
+        # eigh of the complex matrix (zheevd): the real solver gives gates
+        # about 3e-13 apart, which would move every ramp's amplitudes
+        gates = [(left, _bond_gate(h.astype(complex), dt / 2.0)) for left, h in compiled.bonds]
+        self.even_group = _BondGroup(gates[0::2], min(_EVEN_BLOCK_SITES, spec.num_sites))
+        self.odd_group = _BondGroup(gates[1::2], min(_ODD_BLOCK_SITES, spec.num_sites))
+        pairs, codes = np.unique(np.stack([compiled.diagonal, compiled.neel_diag], axis=1),
+                                 axis=0, return_inverse=True)
         self.static_values, self.neel_values = pairs.T
         self.diag_codes = codes.reshape(-1)
 
@@ -181,6 +160,8 @@ class TrotterStepper:
 def evolve(spec: HamiltonianSpec, state: SpinState, t_total: float,
            dt: float = DEFAULT_DT) -> SpinState:
     """Evolve under the time-independent Hamiltonian of ``spec``."""
+    if state.num_sites != spec.num_sites:
+        raise ValueError(f"chain size does not match: {state.num_sites} != {spec.num_sites}")
     steps = _step_count(t_total, dt)
     stepper = TrotterStepper(spec, dt)
     amps = state.amplitudes
@@ -200,8 +181,7 @@ def adiabatic_evolve(spec: HamiltonianSpec, ramp: RampSpec) -> list[tuple[float,
 
         warnings.warn("staggered field is weak relative to the exchange coupling; "
                       "the initial product state is a poor ground state", stacklevel=2)
-    stepper = TrotterStepper(replace(spec, neel_delta=ramp.neel_delta, neel_weight=1.0),
-                             ramp.dt)
+    stepper = TrotterStepper(replace(spec, neel_delta=ramp.neel_delta), ramp.dt)
     total_steps = _step_count(ramp.t_final, ramp.dt)
     sample_steps = sorted({0, total_steps}
                           | {int(round(t / ramp.dt)) for t in ramp.sample_times})
@@ -242,6 +222,8 @@ def monitor_invariants(snapshots: list[tuple[float, SpinState]], pairs: int,
         raise ValueError("no snapshots to monitor")
     if mode not in ("exact", "sampled"):
         raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
+    if mode == "sampled" and params is None:
+        raise ValueError("mode 'sampled' needs params (a ProtocolParams)")
     rows = []
     for index, (time_point, state) in enumerate(snapshots):
         for kind in kinds:

@@ -13,20 +13,31 @@ strong-field ground state is |down, up, down, ...>, matching the initial
 state of the adiabatic ramp, and the pinning term then prefers the same
 edge orientation.
 
-``CompiledHamiltonian.apply`` applies H without materializing the
-2^N x 2^N matrix: term by term through strided views of the amplitude
-array in the full space, or, within one sector of fixed sum_i S_i^z,
-through one partner-index table per bond that gathers from the amplitudes
-padded with a zero slot. Only the B term changes sum_i S_i^z, so at B = 0
-H is block diagonal over those sectors.
+Each bond's term is one real 4x4 matrix on the pair index
+bit(left) + 2 bit(left+1), summed from the two-site constants below, and
+every consumer reads it: ``CompiledHamiltonian.apply`` multiplies it into
+the (higher sites, bond pair, lower sites) view of the amplitudes in the
+full space, without materializing the 2^N x 2^N matrix; within one sector
+of fixed sum_i S_i^z, its zz entry goes on the diagonal and its exchange
+entry weights one partner-index table per bond that gathers from the
+amplitudes padded with a zero slot; ``dynamics.TrotterStepper``
+exponentiates it. Only the B term changes sum_i S_i^z, so at B = 0 H is
+block diagonal over those sectors.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_PINNING_FRACTION = 0.05
+# two-site terms on the pair index bit(left) + 2 bit(left+1)
+XX_PLUS_YY = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 2.0, 0.0],
+                       [0.0, 2.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+ZZ = np.diag([1.0, -1.0, -1.0, 1.0])
+XZ_MINUS_ZX = np.array([[0.0, 1.0, -1.0, 0.0], [1.0, 0.0, 0.0, 1.0],
+                        [-1.0, 0.0, 0.0, -1.0], [0.0, 1.0, -1.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -76,61 +87,57 @@ def staggered_signs(num_sites: int) -> np.ndarray:
     return np.array([1.0 if i % 2 == 0 else -1.0 for i in range(num_sites)])
 
 
-def _z_signs(num_sites: int, states: np.ndarray | None = None) -> list[np.ndarray]:
-    """sigma_z eigenvalue (+1 up, -1 down) of every basis state, or of the
-    given basis states, one array per site: no allocation exceeds 2^N doubles."""
-    indices = np.arange(2 ** num_sites) if states is None else states
-    return [1.0 - 2.0 * ((indices >> site) & 1) for site in range(num_sites)]
-
-
-def _bond_view(amplitudes: np.ndarray, left: int) -> np.ndarray:
-    """Axes (higher sites, bit left+1, bit left, lower sites) of flat amplitudes."""
-    return amplitudes.reshape(-1, 2, 2, 2 ** left)
-
-
 class CompiledHamiltonian:
     """H on the full 2^N space, or on the sorted basis ``states`` of one S^z
-    sector (B = 0 only); the off-diagonal terms act through strided views or,
-    in a sector, through per-bond (coupling, partner) pairs: ``partner`` holds
-    the index of the state the bond flips each state into, or the zero slot
-    ``dim`` where the bond does not flip it."""
+    sector (B = 0 only). ``bonds`` holds (left site, 4x4 bond matrix) for
+    every bond. The full-space ``apply`` multiplies each matrix into its
+    pair of sites and keeps only the fields on ``diagonal``; a sector keeps
+    the zz part on ``diagonal`` too, and per-bond (coupling, partner) pairs:
+    ``partner`` holds the index of the state the bond flips each state into,
+    or the zero slot ``dim`` where the bond does not flip it."""
 
     def __init__(self, spec: HamiltonianSpec, sector: int | None = None):
         self.spec = spec
         self.sector = sector
         n = spec.num_sites
         self.states = None
+        bond_matrix = {c: 0.5 * c * (XX_PLUS_YY + spec.delta * ZZ) + spec.b_field * XZ_MINUS_ZX
+                       for c in (spec.j, spec.j_prime)}
+        self.bonds = [(left, bond_matrix[c]) for left, _right, c in exchange_bonds(spec)]
         if sector is not None:
+            if not isinstance(sector, numbers.Integral) or abs(sector) > n // 2:
+                raise ValueError(f"sector must be an integer sum S^z in [-{n // 2}, {n // 2}], "
+                                 f"got {sector!r}")
             if spec.b_field != 0.0:
                 raise ValueError("S^z sectors need b_field = 0: the B term changes sum S^z")
             # sum_i S_i^z = sector: the states with N/2 - sector down spins (bit 1)
             self.states = np.flatnonzero(np.bitwise_count(np.arange(2 ** n)) == n // 2 - sector)
-        zsign = _z_signs(n, self.states)
+        # sigma_z eigenvalue (+1 up, -1 down) of every basis state, one array
+        # per site: no allocation exceeds 2^N doubles
+        indices = np.arange(2 ** n) if sector is None else self.states
+        zsign = [1.0 - 2.0 * ((indices >> site) & 1) for site in range(n)]
 
-        # diagonal: zz exchange parts + staggered field + pinning
+        # diagonal: zz exchange parts (sector only) + staggered field + pinning
         diag = np.zeros(zsign[0].shape[0])
-        for left, right, coupling in exchange_bonds(spec):
-            diag += 0.5 * coupling * spec.delta * zsign[left] * zsign[right]
-        # sum_i (-1)^i z_i; exact in any summation order. It stays alive with
-        # the Hamiltonian although nothing reads it after this: freeing it here
-        # moves the heap arrays allocated later across 2 MiB huge-page
-        # boundaries, which raised the peak RSS of the shipped desk configs,
-        # run in one process, from 103 to 122 MB
+        if sector is not None:
+            for left, h in self.bonds:
+                diag += h[0, 0] * zsign[left] * zsign[left + 1]
+        # sum_i (-1)^i z_i, exact in any summation order; TrotterStepper reads
+        # it. Sectors keep it too: freeing it moved later heap arrays across
+        # huge-page boundaries and the desk configs' peak RSS from 103 to 122 MB
         self.neel_diag = sum(s * z for s, z in zip(staggered_signs(n), zsign))
         diag += spec.neel_delta * spec.neel_weight * self.neel_diag
         diag += spec.pinning * zsign[0]
         self.diagonal = diag
         self.dim = diag.shape[0]
-        # (c/2)(XX+YY) couples |01> <-> |10> of a bond with amplitude c
-        self.exchange = [(left, coupling) for left, _right, coupling in exchange_bonds(spec)
-                         if coupling != 0.0]
         if sector is not None:
-            # every state outside the sector maps to the zero slot dim; flipping
-            # both bits of a 00 or 11 bond leaves the sector
+            # (c/2)(XX+YY) couples |01> <-> |10> of a bond with amplitude c;
+            # every state outside the sector maps to the zero slot dim, and
+            # flipping both bits of a 00 or 11 bond leaves the sector
             lookup = np.full(2 ** n, self.dim, dtype=np.intp)
             lookup[self.states] = np.arange(self.dim)
-            self.exchange = [(coupling, lookup[self.states ^ (3 << left)])
-                             for left, coupling in self.exchange]
+            self.exchange = [(h[1, 2], lookup[self.states ^ (3 << left)])
+                             for left, h in self.bonds if h[1, 2] != 0.0]
 
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
         """H |psi> on a flat amplitude array over this basis."""
@@ -142,19 +149,7 @@ class CompiledHamiltonian:
             for coupling, partner in self.exchange:
                 out += coupling * padded[partner]
             return out
-        for left, coupling in self.exchange:
-            source, target = _bond_view(amplitudes, left), _bond_view(out, left)
-            target[:, 1, 0] += coupling * source[:, 0, 1]
-            target[:, 0, 1] += coupling * source[:, 1, 0]
-        b = self.spec.b_field
-        if b != 0.0:
-            for left in range(self.spec.num_sites - 1):
-                source, target = _bond_view(amplitudes, left), _bond_view(out, left)
-                # X_j Z_{j+1}: flip bit j, sign of spin j+1; -Z_j X_{j+1}: flip bit
-                # j+1, minus the sign of spin j
-                target[:, 0] += b * source[:, 0, ::-1]
-                target[:, 1] += -b * source[:, 1, ::-1]
-                target[:, :, 0] += -b * source[:, ::-1, 0]
-                target[:, :, 1] += b * source[:, ::-1, 1]
+        for left, h in self.bonds:
+            target = out.reshape(-1, 4, 2 ** left)
+            target += np.matmul(h, amplitudes.reshape(-1, 4, 2 ** left))
         return out
-

@@ -148,16 +148,20 @@ class EinsumTrotterStepper:
     bonds, and the diagonal phase exponentiated over all 2^N entries."""
 
     def __init__(self, spec, dt):
-        from topoprobe.dynamics import _bond_gate, _bond_hamiltonian
-
         n = spec.num_sites
         self.spec = spec
         self.dt = dt
         self.even_bonds = []
         self.odd_bonds = []
+        x, y, z = PAULI["x"], PAULI["y"], PAULI["z"]
         for left in range(n - 1):
             coupling = spec.j if left % 2 == 0 else spec.j_prime
-            gate = _bond_gate(_bond_hamiltonian(coupling, spec.delta, spec.b_field), dt / 2.0)
+            # pair index bit(left) + 2 bit(left + 1): site 0 of the pair is left
+            h = 0.5 * coupling * (site_operator(2, {0: x, 1: x}) + site_operator(2, {0: y, 1: y})
+                                  + spec.delta * site_operator(2, {0: z, 1: z}))
+            h = h + spec.b_field * (site_operator(2, {0: x, 1: z})
+                                    - site_operator(2, {0: z, 1: x}))
+            gate = hermitian_propagator(h, dt / 2.0)
             (self.even_bonds if left % 2 == 0 else self.odd_bonds).append((left, gate))
         zsign = [1.0 - 2.0 * ((np.arange(2 ** n) >> site) & 1) for site in range(n)]
         self.static_diag = spec.pinning * zsign[0]
@@ -218,6 +222,34 @@ def matvec(spec, state):
     if state.num_sites != spec.num_sites:
         raise ValueError(f"state has {state.num_sites} sites, spec has {spec.num_sites}")
     return CompiledHamiltonian(spec).apply(state.amplitudes)
+
+
+def strided_apply(spec, amplitudes):
+    """H |psi> on the full space term by term through strided views of the
+    amplitudes: zz, staggered field and pinning on the diagonal, the
+    exchange flips of each bond, and the four signed updates of the B term."""
+    n = spec.num_sites
+    zsign = [1.0 - 2.0 * ((np.arange(2 ** n) >> site) & 1) for site in range(n)]
+    diag = spec.pinning * zsign[0]
+    for left, right, coupling in exchange_bonds(spec):
+        diag = diag + 0.5 * coupling * spec.delta * zsign[left] * zsign[right]
+    for site, sign in enumerate(staggered_signs(n)):
+        diag = diag + spec.neel_delta * spec.neel_weight * sign * zsign[site]
+    out = diag * amplitudes
+    b = spec.b_field
+    for left, _right, coupling in exchange_bonds(spec):
+        # axes (higher sites, bit left+1, bit left, lower sites)
+        source = amplitudes.reshape(-1, 2, 2, 2 ** left)
+        target = out.reshape(-1, 2, 2, 2 ** left)
+        target[:, 1, 0] += coupling * source[:, 0, 1]
+        target[:, 0, 1] += coupling * source[:, 1, 0]
+        # X_j Z_{j+1}: flip bit j, sign of spin j+1; -Z_j X_{j+1}: flip bit
+        # j+1, minus the sign of spin j
+        target[:, 0] += b * source[:, 0, ::-1]
+        target[:, 1] += -b * source[:, 1, ::-1]
+        target[:, :, 0] += -b * source[:, ::-1, 0]
+        target[:, :, 1] += b * source[:, ::-1, 1]
+    return out
 
 
 def sector_scatter_apply(compiled, amplitudes):

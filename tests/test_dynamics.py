@@ -50,6 +50,11 @@ class TestRampSpec:
         with pytest.raises(ValueError, match="need dt > 0 and t_total >= 0"):
             evolve(spec, neel_state(4), t_total, dt)
 
+    def test_evolve_rejects_state_of_another_chain(self):
+        spec = HamiltonianSpec(num_sites=8, j=1.0, j_prime=0.5, delta=0.25)
+        with pytest.raises(ValueError, match="chain size does not match"):
+            evolve(spec, neel_state(10), 0.1)
+
     @pytest.mark.parametrize("exponent", [3, 1, 0, -2])
     def test_exponent_must_be_positive_even(self, exponent):
         with pytest.raises(ValueError, match="positive even integer"):
@@ -238,3 +243,13 @@ class TestMonitoring:
     def test_empty_snapshots_rejected(self):
         with pytest.raises(ValueError, match="snapshots"):
             monitor_invariants([], 2)
+
+    def test_sampled_mode_needs_params(self, monkeypatch):
+        import topoprobe.dynamics as dynamics
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a snapshot was measured")
+
+        monkeypatch.setattr(dynamics, "run_campaign", unreachable)
+        with pytest.raises(ValueError, match="params"):
+            monitor_invariants([(0.0, neel_state(8))], 2, ("reflection",), "sampled")

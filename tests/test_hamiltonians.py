@@ -7,7 +7,13 @@ import pytest
 from topoprobe.hamiltonians import CompiledHamiltonian, HamiltonianSpec
 from topoprobe.spincore import basis_state, random_state
 
-from oracles import dense_matrix, magnetization_diagonal, matvec, sector_scatter_apply
+from oracles import (
+    dense_matrix,
+    magnetization_diagonal,
+    matvec,
+    sector_scatter_apply,
+    strided_apply,
+)
 
 # N=2 coupling block of the exchange term in the spin basis (up,up / down,up /
 # up,down / down,down with site 0 the low bit): XX+YY flips the middle two
@@ -83,6 +89,25 @@ class TestMatvec:
             for vec in rng.standard_normal((3 if num_sites < 20 else 1, compiled.dim)):
                 assert np.array_equal(compiled.apply(vec), sector_scatter_apply(compiled, vec))
 
+    @pytest.mark.parametrize("num_sites", [12, 16])
+    def test_full_space_matches_strided_reference(self, num_sites, rng):
+        # beyond the dense oracle's reach: B != 0 with every field on, and a
+        # B = 0 chain with ferromagnetic anisotropy
+        specs = [HamiltonianSpec(num_sites=num_sites, j=1.0, j_prime=4.0, delta=0.3,
+                                 b_field=0.1, neel_delta=0.6, neel_weight=0.4),
+                 HamiltonianSpec(num_sites=num_sites, j=1.0, j_prime=0.5, delta=-2.0)]
+        for spec in specs:
+            vec = rng.standard_normal(spec.dim) + 1j * rng.standard_normal(spec.dim)
+            vec /= np.linalg.norm(vec)
+            out = CompiledHamiltonian(spec).apply(vec)
+            assert np.max(np.abs(out - strided_apply(spec, vec))) <= 1e-12
+
+    def test_strided_reference_matches_dense(self, rng):
+        spec = random_spec(rng, 8)
+        vec = rng.standard_normal(spec.dim) + 1j * rng.standard_normal(spec.dim)
+        np.testing.assert_allclose(strided_apply(spec, vec), dense_matrix(spec) @ vec,
+                                   atol=1e-12)
+
     def test_dimension_mismatch(self, rng):
         spec = HamiltonianSpec(num_sites=6)
         with pytest.raises(ValueError, match="sites"):
@@ -138,6 +163,11 @@ class TestDenseOracle:
     def test_sector_needs_zero_b_field(self):
         with pytest.raises(ValueError, match="b_field"):
             CompiledHamiltonian(HamiltonianSpec(num_sites=6, b_field=0.1), 0)
+
+    @pytest.mark.parametrize("sector", [3, 0.5, -7])
+    def test_sector_outside_chain_rejected(self, sector):
+        with pytest.raises(ValueError, match="sector must be an integer"):
+            CompiledHamiltonian(HamiltonianSpec(num_sites=4), sector)
 
     def test_eigenvalues_real(self, rng):
         spec = random_spec(rng)
