@@ -24,7 +24,6 @@ from .rdm import (
 from .protocols import (
     CampaignRecords,
     EstimatorResult,
-    MeasurementRecord,
     ProtocolParams,
     estimate_normalized,
     estimate_purity,
@@ -61,7 +60,6 @@ __all__ = [
     "purity",
     "exact_invariant",
     "ProtocolParams",
-    "MeasurementRecord",
     "CampaignRecords",
     "EstimatorResult",
     "sample_cue",

@@ -24,9 +24,8 @@ experiment, and contracts rho_I against all of them in one kernel
 grows as 4^|I| and does not depend on the chain length; campaigns are
 limited to intervals of ``rdm.MAX_INTERVAL`` sites. The outcomes of a
 campaign are one (n_unitaries, n_experiments, 2^|I|) array
-(``CampaignRecords``); ``MeasurementRecord`` is the per-(unitary,
-experiment) view of it used for iteration, record files and hand-built
-test inputs.
+(``CampaignRecords``); iterating it yields one ``MeasurementRecord`` view
+per (unitary, experiment) pair.
 
 Estimators read the outcome table once (``campaign_records``). Every
 second-order estimate is one kernel form per unitary,
@@ -47,11 +46,17 @@ Error bars are nonparametric bootstrap over the unitary axis (the unitary
 ensemble is the dominant fluctuation axis and resampling it captures shot
 noise as well).
 
-Seeding: every random stream is ``SeedSequence(master_seed,
-spawn_key=key)``. Unitary u draws its pattern from key (0, u, 0) and the
+Seeding: every random stream is ``Generator(PCG64(SeedSequence(master_seed,
+spawn_key=key)))``. Unitary u draws its pattern from key (0, u, 0) and the
 shots of its experiment k (k = 1, 2) from (0, u, k); the bootstrap uses
 (1,). A campaign is therefore reproducible bit for bit, and each
 unitary's draws do not depend on how the unitary axis is chunked.
+The streams of a chunk are built in bulk (``_streams``): the spawn-key
+words are hashed into the pool of ``SeedSequence(master_seed)`` for all
+unitaries at once, and one reused PCG64 is set to each seeded state.
+That is the same computation as one ``SeedSequence`` and ``PCG64`` per
+key, and NEP 19 keeps both algorithms fixed across numpy versions, so the
+streams are the contract's streams bit for bit.
 """
 from __future__ import annotations
 
@@ -81,6 +86,15 @@ ZZ_KERNEL = np.array([[1.0, -1.0], [-1.0, 1.0]])
 # marginal kernel: sums out a position that the form does not weight
 ONES_KERNEL = np.ones((2, 2))
 
+# SeedSequence's hash (numpy/random/bit_generator.pyx) and PCG64's seeding
+# multiplier (numpy/random/src/pcg64/pcg64.h), for building streams in bulk
+_POOL_SIZE = 4
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK_32, _MASK_128 = 2 ** 32 - 1, 2 ** 128 - 1
+
 
 @dataclass(frozen=True)
 class ProtocolParams:
@@ -95,8 +109,15 @@ class ProtocolParams:
             raise ValueError(f"unknown protocol kind {self.kind!r}")
         if self.n_unitaries < 2:
             raise ValueError("n_unitaries must be >= 2 (resampling needs at least 2)")
+        if self.n_unitaries > 2 ** 32:
+            raise ValueError(f"n_unitaries must be <= 2**32 (each unitary index is one 32-bit "
+                             f"spawn-key word), got {self.n_unitaries}")
         if self.n_shots < 2:
             raise ValueError("n_shots must be >= 2 (pair correction needs at least 2)")
+        if not isinstance(self.master_seed, int) or isinstance(self.master_seed, bool) \
+                or self.master_seed < 0:
+            raise ValueError(f"master_seed must be a non-negative integer, got "
+                             f"{self.master_seed!r}")
         check_layout(self.kind, self.partition)
 
     @property
@@ -108,7 +129,8 @@ class ProtocolParams:
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """Outcome counts on the interval for one (unitary, experiment) pair.
+    """Outcome counts on the interval for one (unitary, experiment) pair, as
+    iterating ``CampaignRecords`` yields them.
 
     ``counts[s]`` indexes outcomes with the first interval site as the least
     significant bit. When ``exact`` is set the vector holds Born
@@ -225,19 +247,68 @@ def _pattern_gates(kind: str, partition: PartitionSpec, haar: np.ndarray) -> np.
 
 # -- campaigns ----------------------------------------------------------------
 
-def _stream(master_seed: int, *key: int) -> np.random.Generator:
-    """The generator of one stream of the seed contract (module docstring)."""
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(master_seed, spawn_key=key)))
+def _hash_step(words: np.ndarray, hash_const: int, mult: int) -> tuple[np.ndarray, int]:
+    """One SeedSequence hash step on uint32 words, and the next constant."""
+    next_const = hash_const * mult & _MASK_32
+    words = (words ^ hash_const) * next_const
+    return words ^ words >> 16, next_const
+
+
+def _spawn_words(prefix: np.random.SeedSequence, keys: np.ndarray) -> np.ndarray:
+    """``SeedSequence(master_seed, spawn_key=key).generate_state(4, np.uint64)``
+    per row of the uint32 (streams, key words) array ``keys``, from
+    ``prefix = SeedSequence(master_seed)``: its pool is the mixed seed words
+    that the key words continue, once the hash constant has advanced once per
+    pool word, per ordered pair of pool words, and per pool word for each
+    seed word past the pool size."""
+    seed_words = max(1, (prefix.entropy.bit_length() + 31) // 32)
+    hash_const = _HASH_INIT_A * pow(_HASH_MULT_A, _POOL_SIZE ** 2 + _POOL_SIZE * max(
+        0, seed_words - _POOL_SIZE), 2 ** 32) & _MASK_32
+    pool = [np.full(len(keys), word, dtype=np.uint32) for word in prefix.pool]
+    for column in keys.T:
+        for dst in range(_POOL_SIZE):
+            hashed, hash_const = _hash_step(column, hash_const, _HASH_MULT_A)
+            mixed = pool[dst] * _MIX_MULT_L - hashed * _MIX_MULT_R
+            pool[dst] = mixed ^ mixed >> 16
+    hash_const, state = _HASH_INIT_B, []
+    for index in range(2 * _POOL_SIZE):
+        word, hash_const = _hash_step(pool[index % _POOL_SIZE], hash_const, _HASH_MULT_B)
+        state.append(word.astype(np.uint64))
+    return np.stack([low | high << 32 for low, high in zip(state[::2], state[1::2])], axis=1)
+
+
+def _streams(master_seed: int, *key):
+    """The seed contract's streams (module docstring) with spawn key ``key``,
+    whose 32-bit words are ints or arrays broadcast together: one stream per
+    broadcast entry, in order. Each is yielded as one reused generator set
+    to the stream's start, bit for bit
+    ``Generator(PCG64(SeedSequence(master_seed, spawn_key=key)))``; draw
+    from it before taking the next."""
+    keys = np.stack(np.broadcast_arrays(*key), axis=-1).reshape(-1, len(key))
+    prefix = np.random.SeedSequence(master_seed)
+    bit_generator = np.random.PCG64(prefix)
+    rng = np.random.Generator(bit_generator)
+    words = _spawn_words(prefix, keys.astype(np.uint32))
+    for seed_high, seed_low, inc_high, inc_low in words.tolist():
+        # PCG64's srandom: from state 0, step, add the seed, step again
+        inc = ((inc_high << 64 | inc_low) << 1 | 1) & _MASK_128
+        state = ((inc + (seed_high << 64 | seed_low)) * _PCG_MULT + inc) & _MASK_128
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 def _campaign_gates(params: ProtocolParams, unitaries: range) -> np.ndarray:
     """Gate stacks (len(unitaries), experiments, |I|, 2, 2) of the given
-    unitaries of a campaign; one batched QR serves the whole range."""
+    unitaries of a campaign; one batched QR serves the whole range. Each
+    unitary's stream draws the real parts of its Ginibre matrices, then the
+    imaginary parts."""
     draw_count = _pattern_draw_count(params.kind, params.partition)
-    ginibre = np.empty((len(unitaries), draw_count, 2, 2), dtype=complex)
-    for row, u_index in enumerate(unitaries):
-        ginibre[row] = _ginibre(_stream(params.master_seed, 0, u_index, 0), draw_count)
+    normals = np.empty((len(unitaries), 2, draw_count, 2, 2))
+    streams = _streams(params.master_seed, 0, np.arange(unitaries.start, unitaries.stop), 0)
+    for row, rng in zip(normals, streams):
+        rng.standard_normal(out=row)
+    ginibre = normals[:, 0] + 1j * normals[:, 1]
     haar = _qr_haar(ginibre.reshape(-1, 2, 2)).reshape(ginibre.shape)
     return _pattern_gates(params.kind, params.partition, haar)
 
@@ -300,47 +371,25 @@ def run_campaign(state: SpinState, params: ProtocolParams,
         if exact_probabilities:
             outcomes[start:unitaries.stop] = probs
             continue
-        for row, u_index in enumerate(unitaries):
-            for experiment in range(experiments):
-                outcomes[u_index, experiment] = _multinomial_counts(
-                    probs[row, experiment], params.n_shots,
-                    _stream(params.master_seed, 0, u_index, experiment + 1))
+        for experiment in range(experiments):
+            streams = _streams(params.master_seed, 0,
+                               np.arange(unitaries.start, unitaries.stop), experiment + 1)
+            for row, rng in enumerate(streams):
+                outcomes[start + row, experiment] = _multinomial_counts(
+                    probs[row, experiment], params.n_shots, rng)
     return CampaignRecords(outcomes, exact_probabilities)
 
 
 # -- estimator internals -------------------------------------------------------
 
-def campaign_records(records, params: ProtocolParams) -> CampaignRecords:
-    """The outcome table of ``records`` for a campaign with ``params``.
-
-    ``CampaignRecords`` pass after a shape check. Any other iterable of
-    ``MeasurementRecord`` (hand-built, or in any order) must hold exactly
-    one record per (unitary, experiment) pair, all exact or all sampled.
-    """
-    n_unitaries, experiments = params.n_unitaries, params.experiments
-    shape = (n_unitaries, experiments, 2 ** params.partition.interval_size)
-    if isinstance(records, CampaignRecords):
-        if records.outcomes.shape != shape:
-            raise ValueError(f"records have shape {records.outcomes.shape}, "
-                             f"the campaign needs {shape}")
-        return records
-    records = list(records)
-    for experiment in range(1, experiments + 1):
-        indices = sorted(r.unitary_index for r in records if r.experiment == experiment)
-        if len(indices) != n_unitaries:
-            raise ValueError(
-                f"expected {n_unitaries} experiment-{experiment} records, got {len(indices)}")
-        if indices != list(range(n_unitaries)):
-            raise ValueError("records do not cover unitary indices 0..n_unitaries-1")
-    if len(records) != n_unitaries * experiments:
-        raise ValueError(f"records name experiments outside 1..{experiments}")
-    exact = records[0].exact
-    if any(r.exact != exact for r in records):
-        raise ValueError("cannot mix exact and sampled records")
-    outcomes = np.empty(shape, dtype=np.result_type(*(r.counts for r in records)))
-    for r in records:
-        outcomes[r.unitary_index, r.experiment - 1] = r.counts
-    return CampaignRecords(outcomes, exact)
+def campaign_records(records: CampaignRecords, params: ProtocolParams) -> CampaignRecords:
+    """``records`` after checking that their outcome table has the shape of
+    a campaign with ``params``."""
+    shape = (params.n_unitaries, params.experiments, 2 ** params.partition.interval_size)
+    if records.outcomes.shape != shape:
+        raise ValueError(f"records have shape {records.outcomes.shape}, "
+                         f"the campaign needs {shape}")
+    return records
 
 
 def _outcome_matrices(records, params: ProtocolParams) -> tuple[np.ndarray, bool]:
@@ -390,7 +439,7 @@ def _bootstrap_std(per_unitary: np.ndarray, master_seed: int, normalizer=None) -
     For a ratio statistic, ``normalizer`` maps the index arrays to its
     denominator, which is then resampled jointly with the numerator.
     """
-    rng = _stream(master_seed, 1)
+    rng = next(_streams(master_seed, 1))
     n = per_unitary.shape[0]
     picks = rng.integers(0, n, size=(BOOTSTRAP_RESAMPLES, n))
     values = per_unitary[picks].mean(axis=1)

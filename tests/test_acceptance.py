@@ -35,7 +35,7 @@ from topoprobe.groundstate import ground_state
 from topoprobe.hamiltonians import CompiledHamiltonian, HamiltonianSpec
 from topoprobe.partitions import reflection_partition, three_segment_partition
 from topoprobe.protocols import (
-    MeasurementRecord,
+    CampaignRecords,
     ProtocolParams,
     estimate_normalized,
     estimate_purity,
@@ -329,7 +329,7 @@ def test_criterion_10_property_bundle(rng):
     q = rng.dirichlet(np.ones(4))
 
     def reflection_value(dist):
-        records = [MeasurementRecord(i, 1, dist, exact=True) for i in range(2)]
+        records = CampaignRecords(np.array([[dist], [dist]]), exact=True)
         return estimate_raw(records, params).value
 
     mixed = reflection_value(0.25 * p + 0.75 * q)

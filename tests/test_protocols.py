@@ -1,5 +1,6 @@
 """Randomized-measurement campaigns, estimators, and twirling checks."""
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -15,12 +16,12 @@ from topoprobe.protocols import (
     TRANSPOSE_SWAP_2,
     CampaignRecords,
     EstimatorResult,
-    MeasurementRecord,
     ProtocolParams,
     _campaign_gates,
     _pattern_draw_count,
     _pattern_gates,
-    campaign_records,
+    _spawn_words,
+    _streams,
     estimate_normalized,
     estimate_purity,
     estimate_raw,
@@ -47,9 +48,20 @@ def state8():
     return random_state(8, np.random.default_rng(2024))
 
 
+def contract_stream(master_seed, *key):
+    """A fresh generator of one stream of the seed contract."""
+    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))
+
+
 def pattern_stream(master_seed, u_index):
     """The pattern stream of unitary ``u_index`` under the seed contract."""
-    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(0, u_index, 0)))
+    return contract_stream(master_seed, 0, u_index, 0)
+
+
+def exact_table(*distributions):
+    """Infinite-shot records of a one-experiment campaign, one unitary per
+    Born distribution."""
+    return CampaignRecords(np.array(distributions)[:, None], exact=True)
 
 
 def first_gates(kind, partition):
@@ -122,22 +134,19 @@ class TestCampaign:
         params = ProtocolParams("reflection", 3, 5, reflection_partition(8, 2), 1)
         records = run_campaign(state8, params)
         assert len(records) == 3
-        assert all(r.counts.sum() == 5 for r in records)
+        assert np.all(records.outcomes.sum(axis=2) == 5)
 
     def test_two_experiments_per_draw(self, state8):
         params = ProtocolParams("time_reversal", 4, 5, reflection_partition(8, 2), 1)
         records = run_campaign(state8, params)
         assert len(records) == 8
-        assert sorted({r.experiment for r in records}) == [1, 2]
+        assert records.outcomes.shape[:2] == (4, 2)
 
     def test_bit_for_bit_determinism(self, state8):
         params = ProtocolParams("klein_bottle", 6, 16, three_segment_partition(8, 1), 9)
         first = run_campaign(state8, params)
         second = run_campaign(state8, params)
-        for a, b in zip(first, second):
-            assert a.unitary_index == b.unitary_index
-            assert a.experiment == b.experiment
-            assert np.array_equal(a.counts, b.counts)
+        assert np.array_equal(first.outcomes, second.outcomes)
 
     def test_golden_counts(self, state8):
         # pinned outcome counts for a fixed seed: any change to seeding,
@@ -162,11 +171,23 @@ class TestCampaign:
         }
         for kind, expected in golden.items():
             params = ProtocolParams(kind, 4, 64, reflection_partition(8, 2), 77)
-            records = run_campaign(state8, params)
-            experiments = 2 if kind == "time_reversal" else 1
-            assert [(r.unitary_index, r.experiment) for r in records] \
-                == [(u, e) for u in range(4) for e in range(1, experiments + 1)]
-            assert np.array_equal(np.array([r.counts for r in records]), np.array(expected))
+            outcomes = run_campaign(state8, params).outcomes
+            assert np.array_equal(outcomes.reshape(-1, 16), np.array(expected))
+
+    def test_golden_counts_at_large_master_seed(self, state8):
+        # sweeps derive master seeds up to 2^63 - 1 and adiabatic monitors
+        # uint64 ones: a seed of two 32-bit words lengthens the seed entropy
+        golden = [
+            [[6, 1, 3, 3, 0, 1, 3, 0, 1, 2, 3, 2, 1, 1, 3, 2],
+             [0, 4, 2, 0, 1, 1, 3, 1, 1, 5, 2, 1, 3, 2, 0, 6]],
+            [[2, 1, 3, 1, 2, 1, 2, 3, 0, 3, 5, 2, 2, 3, 1, 1],
+             [1, 3, 0, 0, 1, 1, 2, 1, 2, 5, 1, 5, 4, 0, 5, 1]],
+            [[3, 0, 1, 2, 1, 0, 2, 0, 3, 2, 3, 3, 4, 2, 2, 4],
+             [4, 2, 1, 2, 1, 3, 1, 1, 2, 5, 3, 1, 3, 1, 1, 1]],
+        ]
+        params = ProtocolParams("time_reversal", 3, 32, reflection_partition(8, 2),
+                                2 ** 63 + 12345)
+        assert np.array_equal(run_campaign(state8, params).outcomes, np.array(golden))
 
     def test_records_are_one_outcome_array(self, state8):
         params = ProtocolParams("time_reversal", 5, 16, reflection_partition(8, 2), 3)
@@ -186,6 +207,13 @@ class TestCampaign:
             ProtocolParams("reflection", 4, 1, part, 0)
         with pytest.raises(ValueError, match="three-segment"):
             ProtocolParams("d2", 4, 16, part, 0)
+        with pytest.raises(ValueError, match=r"n_unitaries must be <= 2\*\*32 .*got 4294967297"):
+            ProtocolParams("reflection", 2 ** 32 + 1, 16, part, 0)
+        ProtocolParams("reflection", 2 ** 32, 16, part, 0)
+        for seed in (-1, True, 1.0, np.int64(3)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"master_seed must be a non-negative integer, got {seed!r}")):
+                ProtocolParams("reflection", 4, 16, part, seed)
 
 
 class TestEngine:
@@ -213,6 +241,29 @@ class TestEngine:
                 haar = sample_cue(pattern_stream(61, u_index), _pattern_draw_count(kind, partition))
                 expected = _pattern_gates(kind, partition, haar[None])[0]
                 assert np.array_equal(gates[u_index], expected)
+
+    @pytest.mark.parametrize("master_seed", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 200])
+    def test_bulk_words_match_seed_sequence(self, master_seed):
+        keys = [(0, u, k) for u in (0, 1, 2 ** 31, 2 ** 32 - 1) for k in (0, 1, 2)]
+        words = _spawn_words(np.random.SeedSequence(master_seed), np.array(keys, dtype=np.uint32))
+        expected = [np.random.SeedSequence(master_seed, spawn_key=key).generate_state(4, np.uint64)
+                    for key in keys]
+        assert words.dtype == np.uint64
+        assert np.array_equal(words, np.array(expected))
+
+    def test_reused_generator_multinomial_matches_fresh_stream(self):
+        # the reused generator keeps its binomial constants between draws;
+        # each (n, p) must still give the counts of a fresh stream
+        rng = np.random.default_rng(8)
+        draws = [(n, rng.dirichlet(np.ones(size))) for n in (2, 7, 64, 5000, 64, 2)
+                 for size in (4, 16)]
+        unitaries = range(2 ** 32 - len(draws), 2 ** 32)
+        for master_seed in (3, 2 ** 63 + 12345):
+            streams = _streams(master_seed, 0, np.array(unitaries), 2)
+            for (n, p), u_index, reused in zip(draws, unitaries, streams):
+                fresh = contract_stream(master_seed, 0, u_index, 2)
+                assert np.array_equal(reused.multinomial(n, p), fresh.multinomial(n, p))
+                assert np.array_equal(reused.multinomial(n, p), fresh.multinomial(n, p))
 
     def test_chunking_leaves_counts_unchanged(self, state8, monkeypatch):
         import topoprobe.protocols as protocols
@@ -248,34 +299,16 @@ class TestEngine:
 
 
 class TestRecordTable:
-    def test_list_and_table_agree(self, state8):
-        params = ProtocolParams("klein_bottle", 6, 16, three_segment_partition(8, 1), 63)
-        records = run_campaign(state8, params)
-        table = campaign_records(list(reversed(list(records))), params)
-        assert np.array_equal(table.outcomes, records.outcomes)
-        assert len(table) == len(records) == 12
-
     def test_uncovered_index_rejected(self):
         params = ProtocolParams("reflection", 2, 2, reflection_partition(4, 1), 0)
-        probs = np.full(4, 0.25)
-        records = [MeasurementRecord(0, 1, probs, exact=True),
-                   MeasurementRecord(0, 1, probs, exact=True)]
-        with pytest.raises(ValueError, match="cover"):
-            campaign_records(records, params)
-
-    def test_mixed_modes_rejected(self):
-        params = ProtocolParams("reflection", 2, 2, reflection_partition(4, 1), 0)
-        records = [MeasurementRecord(0, 1, np.full(4, 0.25), exact=True),
-                   MeasurementRecord(1, 1, np.array([1, 0, 1, 0]))]
-        with pytest.raises(ValueError, match="mix"):
-            campaign_records(records, params)
+        with pytest.raises(ValueError, match=r"shape \(1, 1, 4\), the campaign needs \(2, 1, 4\)"):
+            estimate_raw(exact_table(np.full(4, 0.25)), params)
 
     def test_foreign_experiment_rejected(self):
         params = ProtocolParams("reflection", 2, 2, reflection_partition(4, 1), 0)
-        probs = np.full(4, 0.25)
-        records = [MeasurementRecord(u, e, probs, exact=True) for u in (0, 1) for e in (1, 2)]
-        with pytest.raises(ValueError, match="experiments outside"):
-            campaign_records(records, params)
+        records = CampaignRecords(np.full((2, 2, 4), 0.25), exact=True)
+        with pytest.raises(ValueError, match=r"shape \(2, 2, 4\), the campaign needs \(2, 1, 4\)"):
+            estimate_raw(records, params)
 
     def test_table_shape_checked(self, state8):
         params = ProtocolParams("reflection", 4, 8, reflection_partition(8, 2), 64)
@@ -298,18 +331,16 @@ class TestReflectionEstimator:
         part = reflection_partition(4, 1)
         params = ProtocolParams("reflection", 2, 2, part, 0)
         probs = np.array([1.0, 0.0, 0.0, 0.0])
-        records = [MeasurementRecord(0, 1, probs, exact=True),
-                   MeasurementRecord(1, 1, probs, exact=True)]
-        result = estimate_raw(records, params)
+        result = estimate_raw(exact_table(probs, probs), params)
         assert result.value == pytest.approx(2.0, abs=1e-14)
 
     def test_hand_formula_general_distribution(self, rng):
         part = reflection_partition(4, 1)
         params = ProtocolParams("reflection", 2, 2, part, 0)
         probs = rng.dirichlet(np.ones(4))
-        records = [MeasurementRecord(i, 1, probs, exact=True) for i in range(2)]
         expected = 2.0 * (probs[0] + probs[3] - (probs[1] + probs[2]) / 2.0)
-        assert estimate_raw(records, params).value == pytest.approx(expected, abs=1e-14)
+        assert estimate_raw(exact_table(probs, probs), params).value \
+            == pytest.approx(expected, abs=1e-14)
 
     def test_infinite_shot_unbiased(self, state8):
         part = reflection_partition(8, 2)
@@ -328,8 +359,7 @@ class TestReflectionEstimator:
         mix = alpha * p + (1 - alpha) * q
 
         def value(dist):
-            records = [MeasurementRecord(i, 1, dist, exact=True) for i in range(2)]
-            return estimate_raw(records, params).value
+            return estimate_raw(exact_table(dist, dist), params).value
 
         assert value(mix) == pytest.approx(alpha * value(p) + (1 - alpha) * value(q),
                                            abs=1e-14)
@@ -340,17 +370,6 @@ class TestReflectionEstimator:
         records = run_campaign(state8, params)
         with pytest.raises(ValueError, match="campaign"):
             estimate_raw(records, params)
-
-    def test_record_permutation_invariance(self, state8):
-        part = reflection_partition(8, 2)
-        params = ProtocolParams("reflection", 32, 16, part, 5)
-        records = run_campaign(state8, params)
-        shuffled = list(records)
-        np.random.default_rng(0).shuffle(shuffled)
-        a = estimate_raw(records, params)
-        b = estimate_raw(shuffled, params)
-        assert a.value == b.value
-        assert a.std_error == b.std_error
 
 
 class TestPurityEstimator:
@@ -457,8 +476,8 @@ class TestCrossEstimators:
     def test_missing_experiment_pair(self, state8):
         part = reflection_partition(8, 2)
         params = ProtocolParams("time_reversal", 8, 16, part, 20)
-        records = [r for r in run_campaign(state8, params) if r.experiment == 1]
-        with pytest.raises(ValueError, match="experiment-2"):
+        records = CampaignRecords(run_campaign(state8, params).outcomes[:, :1])
+        with pytest.raises(ValueError, match=r"shape \(8, 1, 16\), the campaign needs \(8, 2, 16\)"):
             estimate_raw(records, params)
 
 
@@ -736,7 +755,8 @@ class TestRecordFileErrors:
 
     @pytest.mark.parametrize("field, value, detail", [
         ("segments", [[2, 4, 9], [4, 6]], "too many values to unpack"),
-        ("kind", "bogus", "unknown protocol kind 'bogus'")])
+        ("kind", "bogus", "unknown protocol kind 'bogus'"),
+        ("master_seed", -1, "master_seed must be a non-negative integer, got -1")])
     def test_malformed_header_value(self, exported, tmp_path, capsys, field, value, detail):
         from topoprobe.cli import main
 
