@@ -20,8 +20,8 @@ import numpy as np
 from .groundstate import ground_state
 from .hamiltonians import HamiltonianSpec
 from .partitions import partition_for, reflection_partition
-from .protocols import NORMALIZED_KINDS, ProtocolParams, estimate_raw, estimate_reported, \
-    reported_exact, run_campaign
+from .protocols import NORMALIZED_KINDS, ProtocolParams, check_seed, estimate_raw, \
+    estimate_reported, reported_exact, run_campaign
 from .rdm import exact_invariant
 
 SWEEPABLE = ("j_prime", "delta", "b_field", "pairs", "n_unitaries", "n_shots")
@@ -59,6 +59,7 @@ class SweepSpec:
             raise ValueError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        check_seed(self.master_seed, "master_seed")
 
 
 def _integral(axis: str, value) -> int:

@@ -12,6 +12,7 @@ from typing import Any
 
 from .hamiltonians import HamiltonianSpec
 from .partitions import THREE_SEGMENT_KINDS, PartitionSpec, partition_for
+from .protocols import check_seed
 from .rdm import KINDS
 
 
@@ -37,7 +38,7 @@ _SCHEMA: dict[str, dict[str, str]] = {
         "axis_pairs": "floats", "axis_n_unitaries": "floats", "axis_n_shots": "floats",
     },
     "error_scan": {"axis": "str", "values": "floats", "repetitions": "int"},
-    "run": {"master_seed": "int", "out": "str"},
+    "run": {"master_seed": "seed", "out": "str"},
 }
 
 
@@ -50,6 +51,7 @@ def _kind(text: str) -> str:
 
 _PARSERS = {
     "int": int,
+    "seed": lambda text: check_seed(int(text), "master_seed"),
     "float": float,
     "str": str,
     "floats": lambda text: tuple(float(x) for x in text.split(",")),

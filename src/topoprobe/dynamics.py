@@ -15,12 +15,13 @@ its ``diagonal`` at zero staggered weight and its ``neel_diag``. For ramps,
 the time-dependent staggered-field weight is evaluated at the midpoint of
 each step, which preserves second-order accuracy.
 
-Each bond group is applied in two parts. Its bonds inside the lowest
-sites (4 for A, 5 for B; no bond crosses that edge) form one Kronecker
-product, a 2^4 or 2^5 square matrix that multiplies the amplitudes
-reshaped to (rest, low block). Every other bond is a batched matmul of
-its 4x4 gate with the (higher sites, bond pair, lower sites) view, whose
-inner stride is at least 2^4. D takes at most 2(N + 1) distinct values:
+Each bond group is applied in the form of the full-space matvec
+(``hamiltonians.split_low_block``). The group's gates inside the low
+block of ``hamiltonians.LOW_BLOCK_SITES`` sites act on disjoint pairs, so
+their product is their Kronecker product, one square matrix that
+multiplies the amplitudes reshaped to (higher sites, low block). Every
+other gate is a batched matmul of its 4x4 matrix with the (higher sites,
+bond pair, lower sites) view. D takes at most 2(N + 1) distinct values:
 the stepper keeps the distinct (pinning, staggered) pairs and an index
 code per basis state, exponentiates the small table each step and
 gathers the phases by code.
@@ -33,10 +34,11 @@ integer, and dt must divide t_final.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
-from .hamiltonians import CompiledHamiltonian, HamiltonianSpec
+from .hamiltonians import CompiledHamiltonian, HamiltonianSpec, split_low_block
 from .partitions import partition_for
 from .protocols import estimate_reported, reported_exact, run_campaign
 from .rdm import exact_invariant
@@ -45,10 +47,6 @@ from .spincore import SpinState, neel_state
 DEFAULT_DT = 0.01
 NORM_DRIFT_TOL = 1e-8
 STEP_COUNT_RTOL = 1e-9
-# sites in the low block of each bond group; no bond of the group crosses its
-# edge, and every bond above it has an inner stride of at least 2^4
-_EVEN_BLOCK_SITES = 4
-_ODD_BLOCK_SITES = 5
 
 
 class NormDriftError(RuntimeError):
@@ -96,38 +94,6 @@ def _bond_gate(h4: np.ndarray, dt: float) -> np.ndarray:
     return (evecs * np.exp(-1j * dt * evals)) @ evecs.conj().T
 
 
-def _low_block(bonds: list[tuple[int, np.ndarray]], width: int) -> np.ndarray:
-    """Kronecker product of the bond gates inside sites 0..width-1, with
-    identities on the sites no such bond covers; site 0 is the lowest bit."""
-    gates = dict(bonds)
-    block = np.ones((1, 1), dtype=complex)
-    site = 0
-    while site < width:
-        if site in gates and site + 1 < width:
-            block = np.kron(gates[site], block)
-            site += 2
-        else:
-            block = np.kron(np.eye(2), block)
-            site += 1
-    return block
-
-
-class _BondGroup:
-    """A product of bond gates on disjoint site pairs: the low block as one
-    dense matrix, every other bond as a 4x4 gate on a strided view."""
-
-    def __init__(self, bonds: list[tuple[int, np.ndarray]], width: int):
-        self.width = width
-        self.low_t = _low_block(bonds, width).T
-        self.high = [(left, gate) for left, gate in bonds if left + 1 >= width]
-
-    def apply(self, amps: np.ndarray) -> np.ndarray:
-        amps = (amps.reshape(-1, 2 ** self.width) @ self.low_t).reshape(-1)
-        for left, gate in self.high:
-            amps = np.matmul(gate, amps.reshape(-1, 4, 2 ** left)).reshape(-1)
-        return amps
-
-
 class TrotterStepper:
     """Precomputed gates for a fixed step size over a fixed Hamiltonian."""
 
@@ -138,8 +104,8 @@ class TrotterStepper:
         # eigh of the complex matrix (zheevd): the real solver gives gates
         # about 3e-13 apart, which would move every ramp's amplitudes
         gates = [(left, _bond_gate(h.astype(complex), dt / 2.0)) for left, h in compiled.bonds]
-        self.even_group = _BondGroup(gates[0::2], min(_EVEN_BLOCK_SITES, spec.num_sites))
-        self.odd_group = _BondGroup(gates[1::2], min(_ODD_BLOCK_SITES, spec.num_sites))
+        splits = [split_low_block(group, spec.num_sites) for group in (gates[0::2], gates[1::2])]
+        self.even, self.odd = [(reduce(np.matmul, low).T, high) for low, high in splits]
         pairs, codes = np.unique(np.stack([compiled.diagonal, compiled.neel_diag], axis=1),
                                  axis=0, return_inverse=True)
         self.static_values, self.neel_values = pairs.T
@@ -152,9 +118,19 @@ class TrotterStepper:
 
     def step(self, amps: np.ndarray, neel_weight: float) -> np.ndarray:
         """One symmetric step; ``neel_weight`` is the midpoint field weight."""
-        amps = self.odd_group.apply(self.even_group.apply(amps))
+        amps = _apply_group(self.odd, _apply_group(self.even, amps))
         amps = self.phases(neel_weight) * amps
-        return self.even_group.apply(self.odd_group.apply(amps))
+        return _apply_group(self.even, _apply_group(self.odd, amps))
+
+
+def _apply_group(group, amps: np.ndarray) -> np.ndarray:
+    """The product of one bond group's gates: its low block, then each
+    higher gate on its strided view."""
+    low_t, high = group
+    amps = (amps.reshape(-1, low_t.shape[0]) @ low_t).reshape(-1)
+    for left, gate in high:
+        amps = np.matmul(gate, amps.reshape(-1, 4, 2 ** left)).reshape(-1)
+    return amps
 
 
 def evolve(spec: HamiltonianSpec, state: SpinState, t_total: float,

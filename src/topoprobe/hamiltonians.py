@@ -15,14 +15,16 @@ edge orientation.
 
 Each bond's term is one real 4x4 matrix on the pair index
 bit(left) + 2 bit(left+1), summed from the two-site constants below, and
-every consumer reads it: ``CompiledHamiltonian.apply`` multiplies it into
-the (higher sites, bond pair, lower sites) view of the amplitudes in the
-full space, without materializing the 2^N x 2^N matrix; within one sector
-of fixed sum_i S_i^z, its zz entry goes on the diagonal and its exchange
-entry weights one partner-index table per bond that gathers from the
-amplitudes padded with a zero slot; ``dynamics.TrotterStepper``
-exponentiates it. Only the B term changes sum_i S_i^z, so at B = 0 H is
-block diagonal over those sectors.
+every consumer reads it. In the full space, ``split_low_block`` embeds the
+bonds inside the lowest ``LOW_BLOCK_SITES`` sites in one square matrix on
+the (higher sites, low block) view of the amplitudes, and every other bond
+multiplies the (higher sites, bond pair, lower sites) view, so the
+2^N x 2^N matrix is never built: ``CompiledHamiltonian.apply`` sums the low
+bonds, ``dynamics.TrotterStepper`` multiplies their gates. Within one
+sector of fixed sum_i S_i^z, a bond's zz entry goes on the diagonal and its
+exchange entry weights one partner-index table per bond that gathers from
+the amplitudes padded with a zero slot. Only the B term changes
+sum_i S_i^z, so at B = 0 H is block diagonal over those sectors.
 """
 from __future__ import annotations
 
@@ -32,6 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_PINNING_FRACTION = 0.05
+# sites 0..LOW_BLOCK_SITES-1 form the low block of the full-space bond kernel;
+# every bond above it multiplies a view with an inner stride of at least 16
+LOW_BLOCK_SITES = 5
 # two-site terms on the pair index bit(left) + 2 bit(left+1)
 XX_PLUS_YY = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 2.0, 0.0],
                        [0.0, 2.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
@@ -87,14 +92,27 @@ def staggered_signs(num_sites: int) -> np.ndarray:
     return np.array([1.0 if i % 2 == 0 else -1.0 for i in range(num_sites)])
 
 
+def split_low_block(bonds: list[tuple[int, np.ndarray]], num_sites: int
+                    ) -> tuple[list[np.ndarray], list[tuple[int, np.ndarray]]]:
+    """Split (left site, 4x4 matrix) bonds of an N-site chain at the low
+    block of w = min(LOW_BLOCK_SITES, N) sites: each bond inside sites
+    0..w-1 embedded as a 2^w square matrix (site 0 the lowest bit), and
+    the remaining bonds, whose left site is at least w - 1."""
+    width = min(LOW_BLOCK_SITES, num_sites)
+    low = [np.kron(np.kron(np.eye(2 ** (width - 2 - left)), h), np.eye(2 ** left))
+           for left, h in bonds if left + 2 <= width]
+    return low, [(left, h) for left, h in bonds if left + 2 > width]
+
+
 class CompiledHamiltonian:
     """H on the full 2^N space, or on the sorted basis ``states`` of one S^z
     sector (B = 0 only). ``bonds`` holds (left site, 4x4 bond matrix) for
-    every bond. The full-space ``apply`` multiplies each matrix into its
-    pair of sites and keeps only the fields on ``diagonal``; a sector keeps
-    the zz part on ``diagonal`` too, and per-bond (coupling, partner) pairs:
-    ``partner`` holds the index of the state the bond flips each state into,
-    or the zero slot ``dim`` where the bond does not flip it."""
+    every bond. The full space keeps only the fields on ``diagonal``, the
+    bonds inside the low block summed into one matrix (``low_t``, transposed)
+    and the other bonds in ``high``; a sector keeps the zz part on
+    ``diagonal`` too, and per-bond (coupling, partner) pairs: ``partner``
+    holds the index of the state the bond flips each state into, or the
+    zero slot ``dim`` where the bond does not flip it."""
 
     def __init__(self, spec: HamiltonianSpec, sector: int | None = None):
         self.spec = spec
@@ -104,7 +122,10 @@ class CompiledHamiltonian:
         bond_matrix = {c: 0.5 * c * (XX_PLUS_YY + spec.delta * ZZ) + spec.b_field * XZ_MINUS_ZX
                        for c in (spec.j, spec.j_prime)}
         self.bonds = [(left, bond_matrix[c]) for left, _right, c in exchange_bonds(spec)]
-        if sector is not None:
+        if sector is None:
+            low, self.high = split_low_block(self.bonds, n)
+            self.low_t = sum(low).T
+        else:
             if not isinstance(sector, numbers.Integral) or abs(sector) > n // 2:
                 raise ValueError(f"sector must be an integer sum S^z in [-{n // 2}, {n // 2}], "
                                  f"got {sector!r}")
@@ -149,7 +170,8 @@ class CompiledHamiltonian:
             for coupling, partner in self.exchange:
                 out += coupling * padded[partner]
             return out
-        for left, h in self.bonds:
+        out += (amplitudes.reshape(-1, self.low_t.shape[0]) @ self.low_t).reshape(-1)
+        for left, h in self.high:
             target = out.reshape(-1, 4, 2 ** left)
             target += np.matmul(h, amplitudes.reshape(-1, 4, 2 ** left))
         return out

@@ -96,6 +96,14 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK_32, _MASK_128 = 2 ** 32 - 1, 2 ** 128 - 1
 
 
+def check_seed(seed, name: str) -> int:
+    """``seed`` if it is a non-negative int; ``ValueError`` naming ``name``
+    otherwise (a bool or a numpy integer is not an int seed)."""
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {seed!r}")
+    return seed
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     kind: str
@@ -114,10 +122,7 @@ class ProtocolParams:
                              f"spawn-key word), got {self.n_unitaries}")
         if self.n_shots < 2:
             raise ValueError("n_shots must be >= 2 (pair correction needs at least 2)")
-        if not isinstance(self.master_seed, int) or isinstance(self.master_seed, bool) \
-                or self.master_seed < 0:
-            raise ValueError(f"master_seed must be a non-negative integer, got "
-                             f"{self.master_seed!r}")
+        check_seed(self.master_seed, "master_seed")
         check_layout(self.kind, self.partition)
 
     @property
@@ -337,12 +342,11 @@ def _born_probabilities(rho: np.ndarray, gates: np.ndarray) -> np.ndarray:
     return tensor.reshape(batch, -1)[:, reflection_permutation(length)].real
 
 
-def _multinomial_counts(probs: np.ndarray, n_shots: int,
-                        rng: np.random.Generator) -> np.ndarray:
-    """Shot counts drawn from a Born distribution; tiny negative rounding is
-    clipped and the distribution renormalized before the multinomial draw."""
+def _shot_distributions(probs: np.ndarray) -> np.ndarray:
+    """Born distributions along the last axis made ready for the multinomial
+    shot draw: tiny negative rounding clipped, each one renormalized."""
     probs = np.clip(probs, 0.0, None)
-    return rng.multinomial(n_shots, probs / probs.sum())
+    return probs / probs.sum(axis=-1, keepdims=True)
 
 
 def run_campaign(state: SpinState, params: ProtocolParams,
@@ -371,12 +375,13 @@ def run_campaign(state: SpinState, params: ProtocolParams,
         if exact_probabilities:
             outcomes[start:unitaries.stop] = probs
             continue
+        probs = _shot_distributions(probs)
         for experiment in range(experiments):
             streams = _streams(params.master_seed, 0,
                                np.arange(unitaries.start, unitaries.stop), experiment + 1)
             for row, rng in enumerate(streams):
-                outcomes[start + row, experiment] = _multinomial_counts(
-                    probs[row, experiment], params.n_shots, rng)
+                outcomes[start + row, experiment] = rng.multinomial(params.n_shots,
+                                                                    probs[row, experiment])
     return CampaignRecords(outcomes, exact_probabilities)
 
 

@@ -1,4 +1,5 @@
 """Sweeps, correlation-length fits, error scaling, symmetry diagnostics."""
+import re
 import weakref
 
 import numpy as np
@@ -136,6 +137,13 @@ class TestSweep:
         with pytest.raises(ValueError, match="sweep over"):
             SweepSpec(base=HamiltonianSpec(num_sites=8), kind="reflection", pairs=2,
                       axes=(("coupling", (1.0,)),))
+
+    @pytest.mark.parametrize("seed", [-1, True, np.int64(3)])
+    def test_master_seed_validation(self, seed):
+        with pytest.raises(ValueError, match=re.escape(
+                f"master_seed must be a non-negative integer, got {seed!r}")):
+            SweepSpec(base=HamiltonianSpec(num_sites=8), kind="reflection", pairs=2,
+                      axes=(("j_prime", (1.0,)),), master_seed=seed)
 
     @pytest.mark.parametrize("axis", ["pairs", "n_unitaries", "n_shots"])
     def test_integer_axes_reject_fractions(self, axis):

@@ -63,6 +63,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="hamiltonian.num_sites"):
             load_config(path)
 
+    def test_negative_master_seed_names_key(self, tmp_path, capsys):
+        path = tmp_path / "negative.cfg"
+        path.write_text(TINY_CONFIG.replace("master_seed = 5", "master_seed = -5"))
+        with pytest.raises(ConfigError, match=r"run\.master_seed: '-5' \(master_seed must be "
+                                              r"a non-negative integer, got -5\)"):
+            load_config(path)
+        out = tmp_path / "out"
+        assert main(["ground-state", "--config", str(path), "--out", str(out)]) == 2
+        assert "run.master_seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.cfg")
@@ -390,6 +401,18 @@ class TestOtherCommands:
         assert main(command + [source, str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_negative_seed_flag_exits_2_for_every_command(self, tiny_config, tmp_path, capsys):
+        config = ["--config", str(tiny_config)]
+        for argv in (["ground-state"] + config, ["invariants", "--exact"] + config,
+                     ["sweep"] + config, ["adiabatic"] + config, ["error-scan"] + config,
+                     ["campaign-export"] + config, ["twirl-check"],
+                     ["campaign-analyze", "--records", str(tmp_path / "absent.records")]):
+            out = tmp_path / argv[0]
+            assert main(argv + ["--seed", "-1", "--out", str(out)]) == 2
+            assert capsys.readouterr().err == ("error: --seed must be a non-negative integer, "
+                                               "got -1\n")
+            assert not out.exists()
 
     def test_missing_records_file_exits_2_without_traceback(self, tmp_path, capsys):
         missing = tmp_path / "absent.records"

@@ -64,7 +64,8 @@ class TestRampSpec:
 class TestTrotterStep:
     @pytest.mark.parametrize("num_sites", [4, 6, 8])
     def test_step_matches_dense_splitting(self, num_sites, rng):
-        # N = 4 puts the whole chain inside both low blocks
+        # N = 4 < LOW_BLOCK_SITES makes the whole chain the low block of both
+        # bond groups; N = 6 and 8 also have gates above the block
         spec = HamiltonianSpec(num_sites=num_sites, j=1.0, j_prime=0.6, delta=0.3,
                                b_field=0.1, pinning=0.07, neel_delta=5.0)
         weight, dt = 0.3, 0.05

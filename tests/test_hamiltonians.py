@@ -97,10 +97,14 @@ class TestMatvec:
                                  b_field=0.1, neel_delta=0.6, neel_weight=0.4),
                  HamiltonianSpec(num_sites=num_sites, j=1.0, j_prime=0.5, delta=-2.0)]
         for spec in specs:
-            vec = rng.standard_normal(spec.dim) + 1j * rng.standard_normal(spec.dim)
-            vec /= np.linalg.norm(vec)
-            out = CompiledHamiltonian(spec).apply(vec)
-            assert np.max(np.abs(out - strided_apply(spec, vec))) <= 1e-12
+            compiled = CompiledHamiltonian(spec)
+            # a complex unit vector, and a real one: Lanczos applies H to real vectors
+            for vec in (rng.standard_normal(spec.dim) + 1j * rng.standard_normal(spec.dim),
+                        rng.standard_normal(spec.dim)):
+                vec /= np.linalg.norm(vec)
+                out = compiled.apply(vec)
+                assert out.dtype == vec.dtype
+                assert np.max(np.abs(out - strided_apply(spec, vec))) <= 1e-12
 
     def test_strided_reference_matches_dense(self, rng):
         spec = random_spec(rng, 8)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from topoprobe.protocols import _multinomial_counts, sample_cue
+from topoprobe.protocols import _shot_distributions, sample_cue
 from topoprobe.spincore import (
     SpinState,
     basis_state,
@@ -116,7 +116,8 @@ class TestBitstrings:
 def sample(state, first, length, n_shots, rng):
     """Shot counts on an interval: the oracle marginal fed to the campaign
     shot sampler."""
-    return _multinomial_counts(interval_marginal(state.amplitudes, first, length), n_shots, rng)
+    marginal = interval_marginal(state.amplitudes, first, length)
+    return rng.multinomial(n_shots, _shot_distributions(marginal))
 
 
 class TestSampling:
