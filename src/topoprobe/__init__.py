@@ -39,7 +39,6 @@ from .analysis import (
     error_scaling_scan,
     fit_correlation_length,
     run_sweep,
-    symmetry_breaking_report,
 )
 
 __all__ = [
@@ -77,7 +76,6 @@ __all__ = [
     "CorrelationLengthFit",
     "fit_correlation_length",
     "error_scaling_scan",
-    "symmetry_breaking_report",
 ]
 
 __version__ = "0.1.0"

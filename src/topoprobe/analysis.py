@@ -19,7 +19,7 @@ import numpy as np
 
 from .groundstate import ground_state
 from .hamiltonians import HamiltonianSpec
-from .partitions import partition_for, reflection_partition
+from .partitions import partition_for
 from .protocols import NORMALIZED_KINDS, ProtocolParams, check_seed, estimate_raw, \
     estimate_reported, reported_exact, run_campaign
 from .rdm import exact_invariant
@@ -54,19 +54,20 @@ class SweepSpec:
                 raise ValueError(f"axis {name!r} needs finite values")
             if name in INTEGER_AXES:
                 for value in values:
-                    _integral(name, value)
+                    _integral(f"axis {name!r}", value)
         if self.mode not in ("exact", "sampled"):
             raise ValueError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
+        object.__setattr__(self, "repetitions", _integral("repetitions", self.repetitions))
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         check_seed(self.master_seed, "master_seed")
 
 
-def _integral(axis: str, value) -> int:
-    """``value`` as an int; ``ValueError`` naming the axis unless it is a
-    whole number."""
-    if not float(value).is_integer():
-        raise ValueError(f"axis {axis!r} needs integer values, got {value}")
+def _integral(name: str, value) -> int:
+    """``value`` as an int; ``ValueError`` naming ``name`` unless it is a
+    whole number other than a bool."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ValueError(f"{name} needs integer values, got {value}")
     return int(value)
 
 
@@ -217,9 +218,10 @@ def error_scaling_scan(state, base: ProtocolParams, axis: str, values,
     """
     if axis not in ("n_unitaries", "n_shots", "pairs"):
         raise ValueError(f"axis must be n_unitaries, n_shots or pairs, got {axis!r}")
+    repetitions = _integral("repetitions", repetitions)
     if repetitions < 8:
         raise ValueError("need at least 8 repetitions for a stable mean error")
-    values = [_integral(axis, value) for value in values]
+    values = [_integral(f"axis {axis!r}", value) for value in values]
     seed_rng = np.random.default_rng(base.master_seed)
     rows = []
     for value in values:
@@ -240,26 +242,3 @@ def error_scaling_scan(state, base: ProtocolParams, axis: str, values,
         })
     return rows
 
-
-# -- symmetry breaking ------------------------------------------------------------
-
-def symmetry_breaking_report(base: HamiltonianSpec, pair_counts=(1, 2, 3),
-                             seed: int = 0) -> dict:
-    """Reflection and time-reversal invariant series on the same ground
-    state, for diagnosing which protecting symmetry survives a perturbation.
-
-    The invariants are quantized only on whole-unit-cell placements. Around
-    a central J' bond (``num_sites // 2`` even, e.g. N = 12 or 16) those are
-    the even pair counts; an odd count puts the outer cuts on J bonds, where
-    the J'-strong values go to -sqrt(2) instead of -1.
-    """
-    if base.b_field == 0.0:
-        raise ValueError("symmetry-breaking report needs a nonzero b_field")
-    state = ground_state(base, seed=seed).state
-    report = {"spec": base.__dict__, "pair_counts": list(pair_counts),
-              "reflection": [], "time_reversal": []}
-    for pairs in pair_counts:
-        partition = reflection_partition(base.num_sites, pairs)
-        report["reflection"].append(exact_invariant(state, partition, "reflection").normalized)
-        report["time_reversal"].append(exact_invariant(state, partition, "time_reversal").normalized)
-    return report

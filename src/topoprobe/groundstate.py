@@ -1,11 +1,20 @@
 """Lowest eigenpair of a chain Hamiltonian via Lanczos iteration.
 
-The Krylov basis is one real array, fully reorthogonalized on every step
-by a classical Gram-Schmidt pass (BLAS matrix-vector products) and by a
-second one only when the first left less than 1/sqrt(2) of the norm of
-the new vector. A Krylov space at its cap restarts from the current Ritz
-vector; a result is returned once its true residual ||H psi - E psi|| is
-at most ``tol``.
+A step costs one matvec plus O(dim + k) at step k. ``_lowest_ritz`` tracks
+the lowest eigenvalue of the tridiagonal matrix T_k (kept as its diagonal
+and off-diagonal) and the last component s_k of that eigenvector in O(k),
+by Rayleigh-quotient iteration on twisted factorizations (Dhillon and
+Parlett 2004) checked by Sturm counts. The Ritz coefficients are formed
+once |beta_k s_k| <= ``tol``, on breakdown or at the step cap. The basis
+stays semi-orthogonal by partial reorthogonalization (Simon 1984): only
+when Simon's omega recurrence estimates an overlap of the new vector with
+an older one above sqrt(eps) is it reorthogonalized, on that step and the
+next, by a classical Gram-Schmidt pass (BLAS matrix-vector products) and
+by a second one only when the first left less than 1/sqrt(2) of its norm.
+A Krylov space at its cap restarts from the current Ritz vector, whose
+sign gives it a positive overlap with the vector the sweep started from;
+a result is returned once its true residual ||H psi - E psi|| is at most
+``tol``.
 
 Only the B term changes sum_i S_i^z. At B = 0, J, J' >= 0 and delta > -1
 each sector sum_i S_i^z = 0, +1, -1 is solved on its own basis (at most
@@ -26,6 +35,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
 
@@ -39,6 +49,10 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 2000
 KRYLOV_CAP = 200
 MEMO_BYTES = 64 * 2 ** 20  # 64 states at N = 16, 4 at N = 20
+EPS = float(np.finfo(float).eps)
+TINY = float(np.finfo(float).tiny)
+REORTH_LEVEL = np.sqrt(EPS)  # semi-orthogonality (Simon 1984)
+RITZ_ITERATIONS = 100  # bisection alone needs about 55
 MemoInfo = namedtuple("MemoInfo", "misses currsize nbytes")
 
 
@@ -58,42 +72,167 @@ class EigenResult:
     sector_gap: float | None
 
 
+def _pivots(alpha: list, squares: list, shift: float, pivmin: float) -> list:
+    """Pivots of the LDL^T factorization of T - shift, ``squares`` holding
+    0 and then the squared off-diagonal in the order of ``alpha``."""
+    pivots = []
+    d = 1.0
+    for a, q in zip(alpha, squares):
+        d = (a - shift) - q / d
+        if d == 0.0:
+            d = -pivmin
+        pivots.append(d)
+    return pivots
+
+
+def _squares(beta: list) -> tuple[list, list, float]:
+    """``_pivots`` inputs for the top-down and the bottom-up factorization,
+    and the small number that stands in for a zero pivot."""
+    squares = [b * b for b in beta]
+    return [0.0] + squares, [0.0] + squares[::-1], TINY * max([1.0] + squares)
+
+
+def _twisted(alpha: list, beta: list, shift: float,
+             squares: tuple[list, list, float]) -> tuple[int, float, list, float]:
+    """Twisted factorization of T - shift (Dhillon and Parlett 2004): the
+    number of eigenvalues below ``shift``, the Rayleigh quotient of the
+    twisted vector z, and z with its squared norm. The twist r minimizes
+    |gamma_r|, and (T - shift) z = gamma_r e_r with z_r = 1."""
+    top_sq, bottom_sq, pivmin = squares
+    top = _pivots(alpha, top_sq, shift, pivmin)
+    bottom = _pivots(alpha[::-1], bottom_sq, shift, pivmin)[::-1]
+    gammas = [t + u - a + shift for t, u, a in zip(top, bottom, alpha)]
+    sizes = list(map(abs, gammas))
+    r = sizes.index(min(sizes))
+    z = []
+    v = 1.0
+    for b, t in zip(beta[:r][::-1], top[:r][::-1]):
+        v *= -b / t
+        z.append(v)
+    z.reverse()
+    z.append(1.0)
+    v = 1.0
+    for b, u in zip(beta[r:], bottom[r + 1:]):
+        v *= -b / u
+        z.append(v)
+    norm2 = sum(map(mul, z, z))
+    below = sum(t < 0.0 for t in top)
+    return below, shift + gammas[r] / norm2, z, norm2
+
+
+def _lowest_ritz(alpha: list, beta: list, guess: float | None) -> tuple[float, float]:
+    """Lowest eigenvalue theta of the symmetric tridiagonal matrix T with
+    diagonal ``alpha`` and off-diagonal ``beta``, and the last component of
+    its normalized eigenvector (sign arbitrary); O(k) per iteration.
+
+    Rayleigh-quotient iteration on twisted factorizations from ``guess``,
+    each shift a few ulp of ||T|| (a margin) below the last quotient, until
+    a shift with no eigenvalue below it (a Sturm count: the negative
+    top-down pivots) has its quotient within two margins above it. A shift
+    that would leave the bracket of the lowest eigenvalue that the counts
+    shrink is replaced by the midpoint, so an iteration drawn to a higher
+    eigenvalue restarts below it.
+    """
+    if len(alpha) == 1:
+        return alpha[0], 1.0
+    squares = _squares(beta)
+    radius = 2.0 * max(map(abs, beta))
+    lo, hi = min(alpha) - radius, max(alpha) + radius  # Gershgorin
+    margin = 4.0 * EPS * (max(map(abs, alpha)) + radius)
+    shift = guess - margin
+    for _ in range(RITZ_ITERATIONS):
+        below, theta, z, norm2 = _twisted(alpha, beta, shift, squares)
+        if below:
+            hi = shift
+        elif theta - shift <= 2.0 * margin:
+            return theta, z[-1] / norm2 ** 0.5
+        else:
+            lo = shift
+        shift = theta - margin if lo < theta - margin < hi else 0.5 * (lo + hi)
+    raise ArithmeticError(f"no lowest Ritz value within {RITZ_ITERATIONS} iterations")
+
+
+def _ritz_coefficients(alpha: list, beta: list, theta: float) -> np.ndarray:
+    """Normalized eigenvector of T for its eigenvalue ``theta``: the twisted
+    vector at shift theta."""
+    _below, _theta, z, norm2 = _twisted(alpha, beta, theta, _squares(beta))
+    return np.asarray(z) / norm2 ** 0.5
+
+
 def _lanczos_sweep(ham: CompiledHamiltonian, start: np.ndarray, tol: float,
                    max_steps: int) -> tuple[float, np.ndarray, float, int]:
-    """One restart-free Lanczos pass; returns (energy, vector, residual, steps)."""
+    """One restart-free Lanczos pass; returns (energy, vector, residual, steps).
+
+    The vector has a positive overlap with ``start``.
+    """
     basis = np.empty((max_steps, start.shape[0]))  # untouched rows are never resident
     basis[0] = start / np.linalg.norm(start)
-    tri = np.zeros((max_steps, max_steps))  # Lanczos alphas and betas
+    alphas = np.empty(max_steps)  # diagonal of the Lanczos tridiagonal matrix
+    betas = np.empty(max_steps)  # its off-diagonal
+    # Simon's estimates of v_i . v_j for the newest basis vector j (1 at i = j)
+    # and the one before it; psi is the rounding level of one inner product
+    psi = EPS * np.sqrt(start.shape[0])
+    omega, older = np.ones(1), np.zeros(0)
+    again = False
+    theta = None
     w = ham.apply(basis[0])
     for step in range(1, max_steps + 1):
+        j = step - 1
         krylov = basis[:step]
-        tri[step - 1, step - 1] = alpha = float(krylov[-1] @ w)
+        alphas[j] = alpha = float(krylov[-1] @ w)
         w -= alpha * krylov[-1]
-        if step > 1:
-            w -= tri[step - 1, step - 2] * krylov[-2]
-        # full reorthogonalization: a second classical Gram-Schmidt pass only
-        # when the first removed most of w (Daniel, Gragg, Kaufman, Stewart 1976)
-        before = np.linalg.norm(w)
-        w -= krylov.T @ (krylov @ w)
+        if j:
+            w -= betas[j - 1] * krylov[-2]
         beta = float(np.linalg.norm(w))
-        if beta < before / np.sqrt(2.0):
+        omega, older = _next_omega(omega, older, alphas[:step], betas[:j], beta, psi), omega
+        lost = j > 0 and float(np.abs(omega[:j]).max()) > REORTH_LEVEL
+        if lost or again:
+            # classical Gram-Schmidt, and a second pass only when the first
+            # removed most of w (Daniel, Gragg, Kaufman, Stewart 1976)
+            before = beta
             w -= krylov.T @ (krylov @ w)
             beta = float(np.linalg.norm(w))
+            if beta < before / np.sqrt(2.0):
+                w -= krylov.T @ (krylov @ w)
+                beta = float(np.linalg.norm(w))
+            omega[:step] = psi
+        again = lost  # the three-term recurrence carries the loss one step on
 
-        evals, evecs = np.linalg.eigh(tri[:step, :step])
-        ritz_coeffs = evecs[:, 0]
-        energy = float(evals[0])
+        alpha_list, beta_list = alphas[:step].tolist(), betas[:j].tolist()
+        theta, last = _lowest_ritz(alpha_list, beta_list, theta)
         # residual of the Ritz pair is |beta * last coefficient|
-        residual_est = abs(beta * ritz_coeffs[-1])
+        residual_est = abs(beta * last)
         if residual_est <= tol or beta < 1e-14 or step == max_steps:
-            vector = ritz_coeffs @ krylov
+            vector = _ritz_coefficients(alpha_list, beta_list, theta) @ krylov
             vector /= np.linalg.norm(vector)
-            return energy, vector, residual_est, step
+            if vector @ krylov[0] < 0.0:
+                vector = -vector
+            return theta, vector, residual_est, step
 
+        betas[j] = beta
         basis[step] = w / beta
-        tri[step, step - 1] = tri[step - 1, step] = beta
         w = ham.apply(basis[step])
     raise AssertionError("unreachable")
+
+
+def _next_omega(omega: np.ndarray, older: np.ndarray, alphas: np.ndarray,
+                betas: np.ndarray, beta: float, psi: float) -> np.ndarray:
+    """Simon's (1984) recurrence for v_i . v_{j+1}, i <= j + 1, from the
+    estimates ``omega`` for v_j and ``older`` for v_{j-1}: the Lanczos
+    recurrence applied to the estimates, plus a rounding term that only
+    grows them. ``alphas`` holds alpha_0..alpha_j, ``betas`` beta_0..beta_{j-1}
+    and ``beta`` is beta_j."""
+    j = len(betas)
+    new = np.empty(j + 2)
+    if j:
+        new[:j] = (betas * omega[1:] + (alphas[:j] - alphas[j]) * omega[:j]
+                   - betas[-1] * older)
+        new[1:j] += betas[:-1] * omega[:j - 1]
+        new[:j] += np.copysign(EPS * (betas + beta), new[:j])
+        new[:j] /= beta or EPS  # beta = 0 is a breakdown: the sweep exits
+    new[j] = psi
+    new[j + 1] = 1.0
+    return new
 
 
 def _uses_sectors(spec: HamiltonianSpec) -> bool:

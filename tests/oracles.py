@@ -6,7 +6,10 @@ program's own kernels, so an agreement is a check and not a tautology.
 """
 import numpy as np
 
+from topoprobe.groundstate import ground_state
 from topoprobe.hamiltonians import CompiledHamiltonian, exchange_bonds, staggered_signs
+from topoprobe.partitions import reflection_partition
+from topoprobe.rdm import exact_invariant
 
 # two-spin swap |a, b> -> |b, a> with index = bit_a + 2 bit_b
 SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
@@ -265,3 +268,43 @@ def sector_scatter_apply(compiled, amplitudes):
         target = np.searchsorted(states, states[source] ^ (3 << left))
         out[target] += coupling * amplitudes[source]
     return out
+
+
+def symmetry_breaking_report(base, pair_counts=(1, 2, 3), seed=0):
+    """Reflection and time-reversal invariant series on the same ground
+    state, for diagnosing which protecting symmetry survives a perturbation.
+
+    The invariants are quantized only on whole-unit-cell placements. Around
+    a central J' bond (``num_sites // 2`` even, e.g. N = 12 or 16) those are
+    the even pair counts; an odd count puts the outer cuts on J bonds, where
+    the J'-strong values go to -sqrt(2) instead of -1.
+    """
+    if base.b_field == 0.0:
+        raise ValueError("symmetry-breaking report needs a nonzero b_field")
+    state = ground_state(base, seed=seed).state
+    report = {"spec": base.__dict__, "pair_counts": list(pair_counts),
+              "reflection": [], "time_reversal": []}
+    for pairs in pair_counts:
+        partition = reflection_partition(base.num_sites, pairs)
+        report["reflection"].append(exact_invariant(state, partition, "reflection").normalized)
+        report["time_reversal"].append(exact_invariant(state, partition, "time_reversal").normalized)
+    return report
+
+
+def lanczos_coefficients(apply, start, steps):
+    """Diagonal and off-diagonal of the Lanczos tridiagonal matrix of
+    ``steps`` steps from ``start``, the basis fully reorthogonalized twice
+    on every step."""
+    basis = [start / np.linalg.norm(start)]
+    alphas, betas = [], []
+    w = apply(basis[0])
+    for _ in range(steps):
+        alphas.append(basis[-1] @ w)
+        w = w - alphas[-1] * basis[-1] - (betas[-1] * basis[-2] if betas else 0.0)
+        krylov = np.array(basis)
+        for _ in range(2):
+            w -= krylov.T @ (krylov @ w)
+        betas.append(np.linalg.norm(w))
+        basis.append(w / betas[-1])
+        w = apply(basis[-1])
+    return np.array(alphas), np.array(betas)

@@ -28,8 +28,7 @@ import time
 import numpy as np
 import pytest
 
-from topoprobe.analysis import error_scaling_scan, fit_correlation_length, \
-    symmetry_breaking_report
+from topoprobe.analysis import error_scaling_scan, fit_correlation_length
 from topoprobe.dynamics import RampSpec, adiabatic_evolve, evolve
 from topoprobe.groundstate import ground_state
 from topoprobe.hamiltonians import CompiledHamiltonian, HamiltonianSpec
@@ -46,7 +45,8 @@ from topoprobe.protocols import (
 from topoprobe.rdm import exact_invariant, purity, reduced_density_matrix
 from topoprobe.spincore import random_state, reflection_permutation
 
-from oracles import dense_matrix, hamming_distance, magnetization_diagonal
+from oracles import dense_matrix, hamming_distance, magnetization_diagonal, \
+    symmetry_breaking_report
 
 N_ORACLE_STATES = 20
 ORACLE_DRAWS = 20000

@@ -12,7 +12,6 @@ from topoprobe.analysis import (
     error_scaling_scan,
     fit_correlation_length,
     run_sweep,
-    symmetry_breaking_report,
     write_rows_csv,
 )
 from topoprobe.groundstate import ground_state
@@ -20,6 +19,8 @@ from topoprobe.hamiltonians import HamiltonianSpec
 from topoprobe.partitions import partition_for, reflection_partition
 from topoprobe.protocols import ProtocolParams
 from topoprobe.rdm import exact_invariant
+
+from oracles import symmetry_breaking_report
 
 
 class TestSweep:
@@ -151,6 +152,21 @@ class TestSweep:
         with pytest.raises(ValueError, match=f"axis '{axis}' needs integer values, got 1.5"):
             SweepSpec(base=base, kind="reflection", pairs=2, axes=((axis, (1.0, 1.5, 2.0)),))
         SweepSpec(base=base, kind="reflection", pairs=2, axes=((axis, (2.0, 3.0)),))
+
+    @pytest.mark.parametrize("repetitions", [1.5, True])
+    def test_repetitions_must_be_integers(self, repetitions):
+        with pytest.raises(ValueError, match=re.escape(
+                f"repetitions needs integer values, got {repetitions}")):
+            SweepSpec(base=HamiltonianSpec(num_sites=8), kind="reflection", pairs=2,
+                      axes=(("j_prime", (1.0,)),), repetitions=repetitions)
+
+    def test_whole_float_repetitions_run(self):
+        spec = SweepSpec(base=HamiltonianSpec(num_sites=8, j=1.0, delta=0.25),
+                         kind="reflection", pairs=2, axes=(("j_prime", (2.0,)),),
+                         mode="sampled", n_unitaries=8, n_shots=16, repetitions=2.0)
+        assert spec.repetitions == 2 and type(spec.repetitions) is int
+        rows = run_sweep(spec)
+        assert [row["error"] for row in rows] == ["", ""]
 
     def test_two_copy_kinds_reach_twelve_site_intervals(self):
         # d2 and the Klein bottle at pairs = 4 contract a 12-site interval,
@@ -299,6 +315,13 @@ class TestErrorScaling:
         base = ProtocolParams("reflection", 16, 32, reflection_partition(8, 2), 103)
         with pytest.raises(ValueError, match="repetitions"):
             error_scaling_scan(scan_state, base, "n_unitaries", [16], repetitions=4)
+
+    @pytest.mark.parametrize("repetitions", [8.5, True])
+    def test_repetitions_must_be_integers(self, scan_state, repetitions):
+        base = ProtocolParams("reflection", 16, 32, reflection_partition(8, 2), 103)
+        with pytest.raises(ValueError, match=re.escape(
+                f"repetitions needs integer values, got {repetitions}")):
+            error_scaling_scan(scan_state, base, "n_unitaries", [16], repetitions=repetitions)
 
     @pytest.mark.parametrize("axis", ["pairs", "n_unitaries", "n_shots"])
     def test_fractional_values_rejected(self, scan_state, axis):

@@ -1,5 +1,6 @@
 """Lanczos solver against dense diagonalization."""
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +14,7 @@ from topoprobe.partitions import partition_for
 from topoprobe.rdm import exact_invariant
 from topoprobe.spincore import neel_state, random_state
 
-from oracles import dense_matrix, matvec, site_z
+from oracles import dense_matrix, lanczos_coefficients, matvec, site_z
 
 
 class TestAgainstDense:
@@ -249,3 +250,142 @@ class TestMemo:
         assert not amplitudes.flags.writeable
         with pytest.raises(ValueError):
             amplitudes[0] = 0.0
+
+
+def _check_ritz(alpha, beta, guess, next_beta, tol):
+    """``_lowest_ritz`` against ``np.linalg.eigh`` on one tridiagonal matrix:
+    theta within 8 ulp of ||T||, |next_beta * s_k| within 1e-6 relative where
+    it is at least 1e-14 (scaled with T), and the same exit decision at tol;
+    ``_ritz_coefficients`` at theta against the eigenvector."""
+    tri = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+    evals, evecs = np.linalg.eigh(tri)
+    scale = np.abs(evals).max()
+    theta, last = groundstate._lowest_ritz(alpha.tolist(), beta.tolist(), guess)
+    assert abs(theta - evals[0]) <= 8 * groundstate.EPS * scale
+    coefficients = groundstate._ritz_coefficients(alpha.tolist(), beta.tolist(), theta)
+    assert abs(coefficients @ evecs[:, 0]) >= 1 - 1e-12
+    assert abs(coefficients[-1]) == pytest.approx(abs(last), rel=1e-6, abs=1e-300)
+    residual = abs(next_beta * last)
+    reference = abs(next_beta * evecs[-1, 0])
+    if reference >= 1e-14 * scale:
+        assert residual == pytest.approx(reference, rel=1e-6)
+    assert (residual <= tol) == (reference <= tol)
+    return theta
+
+
+def _leading_lowest(alpha, beta):
+    """Lowest eigenvalue of the leading (k - 1) x (k - 1) block: the value the
+    solver passes as the guess (None at k = 1)."""
+    if len(alpha) == 1:
+        return None
+    return np.linalg.eigvalsh(np.diag(alpha[:-1]) + np.diag(beta[:-1], 1)
+                              + np.diag(beta[:-1], -1))[0]
+
+
+def _close_pair(lowest_at_end):
+    """Two 20 x 20 blocks, mirror images of each other, whose lowest
+    eigenvalues differ by 1e-13; a coupling of 1e-20 joins them when the
+    lowest one holds the last index, and none joins them otherwise."""
+    rng = np.random.default_rng(77)
+    alpha = rng.uniform(-0.5, 0.5, 20)
+    beta = rng.uniform(0.5, 1.5, 19)
+    shift = -1e-13 if lowest_at_end else 1e-13
+    return (np.concatenate([alpha, alpha[::-1] + shift]),
+            np.concatenate([beta, [1e-20 if lowest_at_end else 0.0], beta[::-1]]))
+
+
+class TestLowestRitz:
+    @pytest.mark.parametrize("scale", [1.0, 1e-8, 1e8])
+    @pytest.mark.parametrize("k", [1, 2, 3, 50, 200])
+    def test_random_tridiagonal(self, k, scale):
+        rng = np.random.default_rng(k)
+        for _ in range(5):
+            alpha = scale * rng.uniform(-0.5, 0.5, k)
+            beta = scale * rng.uniform(0.5, 1.5, k - 1)
+            next_beta = scale * rng.uniform(0.5, 1.5)
+            tri = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+            second = np.linalg.eigvalsh(tri)[min(1, k - 1)]
+            # the solver's guess, and the second eigenvalue, from which the
+            # iteration converges at once to the wrong one
+            for guess in (_leading_lowest(alpha, beta), second):
+                _check_ritz(alpha, beta, guess, next_beta, 1e-10 * scale)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-8, 1e8])
+    def test_every_step_of_a_sector_run(self, scale):
+        # past convergence: |s_k| falls from 1 to below 1e-15 over these steps
+        ham = CompiledHamiltonian(HamiltonianSpec(num_sites=12, j=1.0, j_prime=1.0,
+                                                  delta=0.25), 0)
+        alphas, betas = lanczos_coefficients(
+            ham.apply, np.random.default_rng(0).standard_normal(ham.dim), 64)
+        alphas, betas = scale * alphas, scale * betas
+        theta = None
+        exits = 0
+        for k in range(1, 65):
+            theta = _check_ritz(alphas[:k], betas[:k - 1], theta, betas[k - 1],
+                                DEFAULT_TOL * scale)
+            tri = np.diag(alphas[:k]) + np.diag(betas[:k - 1], 1) + np.diag(betas[:k - 1], -1)
+            exits += abs(betas[k - 1] * np.linalg.eigh(tri)[1][-1, 0]) <= DEFAULT_TOL * scale
+        assert 10 <= exits < 60  # both exit decisions occur
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-8, 1e8])
+    @pytest.mark.parametrize("lowest_at_end", [True, False])
+    def test_lowest_pair_closer_than_1e_12(self, lowest_at_end, scale):
+        alpha, beta = _close_pair(lowest_at_end)
+        alpha, beta = scale * alpha, scale * beta
+        evals = np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+        assert 0 < evals[1] - evals[0] < 1e-12 * scale
+        for guess in (_leading_lowest(alpha, beta), evals[1]):
+            _check_ritz(alpha, beta, guess, scale, 1e-10 * scale)
+
+
+SPECS = {
+    "n8_full_b": HamiltonianSpec(num_sites=8, j=1.0, j_prime=2.4, delta=0.6, b_field=0.15,
+                                 neel_delta=0.3, neel_weight=1.0, pinning=0.05),
+    "n12_jp03": HamiltonianSpec(num_sites=12, j=1.0, j_prime=0.3, delta=0.25),
+    "n12_jp4": HamiltonianSpec(num_sites=12, j=1.0, j_prime=4.0, delta=0.25),
+    "n12_full_delta_m2": HamiltonianSpec(num_sites=12, j=1.0, j_prime=0.7, delta=-2.0),
+    "n16_jp1": HamiltonianSpec(num_sites=16, j=1.0, j_prime=1.0, delta=0.25),
+    "n10_full_b_neel": HamiltonianSpec(num_sites=10, j=1.0, j_prime=0.5, delta=1.2,
+                                       b_field=0.3, neel_delta=2.0, neel_weight=0.5),
+}
+
+
+class TestPinned:
+    """Solver output pinned at commit dc97da3 (full reorthogonalization and a
+    dense eigh on every Lanczos step), seed 0 and default tolerances. The
+    states are in ``data/pinned_ground_states.npz``: the amplitudes on the
+    chosen sector's states, or on all 2^N states in the full space."""
+    PINNED = {  # energy, iterations, sector
+        "n8_full_b": (-11.049357321061066, 38, None),
+        "n12_jp03": (-6.846487982588052, 140, 0),
+        "n12_jp4": (-22.975283226895396, 137, 0),
+        "n12_full_delta_m2": (-9.550000000000008, 64, None),
+        "n16_jp1": (-10.713881521818658, 193, 0),
+        "n10_full_b_neel": (-15.485450658581295, 39, None),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_matches_pinned_solve(self, name):
+        energy, iterations, sector = self.PINNED[name]
+        spec = SPECS[name]
+        result = ground_state(spec)
+        assert abs(result.energy - energy) <= 1e-12
+        assert (result.iterations, result.sector) == (iterations, sector)
+        index = slice(None) if sector is None else CompiledHamiltonian(spec, sector).states
+        pinned = np.zeros(spec.dim)
+        with np.load(Path(__file__).parent / "data" / "pinned_ground_states.npz") as data:
+            pinned[index] = data[name]
+        assert abs(np.vdot(pinned, result.state.amplitudes)) >= 1 - 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", ["n8_full_b", "n12_jp4"])
+    def test_sign_follows_start_vector(self, name, seed):
+        # one sweep each: the state has a positive overlap with its start
+        # vector, the first draw of default_rng(seed) on the first basis
+        spec = SPECS[name]
+        result = ground_state(spec, seed=seed)
+        assert result.iterations < groundstate.KRYLOV_CAP
+        index = slice(None) if result.sector is None else CompiledHamiltonian(spec, 0).states
+        start = np.random.default_rng(seed).standard_normal(spec.dim if result.sector is None
+                                                           else len(index))
+        assert np.vdot(start, result.state.amplitudes[index]).real > 0
