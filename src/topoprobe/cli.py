@@ -166,6 +166,10 @@ def cmd_adiabatic(args) -> int:
     config = load_config(args.config)
     seed = _seed(args, config)
     spec = config.hamiltonian()
+    for key in ("neel_delta", "neel_weight"):
+        if key in config.sections["hamiltonian"]:
+            raise ConfigError(f"hamiltonian.{key} has no effect in an adiabatic run: the ramp "
+                              "sets the staggered weight, and ramp.neel_delta its strength")
     ramp_body = config.sections.get("ramp", {})
     sample_times = ramp_body.get("sample_times", ())
     ramp = dynamics.RampSpec(
@@ -180,7 +184,10 @@ def cmd_adiabatic(args) -> int:
     rows = dynamics.monitor_invariants(snapshots, config.require("partition", "pairs"), kinds,
                                        "exact")
     return _write_rows(args, config, seed, "adiabatic", rows,
-                       pinning_active=spec.pinning != 0.0, t_final=ramp.t_final, dt=ramp.dt)
+                       pinning_active=spec.pinning != 0.0, t_final=ramp.t_final, dt=ramp.dt,
+                       sector=dynamics.ramp_sector(spec),
+                       max_norm_drift=max(abs(np.linalg.norm(state.amplitudes) - 1.0)
+                                          for _time, state in snapshots))
 
 
 def cmd_error_scan(args) -> int:

@@ -8,20 +8,25 @@ where A collects the strong (even-left) bonds, B the weak (odd-left)
 bonds, and D the diagonal field part (staggered field and pinning). Bonds
 inside each group act on disjoint site pairs, so the group exponentials
 are exact; only the splitting between groups carries the O(dt^2) error.
-The bond and diagonal terms are read from one full-space
+The bond and diagonal terms are read from one
 ``hamiltonians.CompiledHamiltonian``: each gate exponentiates its 4x4 bond
 matrix (exchange, anisotropy and the symmetry-breaking term), and D takes
-its ``diagonal`` at zero staggered weight and its ``neel_diag``. For ramps,
-the time-dependent staggered-field weight is evaluated at the midpoint of
-each step, which preserves second-order accuracy.
+the pinning field and ``neel_diag``. For ramps, the time-dependent
+staggered-field weight is evaluated at the midpoint of each step, which
+preserves second-order accuracy.
 
-Each bond group is applied in the form of the full-space matvec
-(``hamiltonians.split_low_block``). The group's gates inside the low
+In the full 2^N space each bond group is applied in the form of the
+matvec (``hamiltonians.split_low_block``). The group's gates inside the low
 block of ``hamiltonians.LOW_BLOCK_SITES`` sites act on disjoint pairs, so
 their product is their Kronecker product, one square matrix that
 multiplies the amplitudes reshaped to (higher sites, low block). Every
 other gate is a batched matmul of its 4x4 matrix with the (higher sites,
-bond pair, lower sites) view. D takes at most 2(N + 1) distinct values:
+bond pair, lower sites) view. In one sector of fixed sum S^z (B = 0 only),
+a gate g multiplies a state by g[0, 0] or g[1, 1] (bond spins aligned or
+not) and adds t = g[1, 2] / g[1, 1] times one in-place gather through the
+bond's partner table. These diagonals commute with their group's flips, so
+each group keeps one; the even half-steps of consecutive steps merge into
+one A(dt) (``TrotterStepper.step``). D takes at most 2(N + 1) distinct values:
 the stepper keeps the distinct (pinning, staggered) pairs and an index
 code per basis state, exponentiates the small table each step and
 gathers the phases by code.
@@ -29,7 +34,8 @@ gathers the phases by code.
 The adiabatic ramp starts from the staggered product state and turns the
 strong staggered field off with weight f(t) = (t/t_final - 1)^exponent,
 so f(0) = 1 and f(t_final) = 0; the exponent must be a positive even
-integer, and dt must divide t_final.
+integer, and dt must divide t_final. At B = 0 it runs in its start state's
+sector, sum S^z = 0 (``ramp_sector``); B != 0 ramps and ``evolve`` use 2^N.
 """
 from __future__ import annotations
 
@@ -90,23 +96,31 @@ def _step_count(t_total: float, dt: float) -> int:
 
 
 def _bond_gate(h4: np.ndarray, dt: float) -> np.ndarray:
-    evals, evecs = np.linalg.eigh(h4)
+    # eigh of the complex matrix (zheevd): the real solver gives gates
+    # about 3e-13 apart, which would move every ramp's amplitudes
+    evals, evecs = np.linalg.eigh(h4.astype(complex))
     return (evecs * np.exp(-1j * dt * evals)) @ evecs.conj().T
 
 
 class TrotterStepper:
-    """Precomputed gates for a fixed step size over a fixed Hamiltonian."""
+    """Precomputed gates for a fixed step size over a fixed Hamiltonian, on
+    2^N or, at B = 0, on the sorted ``states`` of one S^z sector."""
 
-    def __init__(self, spec: HamiltonianSpec, dt: float):
+    def __init__(self, spec: HamiltonianSpec, dt: float, sector: int | None = None):
         self.spec = spec
         self.dt = dt
-        compiled = CompiledHamiltonian(replace(spec, neel_weight=0.0))
-        # eigh of the complex matrix (zheevd): the real solver gives gates
-        # about 3e-13 apart, which would move every ramp's amplitudes
-        gates = [(left, _bond_gate(h.astype(complex), dt / 2.0)) for left, h in compiled.bonds]
-        splits = [split_low_block(group, spec.num_sites) for group in (gates[0::2], gates[1::2])]
-        self.even, self.odd = [(reduce(np.matmul, low).T, high) for low, high in splits]
-        pairs, codes = np.unique(np.stack([compiled.diagonal, compiled.neel_diag], axis=1),
+        compiled = CompiledHamiltonian(replace(spec, neel_weight=0.0), sector)
+        self.states = compiled.states
+        if sector is None:
+            gates = [(left, _bond_gate(h, dt / 2.0)) for left, h in compiled.bonds]
+            splits = [split_low_block(group, spec.num_sites) for group in (gates[0::2], gates[1::2])]
+            self.even, self.odd = [(reduce(np.matmul, low).T, high) for low, high in splits]
+            static = compiled.diagonal
+        else:
+            self.even, self.odd = [_sector_group(compiled, p, dt / 2.0) for p in (0, 1)]
+            self.even_merged = _sector_group(compiled, 0, dt)
+            static = spec.pinning * (1.0 - 2.0 * (self.states & 1))
+        pairs, codes = np.unique(np.stack([static, compiled.neel_diag], axis=1),
                                  axis=0, return_inverse=True)
         self.static_values, self.neel_values = pairs.T
         self.diag_codes = codes.reshape(-1)
@@ -116,11 +130,25 @@ class TrotterStepper:
         diag = self.static_values + self.spec.neel_delta * neel_weight * self.neel_values
         return np.exp(-1j * self.dt * diag)[self.diag_codes]
 
-    def step(self, amps: np.ndarray, neel_weight: float) -> np.ndarray:
-        """One symmetric step; ``neel_weight`` is the midpoint field weight."""
-        amps = _apply_group(self.odd, _apply_group(self.even, amps))
-        amps = self.phases(neel_weight) * amps
-        return _apply_group(self.even, _apply_group(self.odd, amps))
+    def step(self, amps: np.ndarray, neel_weight: float, opened: bool = False,
+             merge: bool = False) -> np.ndarray:
+        """One symmetric step; ``neel_weight`` is the midpoint field weight.
+        ``merge`` ends the step with the next step's opening even half-step
+        too (one A(dt) in a sector), and that next step takes ``opened``."""
+        if self.states is None:
+            if not opened:
+                amps = _apply_group(self.even, amps)
+            amps = self.phases(neel_weight) * _apply_group(self.odd, amps)
+            amps = _apply_group(self.even, _apply_group(self.odd, amps))
+            return _apply_group(self.even, amps) if merge else amps
+        padded = np.append(amps, 0.0)
+        if not opened:
+            _apply_sector_group(padded, self.even)
+        _apply_sector_group(padded, self.odd)
+        padded[:-1] *= self.phases(neel_weight)
+        _apply_sector_group(padded, self.odd)
+        _apply_sector_group(padded, self.even_merged if merge else self.even)
+        return padded[:-1]
 
 
 def _apply_group(group, amps: np.ndarray) -> np.ndarray:
@@ -131,6 +159,32 @@ def _apply_group(group, amps: np.ndarray) -> np.ndarray:
     for left, gate in high:
         amps = np.matmul(gate, amps.reshape(-1, 4, 2 ** left)).reshape(-1)
     return amps
+
+
+def _sector_group(compiled: CompiledHamiltonian, parity: int, tau: float):
+    """The product of the diagonals of the sector gates g = exp(-i tau h) with
+    left site of ``parity``, and per gate (g[1, 2] / g[1, 1], partner table).
+    The diagonal goes first, so t multiplies amplitudes that carry g[1, 1]
+    already, and the step stays accurate where g[1, 1] ~ cos(c tau) is small."""
+    diag, flips = np.ones(compiled.dim, dtype=complex), []
+    for left, _coupling, partner in compiled.exchange:
+        if left % 2 == parity:
+            gate = _bond_gate(compiled.bonds[left][1], tau)
+            diag *= np.where(partner == compiled.dim, gate[0, 0], gate[1, 1])
+            flips.append((gate[1, 2] / gate[1, 1], partner))
+    return diag, flips
+
+
+def _apply_sector_group(padded: np.ndarray, group) -> None:
+    """One sector bond group in place on ``padded[:-1]`` (``padded[-1]`` is
+    the zero slot): the diagonal, then amps += t amps[partner] per bond."""
+    diag, flips = group
+    amps = padded[:-1]
+    amps *= diag
+    for coefficient, partner in flips:
+        flipped = padded[partner]
+        flipped *= coefficient
+        amps += flipped
 
 
 def evolve(spec: HamiltonianSpec, state: SpinState, t_total: float,
@@ -147,6 +201,11 @@ def evolve(spec: HamiltonianSpec, state: SpinState, t_total: float,
     return SpinState(spec.num_sites, amps)
 
 
+def ramp_sector(spec: HamiltonianSpec) -> int | None:
+    """Sum S^z of a ramp's basis: 0, the Neel state's, at B = 0, else None."""
+    return 0 if spec.b_field == 0.0 else None
+
+
 def adiabatic_evolve(spec: HamiltonianSpec, ramp: RampSpec) -> list[tuple[float, SpinState]]:
     """Ramp the staggered field off, starting from the staggered product
     state; returns (time, state) snapshots at the requested sample times
@@ -157,19 +216,23 @@ def adiabatic_evolve(spec: HamiltonianSpec, ramp: RampSpec) -> list[tuple[float,
 
         warnings.warn("staggered field is weak relative to the exchange coupling; "
                       "the initial product state is a poor ground state", stacklevel=2)
-    stepper = TrotterStepper(replace(spec, neel_delta=ramp.neel_delta), ramp.dt)
+    sector = ramp_sector(spec)
+    stepper = TrotterStepper(replace(spec, neel_delta=ramp.neel_delta), ramp.dt, sector)
     total_steps = _step_count(ramp.t_final, ramp.dt)
-    sample_steps = sorted({0, total_steps}
-                          | {int(round(t / ramp.dt)) for t in ramp.sample_times})
+    sample_steps = {0, total_steps} | {int(round(t / ramp.dt)) for t in ramp.sample_times}
 
-    amps = neel_state(spec.num_sites).amplitudes
-    snapshots = [(0.0, SpinState(spec.num_sites, amps))]
+    start = neel_state(spec.num_sites).amplitudes
+    snapshots = [(0.0, SpinState(spec.num_sites, start))]
+    amps = start if sector is None else start[stepper.states]
     for step in range(1, total_steps + 1):
         midpoint = (step - 0.5) * ramp.dt
-        amps = stepper.step(amps, ramp.weight(midpoint))
+        amps = stepper.step(amps, ramp.weight(midpoint), opened=step - 1 not in sample_steps,
+                            merge=step not in sample_steps)
         if step in sample_steps:
             _check_norm(amps)
-            snapshots.append((step * ramp.dt, SpinState(spec.num_sites, amps)))
+            full = np.zeros(spec.dim, dtype=complex)
+            full[slice(None) if sector is None else stepper.states] = amps
+            snapshots.append((step * ramp.dt, SpinState(spec.num_sites, full)))
     return snapshots
 
 

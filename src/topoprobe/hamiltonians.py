@@ -20,11 +20,12 @@ bonds inside the lowest ``LOW_BLOCK_SITES`` sites in one square matrix on
 the (higher sites, low block) view of the amplitudes, and every other bond
 multiplies the (higher sites, bond pair, lower sites) view, so the
 2^N x 2^N matrix is never built: ``CompiledHamiltonian.apply`` sums the low
-bonds, ``dynamics.TrotterStepper`` multiplies their gates. Within one
-sector of fixed sum_i S_i^z, a bond's zz entry goes on the diagonal and its
-exchange entry weights one partner-index table per bond that gathers from
-the amplitudes padded with a zero slot. Only the B term changes
-sum_i S_i^z, so at B = 0 H is block diagonal over those sectors.
+bonds, a full-space ``dynamics.TrotterStepper`` multiplies their gates.
+In one sector of fixed sum_i S_i^z, a bond's zz entry goes on the diagonal
+and its exchange entry weights one partner-index table per bond that
+gathers from the amplitudes padded with a zero slot (a sector stepper
+gathers its gates' flips alike). Only the B term changes sum_i S_i^z, so
+at B = 0 H is block diagonal over those sectors.
 """
 from __future__ import annotations
 
@@ -110,9 +111,9 @@ class CompiledHamiltonian:
     every bond. The full space keeps only the fields on ``diagonal``, the
     bonds inside the low block summed into one matrix (``low_t``, transposed)
     and the other bonds in ``high``; a sector keeps the zz part on
-    ``diagonal`` too, and per-bond (coupling, partner) pairs: ``partner``
-    holds the index of the state the bond flips each state into, or the
-    zero slot ``dim`` where the bond does not flip it."""
+    ``diagonal`` too, and per-bond (left site, coupling, partner) triples:
+    ``partner`` holds the index of the state the bond flips each state into,
+    or the zero slot ``dim`` where the bond does not flip it."""
 
     def __init__(self, spec: HamiltonianSpec, sector: int | None = None):
         self.spec = spec
@@ -157,7 +158,7 @@ class CompiledHamiltonian:
             # flipping both bits of a 00 or 11 bond leaves the sector
             lookup = np.full(2 ** n, self.dim, dtype=np.intp)
             lookup[self.states] = np.arange(self.dim)
-            self.exchange = [(h[1, 2], lookup[self.states ^ (3 << left)])
+            self.exchange = [(left, h[1, 2], lookup[self.states ^ (3 << left)])
                              for left, h in self.bonds if h[1, 2] != 0.0]
 
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
@@ -167,7 +168,7 @@ class CompiledHamiltonian:
         out = self.diagonal * amplitudes
         if self.sector is not None:
             padded = np.append(amplitudes, 0.0)
-            for coupling, partner in self.exchange:
+            for _left, coupling, partner in self.exchange:
                 out += coupling * padded[partner]
             return out
         out += (amplitudes.reshape(-1, self.low_t.shape[0]) @ self.low_t).reshape(-1)

@@ -286,7 +286,32 @@ class TestOtherCommands:
         assert main(["adiabatic", "--config", str(path), "--out", str(out)]) == 0
         lines = (out / "adiabatic.csv").read_text().splitlines()
         assert len(lines) >= 3
-        assert read_json(out / "adiabatic.json")["result"]["pinning_active"] is True
+        result = read_json(out / "adiabatic.json")["result"]
+        assert result["pinning_active"] is True
+        assert result["sector"] == 0
+        assert 0.0 <= result["max_norm_drift"] <= 1e-8
+
+    def test_adiabatic_with_b_field_runs_in_full_space(self, tmp_path):
+        path = tmp_path / "ramp.cfg"
+        path.write_text(TINY_CONFIG.replace("delta = 0.25", "delta = 0.25\nb_field = 0.1")
+                        + "\n[ramp]\nt_final = 1.0\ndt = 0.05\n")
+        out = tmp_path / "out"
+        assert main(["adiabatic", "--config", str(path), "--out", str(out)]) == 0
+        result = read_json(out / "adiabatic.json")["result"]
+        assert result["sector"] is None
+        assert 0.0 <= result["max_norm_drift"] <= 1e-8
+
+    @pytest.mark.parametrize("key", ["neel_delta", "neel_weight"])
+    def test_adiabatic_rejects_hamiltonian_field_keys(self, tmp_path, capsys, key):
+        path = tmp_path / "ramp.cfg"
+        path.write_text(TINY_CONFIG.replace("delta = 0.25", f"delta = 0.25\n{key} = 0.5")
+                        + "\n[ramp]\nt_final = 1.0\ndt = 0.05\n")
+        out = tmp_path / "out"
+        assert main(["adiabatic", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: hamiltonian.{key} has no effect in an adiabatic run")
+        assert "ramp.neel_delta" in err
+        assert not out.exists()
 
     def test_adiabatic_monitors_each_kind_on_its_layout(self, tmp_path):
         path = tmp_path / "ramp.cfg"

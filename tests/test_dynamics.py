@@ -87,15 +87,68 @@ class TestTrotterStep:
             amps = reference.step(amps, ramp.weight((step - 0.5) * ramp.dt))
         assert np.max(np.abs(final - amps)) <= 1e-12
 
+    @pytest.mark.parametrize("num_sites", [8, 12])
+    def test_sector_ramp_matches_per_bond_reference(self, num_sites):
+        # B = 0 runs in the sum S^z = 0 sector with merged even half-steps
+        spec = HamiltonianSpec(num_sites=num_sites, j=1.0, j_prime=0.5, delta=0.25,
+                               pinning=0.07, neel_delta=40.0)
+        ramp = RampSpec(t_final=2.0, dt=0.01, neel_delta=40.0)
+        final = adiabatic_evolve(spec, ramp)[-1][1].amplitudes
+        reference = EinsumTrotterStepper(spec, ramp.dt)
+        amps = neel_state(num_sites).amplitudes
+        for step in range(1, 201):
+            amps = reference.step(amps, ramp.weight((step - 0.5) * ramp.dt))
+        assert np.max(np.abs(final - amps)) <= 1e-12
+
+    @pytest.mark.parametrize("dt", [0.01, 1.0, np.pi])
+    def test_sector_step_matches_full_space(self, dt, rng):
+        # dt = pi puts the J = 1 half-step gate at g[1, 1] = cos(pi / 2), where
+        # the flip coefficient g[1, 2] / g[1, 1] is about 1e16
+        spec = HamiltonianSpec(num_sites=8, j=1.0, j_prime=0.6, delta=0.3, pinning=0.1,
+                               neel_delta=2.0)
+        sector, full = TrotterStepper(spec, dt, 0), TrotterStepper(spec, dt)
+        psi = np.zeros(2 ** 8, dtype=complex)
+        psi[sector.states] = random_state(8, rng).amplitudes[:sector.states.shape[0]]
+        psi /= np.linalg.norm(psi)
+        stepped = sector.step(psi[sector.states], 0.4)
+        assert np.max(np.abs(stepped - full.step(psi, 0.4)[sector.states])) <= 1e-14
+        merged = sector.step(sector.step(psi[sector.states], 0.4, merge=True), 0.3, opened=True)
+        reference = full.step(full.step(psi, 0.4), 0.3)
+        assert np.max(np.abs(merged - reference[sector.states])) <= 1e-14
+
+    def test_sector_snapshots_vanish_outside_sector(self):
+        spec = HamiltonianSpec(num_sites=8, j=1.0, j_prime=0.5, delta=0.25)
+        snapshots = adiabatic_evolve(spec, RampSpec(t_final=1.0, dt=0.01,
+                                                    sample_times=(0.2, 0.21, 0.5)))
+        outside = np.bitwise_count(np.arange(2 ** 8)) != 4
+        assert len(snapshots) == 5
+        for _time, state in snapshots:
+            assert np.all(state.amplitudes[outside] == 0.0)
+            assert np.linalg.norm(state.amplitudes[~outside]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_sample_steps_close_merged_half_steps(self):
+        # every sample step ends with the closing half-step and reopens;
+        # t_final must not depend on where the merge was closed
+        spec = HamiltonianSpec(num_sites=10, j=1.0, j_prime=0.8, delta=0.25, pinning=0.05)
+        plain = adiabatic_evolve(spec, RampSpec(t_final=1.5, dt=0.01))
+        sampled = adiabatic_evolve(spec, RampSpec(t_final=1.5, dt=0.01,
+                                                  sample_times=(0.01, 0.02, 0.37, 0.5, 1.49)))
+        assert [t for t, _state in sampled] == pytest.approx([0.0, 0.01, 0.02, 0.37, 0.5, 1.49,
+                                                              1.5])
+        assert np.max(np.abs(sampled[-1][1].amplitudes - plain[-1][1].amplitudes)) <= 1e-12
+
     @pytest.mark.parametrize("num_sites", [6, 12])
     def test_phase_table_is_exact(self, num_sites):
         spec = HamiltonianSpec(num_sites=num_sites, j=1.0, j_prime=0.5, delta=0.25,
                                pinning=0.05, neel_delta=40.0)
         stepper = TrotterStepper(spec, 0.01)
+        sector_stepper = TrotterStepper(spec, 0.01, 0)
         reference = EinsumTrotterStepper(spec, 0.01)
         for weight in (1.0, 0.37, 1e-5, 0.0):
             assert np.array_equal(stepper.phases(weight).view(np.uint64),
                                   reference.phases(weight).view(np.uint64))
+            assert np.array_equal(sector_stepper.phases(weight).view(np.uint64),
+                                  reference.phases(weight)[sector_stepper.states].view(np.uint64))
 
 
 class TestTrotterAccuracy:
