@@ -145,8 +145,7 @@ class CompiledHamiltonian:
             for left, h in self.bonds:
                 diag += h[0, 0] * zsign[left] * zsign[left + 1]
         # sum_i (-1)^i z_i, exact in any summation order; TrotterStepper reads
-        # it. Sectors keep it too: freeing it moved later heap arrays across
-        # huge-page boundaries and the desk configs' peak RSS from 103 to 122 MB
+        # it, on sectors too (its diagonal table pairs it with the static part)
         self.neel_diag = sum(s * z for s, z in zip(staggered_signs(n), zsign))
         diag += spec.neel_delta * spec.neel_weight * self.neel_diag
         diag += spec.pinning * zsign[0]

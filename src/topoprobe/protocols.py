@@ -122,6 +122,8 @@ class ProtocolParams:
                              f"spawn-key word), got {self.n_unitaries}")
         if self.n_shots < 2:
             raise ValueError("n_shots must be >= 2 (pair correction needs at least 2)")
+        if self.n_shots > 2 ** 63 - 1:
+            raise ValueError(f"n_shots must be <= 2**63 - 1 (int64 counts), got {self.n_shots}")
         check_seed(self.master_seed, "master_seed")
         check_layout(self.kind, self.partition)
 
@@ -196,18 +198,24 @@ def _ginibre(rng: np.random.Generator, count: int) -> np.ndarray:
 
 
 def _qr_haar(ginibre: np.ndarray) -> np.ndarray:
-    q, r = np.linalg.qr(ginibre)
-    phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
-    phases /= np.abs(phases)
-    return q * phases[:, None, :]
+    """Q of the unique QR G = QR with R's diagonal positive real, for 2x2
+    G = [[a, b], [c, d]]: Q = [[a/r, -phi conj(c)/r], [c/r, phi conj(a)/r]]
+    with r = sqrt(|a|^2 + |c|^2) and phi = det G / |det G|, unitary to
+    rounding whatever the condition of G (Mezzadri, Notices AMS 54, 592 (2007))."""
+    q = np.empty_like(ginibre)
+    q[:, :, 0] = ginibre[:, :, 0] / np.linalg.norm(ginibre[:, :, 0], axis=1, keepdims=True)
+    det = ginibre[:, 0, 0] * ginibre[:, 1, 1] - ginibre[:, 0, 1] * ginibre[:, 1, 0]
+    phase = det / np.abs(det)
+    q[:, 0, 1] = -phase * q[:, 1, 0].conj()
+    q[:, 1, 1] = phase * q[:, 0, 0].conj()
+    return q
 
 
 def sample_cue(rng: np.random.Generator, count: int | None = None) -> np.ndarray:
-    """Haar-random 2x2 unitaries via QR of complex Ginibre matrices.
-
-    The R-diagonal phase correction makes the QR decomposition unique and
-    the resulting distribution exactly Haar. Returns shape (2, 2) when
-    ``count`` is None, else (count, 2, 2).
+    """Haar-random 2x2 unitaries: the Q of complex Ginibre matrices whose R
+    has a positive real diagonal, in closed form (``_qr_haar``). That choice
+    makes the QR unique and Q exactly Haar (Mezzadri 2007). Returns shape
+    (2, 2) when ``count`` is None, else (count, 2, 2).
     """
     q = _qr_haar(_ginibre(rng, 1 if count is None else count))
     return q[0] if count is None else q
@@ -597,16 +605,21 @@ class TwirlReport:
 
 def twirl_check(channel: str, n_samples: int, rng: np.random.Generator) -> TwirlReport:
     """Monte Carlo twirl of the Hamming-weight operator; its average must
-    reproduce the swap (channel "phi") or transpose-swap (channel "psi")."""
+    reproduce the swap (channel "phi") or transpose-swap (channel "psi").
+    HAMMING_DIAGONAL D is (I + 3 Z⊗Z)/2, so (u⊗v)^dag D (u⊗v) = (I + 3 a⊗b)/2
+    with a = u^dag Z u and b = v^dag Z v = a (phi, v = u) or conj(a) (psi,
+    v = conj(u)); the average is one (4, n) @ (n, 4) product of a and b."""
     if channel not in ("phi", "psi"):
         raise ValueError(f"channel must be 'phi' or 'psi', got {channel!r}")
     if n_samples < 100:
         raise ValueError("n_samples must be >= 100")
     unitaries = sample_cue(rng, n_samples)
-    second = unitaries if channel == "phi" else unitaries.conj()
-    pair = np.einsum("nij,nkl->nikjl", unitaries, second).reshape(n_samples, 4, 4)
+    a = np.einsum("nki,k,nkj->nij", unitaries.conj(), [1.0, -1.0], unitaries).reshape(n_samples, 4)
+    b = a if channel == "phi" else a.conj()
     diag = np.diagonal(HAMMING_DIAGONAL).real
-    averaged = np.einsum("nji,j,njk->ik", pair.conj(), diag, pair) / n_samples
+    identity_weight, zz_weight = diag.mean(), diag @ [1.0, -1.0, -1.0, 1.0] / 4
+    ab = (a.T @ b).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    averaged = identity_weight * np.eye(4) + zz_weight / n_samples * ab
     target = SWAP_2 if channel == "phi" else TRANSPOSE_SWAP_2
     error = float(np.linalg.norm(averaged - target))
     return TwirlReport(channel, n_samples, error,

@@ -78,6 +78,24 @@ def twirl_psi_exact(op):
     return out.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
 
 
+def qr_haar_lapack(ginibre):
+    """Haar unitaries from a stack of 2x2 Ginibre matrices by LAPACK QR with
+    R's diagonal phases moved into Q (Mezzadri 2007)."""
+    q, r = np.linalg.qr(ginibre)
+    phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    phases /= np.abs(phases)
+    return q * phases[:, None, :]
+
+
+def twirl_pair_average(channel, unitaries, diagonal):
+    """Monte Carlo twirl of a diagonal two-spin operator over the (n, 4, 4)
+    pair tensors u⊗u (channel "phi") or u⊗conj(u) (channel "psi")."""
+    n = len(unitaries)
+    second = unitaries if channel == "phi" else unitaries.conj()
+    pair = np.einsum("nij,nkl->nikjl", unitaries, second).reshape(n, 4, 4)
+    return np.einsum("nji,j,njk->ik", pair.conj(), np.diagonal(diagonal).real, pair) / n
+
+
 def partial_transpose_first_segment(matrix, first_bits, total_bits):
     """Transpose the first-segment indices (the low ``first_bits`` bits)."""
     rest = total_bits - first_bits

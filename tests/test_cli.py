@@ -417,6 +417,9 @@ class TestOtherCommands:
         (["invariants", "--exact"], TINY_CONFIG.replace("pairs = 2", "pairs = 5"),
          "partition: pairs=5 does not fit in half the chain (4)"),
         (["campaign-analyze"], "0,1,0,32\n", "record file missing JSON header line"),
+        (["error-scan"], TINY_CONFIG + "\n[error_scan]\naxis = n_shots\nvalues = 64, 1e30\n"
+                                       "repetitions = 8\n",
+         f"n_shots must be <= 2**63 - 1 (int64 counts), got {int(1e30)}"),
     ])
     def test_bad_input_exits_2_with_message(self, tmp_path, capsys, command, body, message):
         path = tmp_path / "input"

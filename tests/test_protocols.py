@@ -2,6 +2,7 @@
 import json
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +19,10 @@ from topoprobe.protocols import (
     EstimatorResult,
     ProtocolParams,
     _campaign_gates,
+    _ginibre,
     _pattern_draw_count,
     _pattern_gates,
+    _qr_haar,
     _spawn_words,
     _streams,
     estimate_normalized,
@@ -35,7 +38,8 @@ from topoprobe.protocols import (
 from topoprobe.rdm import MAX_INTERVAL, exact_invariant, purity, reduced_density_matrix
 from topoprobe.spincore import PAULI_X, PAULI_Y, SpinState, basis_state, random_state
 
-from oracles import statevector_born, twirl_phi_exact, twirl_psi_exact
+from oracles import qr_haar_lapack, statevector_born, twirl_pair_average, twirl_phi_exact, \
+    twirl_psi_exact
 
 # (kind, pairs) of every engine layout with |I| <= 6
 ENGINE_LAYOUTS = [(kind, pairs) for kind in ("reflection", "purity", "time_reversal")
@@ -70,9 +74,22 @@ def first_gates(kind, partition):
 
 
 class TestCueSampling:
-    def test_unitarity(self, rng):
-        for u in sample_cue(rng, 50):
-            assert np.linalg.norm(u.conj().T @ u - np.eye(2)) < 1e-12
+    def test_unitarity(self):
+        us = sample_cue(np.random.default_rng(4), 100000)
+        gram = np.einsum("nki,nkj->nij", us.conj(), us)
+        assert np.max(np.linalg.norm(gram - np.eye(2), axis=(1, 2))) < 1e-14
+
+    def test_closed_form_matches_lapack_qr(self):
+        ginibre = _ginibre(np.random.default_rng(4), 100000)
+        q = _qr_haar(ginibre)
+        assert np.array_equal(q, sample_cue(np.random.default_rng(4), 100000))
+        assert np.max(np.abs(q - qr_haar_lapack(ginibre))) < 1e-12
+        # Q^dag G is R: upper triangular with a positive real diagonal
+        r = np.einsum("nki,nkj->nij", q.conj(), ginibre)
+        diagonal = np.diagonal(r, axis1=1, axis2=2)
+        assert np.max(np.abs(r[:, 1, 0])) < 1e-14
+        assert np.max(np.abs(diagonal.imag)) < 1e-14
+        assert np.all(diagonal.real > 0)
 
     def test_first_moment_depolarizes(self):
         us = sample_cue(np.random.default_rng(1), 100000)
@@ -210,6 +227,10 @@ class TestCampaign:
         with pytest.raises(ValueError, match=r"n_unitaries must be <= 2\*\*32 .*got 4294967297"):
             ProtocolParams("reflection", 2 ** 32 + 1, 16, part, 0)
         ProtocolParams("reflection", 2 ** 32, 16, part, 0)
+        with pytest.raises(ValueError,
+                           match=r"n_shots must be <= 2\*\*63 - 1 .*got 9223372036854775808"):
+            ProtocolParams("reflection", 4, 2 ** 63, part, 0)
+        ProtocolParams("reflection", 4, 2 ** 63 - 1, part, 0)
         for seed in (-1, True, 1.0, np.int64(3)):
             with pytest.raises(ValueError, match=re.escape(
                     f"master_seed must be a non-negative integer, got {seed!r}")):
@@ -629,6 +650,30 @@ class TestTwirl:
         assert report.frobenius_error <= 0.15
         report = twirl_check("psi", 10000, np.random.default_rng(2))
         assert report.frobenius_error <= 0.15
+
+    @pytest.mark.parametrize("channel", ["phi", "psi"])
+    def test_matches_pair_tensor_average(self, channel):
+        # summation order differs, and its rounding relative to the error
+        # (about 1/sqrt(n)) grows like n eps: 1000 samples keep it below 1e-13
+        targets = {"phi": SWAP_2, "psi": TRANSPOSE_SWAP_2}
+        for seed in range(5):
+            report = twirl_check(channel, 1000, np.random.default_rng(seed))
+            averaged = twirl_pair_average(channel, sample_cue(np.random.default_rng(seed), 1000),
+                                          HAMMING_DIAGONAL)
+            expected = np.linalg.norm(averaged - targets[channel])
+            assert report.frobenius_error == pytest.approx(expected, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("channel", ["phi", "psi"])
+    def test_traced_peak_per_sample(self, channel):
+        # sample_cue's Ginibre draws and the (n, 4) arrays, no (n, 4, 4) pair tensors
+        rng = np.random.default_rng(6)
+        tracemalloc.start()
+        try:
+            twirl_check(channel, 100000, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 100000 < 320
 
     def test_sample_floor(self):
         with pytest.raises(ValueError, match="100"):
