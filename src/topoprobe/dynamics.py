@@ -238,7 +238,7 @@ def adiabatic_evolve(spec: HamiltonianSpec, ramp: RampSpec) -> list[tuple[float,
 
 def _check_norm(amps: np.ndarray) -> None:
     drift = abs(np.linalg.norm(amps) - 1.0)
-    if drift > NORM_DRIFT_TOL:
+    if not drift <= NORM_DRIFT_TOL:  # NaN fails too
         raise NormDriftError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL:.0e}; reduce dt")
 
 

@@ -26,6 +26,8 @@ the lowest tie, and a tie goes to the smaller |sum_i S_i^z|, then to +1.
 ``sector_gap`` the lowest other sector energy minus the chosen one (below
 0 only in a tie).
 ``max_iter`` bounds each sector's steps; ``iterations`` sums them.
+H is real in the computational basis and the start vector is real, so
+every returned state has real (float64) amplitudes.
 
 Converged results are memoized per process by ``(spec, tol, max_iter,
 seed)`` and shared (specs are frozen, amplitudes read-only); failures are
@@ -48,7 +50,7 @@ SECTORS = (0, 1, -1)  # in tie-break order
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 2000
 KRYLOV_CAP = 200
-MEMO_BYTES = 64 * 2 ** 20  # 64 states at N = 16, 4 at N = 20
+MEMO_BYTES = 64 * 2 ** 20  # 128 states at N = 16, 8 at N = 20
 EPS = float(np.finfo(float).eps)
 TINY = float(np.finfo(float).tiny)
 REORTH_LEVEL = np.sqrt(EPS)  # semi-orthogonality (Simon 1984)
@@ -292,7 +294,7 @@ def _solve_uncached(spec: HamiltonianSpec, tol: float, max_iter: int, seed: int)
     # sectors come in tie-break order: the first within tol of the lowest wins
     pick = next(k for k, energy in enumerate(energies) if energy <= min(energies) + tol)
     energy, vec, residual, _steps, sector, index = solved.pop(pick)
-    amplitudes = np.zeros(spec.dim, dtype=complex)
+    amplitudes = np.zeros(spec.dim)
     amplitudes[index] = vec
     gap = min(other for other, *_ in solved) - energy if solved else None
     return EigenResult(energy, SpinState(spec.num_sites, amplitudes), residual, iterations,

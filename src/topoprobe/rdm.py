@@ -58,6 +58,10 @@ only: the normalized state and its reordered copies, a few arrays of 2^N
 entries, come on top. So time reversal reaches the whole chain for
 N <= 22, D2 and the Klein bottle 12 outer sites.
 
+A real state (every ground state) contracts in real arithmetic with the
+same code: its reordered copies, B, P and Q are real. The caps count
+entries, so the reach is the same and the bytes are half.
+
 Normalization: the reflection invariant divides by
 sqrt((Tr rho_I1^2 + Tr rho_Ilast^2)/2), the other three by the same
 bracket to the power 3/2, with I1 and Ilast the first and last segments.
@@ -101,7 +105,7 @@ class InvariantValue:
         for p in (self.purity_first, self.purity_second):
             if not 0.0 < p <= 1.0 + 1e-9:
                 raise ValueError(f"purity {p} outside (0, 1]")
-        if abs(self.raw) > self.bound + BOUND_SLACK:
+        if not abs(self.raw) <= self.bound + BOUND_SLACK:  # NaN fails too
             raise ValueError(f"raw {self.kind} value {self.raw} exceeds its derived bound "
                              f"{self.bound}; likely a contraction bug")
 

@@ -5,8 +5,10 @@ Conventions used throughout the package:
 * Sites are 0-indexed. Site ``i`` maps to bit ``i`` of the integer basis
   index, so site 0 is the least-significant bit.
 * Spin up maps to bit 0, spin down to bit 1, and ``sigma_z |up> = +|up>``.
-* Statevectors are immutable after construction. Random states consume
-  caller-provided seeded generators, never shared global state.
+* Statevectors are immutable after construction. Real amplitudes stay
+  real (float64), so a real state contracts in real arithmetic; any other
+  input is complex128. Random states consume caller-provided seeded
+  generators, never shared global state.
 """
 from __future__ import annotations
 
@@ -26,19 +28,22 @@ class SpinState:
 
     ``amplitudes[k]`` is the coefficient of the basis state whose spin
     configuration is the binary expansion of ``k`` (bit i = site i).
+    Real input (``np.isrealobj``) is kept as read-only float64, any other
+    as read-only complex128; an input array of that dtype is frozen in place.
     """
 
     num_sites: int
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.asarray(self.amplitudes,
+                          dtype=float if np.isrealobj(self.amplitudes) else complex)
         if amps.ndim != 1 or amps.shape[0] != 2 ** self.num_sites:
             raise ValueError(
                 f"amplitudes must have length 2**{self.num_sites}, got shape {amps.shape}"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-8:
+        if not abs(norm - 1.0) <= 1e-8:  # NaN fails too
             raise ValueError(f"state not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)

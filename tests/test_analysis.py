@@ -85,7 +85,7 @@ class TestSweep:
     def test_sweep_holds_no_states_beyond_the_memo(self, monkeypatch):
         # the memo holds two N = 8 states; the sweep may keep none of its own
         groundstate._solve.cache_clear()
-        monkeypatch.setattr(groundstate, "MEMO_BYTES", 2 * 2 ** 8 * 16)
+        monkeypatch.setattr(groundstate, "MEMO_BYTES", 2 * 2 ** 8 * np.dtype(float).itemsize)
         returned, alive = [], []
 
         def tracked(*args, **kwargs):

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from topoprobe.dynamics import (
+    NormDriftError,
     RampSpec,
     TrotterStepper,
+    _check_norm,
     adiabatic_evolve,
     evolve,
     monitor_invariants,
@@ -54,6 +56,10 @@ class TestRampSpec:
         spec = HamiltonianSpec(num_sites=8, j=1.0, j_prime=0.5, delta=0.25)
         with pytest.raises(ValueError, match="chain size does not match"):
             evolve(spec, neel_state(10), 0.1)
+
+    def test_nan_state_fails_norm_check(self):
+        with pytest.raises(NormDriftError, match="nan"):
+            _check_norm(np.full(16, np.nan))
 
     @pytest.mark.parametrize("exponent", [3, 1, 0, -2])
     def test_exponent_must_be_positive_even(self, exponent):

@@ -1,11 +1,13 @@
 """Exact reduced density matrices and invariants against independent
 dense-operator oracles built from explicit Kronecker products."""
+import tracemalloc
 from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from topoprobe.hamiltonians import CompiledHamiltonian, HamiltonianSpec
 from topoprobe.partitions import (
     PartitionSpec,
     reflection_partition,
@@ -446,6 +448,21 @@ class TestReach:
         assert value.purity_first == pytest.approx(value.purity_second, abs=1e-12)
         assert value.bound == pytest.approx(1.0, abs=1e-12)
 
+    def test_real_state_contracts_in_real_arithmetic(self, rng):
+        # N = 16, pairs 6 runs on the column side (18 > 16); P and Q, 2^20
+        # entries each, take 16 MiB together when real and 32 MiB when complex
+        states = CompiledHamiltonian(HamiltonianSpec(num_sites=16, j=1.0, delta=0.25), 0).states
+        amps = np.zeros(2 ** 16)
+        amps[states] = rng.standard_normal(len(states))
+        state = SpinState(16, amps / np.linalg.norm(amps))
+        tracemalloc.start()
+        try:
+            exact_invariant(state, reflection_partition(16, 6), "time_reversal")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24e6
+
     def test_both_sides_above_limit_rejected(self, rng):
         # N = 20, pairs 7: 16^7 = 4^14 row-side and 2 * 4^7 * 4^6 column-side
         # entries, both above 4^12; the check runs before anything is allocated
@@ -463,6 +480,10 @@ class TestInvariantValueContract:
         InvariantValue(0.25, 2.0, 0.25, 0.25, "time_reversal", bound=0.25)
         with pytest.raises(ValueError, match="derived bound"):
             InvariantValue(0.3, 0.3, 1.0, 1.0, "time_reversal", bound=0.25)
+
+    def test_nan_raw_rejected(self):
+        with pytest.raises(ValueError, match="derived bound"):
+            InvariantValue(np.nan, 0.5, 1.0, 1.0, "reflection")
 
     def test_purity_range_enforced(self):
         with pytest.raises(ValueError, match="purity"):

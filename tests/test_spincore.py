@@ -29,6 +29,12 @@ class TestStateBasics:
         with pytest.raises(ValueError, match="normalized"):
             SpinState(2, np.ones(4, dtype=complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        # NaN fails every comparison, so the norm test must not be a `>`
+        with pytest.raises(ValueError, match="normalized"):
+            SpinState(2, [bad, 0.0, 0.0, 0.0])
+
     def test_neel_state_site0_down(self):
         state = neel_state(4)
         # site 0 down, site 1 up, ... -> bits 0101 -> index 5
