@@ -5,7 +5,8 @@ the lowest eigenvalue of the tridiagonal matrix T_k (kept as its diagonal
 and off-diagonal) and the last component s_k of that eigenvector in O(k),
 by Rayleigh-quotient iteration on twisted factorizations (Dhillon and
 Parlett 2004) checked by Sturm counts. The Ritz coefficients are formed
-once |beta_k s_k| <= ``tol``, on breakdown or at the step cap. The basis
+once |beta_k s_k| <= ``tol``, on breakdown (beta_k at most eps times the
+Gershgorin bound on ||T_k||) or at the step cap. The basis
 stays semi-orthogonal by partial reorthogonalization (Simon 1984): only
 when Simon's omega recurrence estimates an overlap of the new vector with
 an older one above sqrt(eps) is it reorthogonalized, on that step and the
@@ -15,6 +16,12 @@ A Krylov space at its cap restarts from the current Ritz vector, whose
 sign gives it a positive overlap with the vector the sweep started from;
 a result is returned once its true residual ||H psi - E psi|| is at most
 ``tol``.
+
+Both stopping tests are scale-free. ``tol`` applies as tol * min(1, ||H||),
+||H|| bounded from the couplings (``hamiltonians.norm_bound``), so a
+Hamiltonian scaled down is solved to the same relative accuracy; a ``tol``
+whose effective value is below the rounding level eps ||H|| raises
+``ValueError`` before the first step, as no residual can reach it.
 
 Only the B term changes sum_i S_i^z. At B = 0, J, J' >= 0 and delta > -1
 each sector sum_i S_i^z = 0, +1, -1 is solved on its own basis (at most
@@ -41,7 +48,7 @@ from operator import mul
 
 import numpy as np
 
-from .hamiltonians import CompiledHamiltonian, HamiltonianSpec
+from .hamiltonians import CompiledHamiltonian, HamiltonianSpec, norm_bound
 from .spincore import SpinState
 
 MAX_SITES = 16  # full space
@@ -140,7 +147,7 @@ def _lowest_ritz(alpha: list, beta: list, guess: float | None) -> tuple[float, f
     squares = _squares(beta)
     radius = 2.0 * max(map(abs, beta))
     lo, hi = min(alpha) - radius, max(alpha) + radius  # Gershgorin
-    margin = 4.0 * EPS * (max(map(abs, alpha)) + radius)
+    margin = 4.0 * EPS * _norm_bound(alpha, beta)
     shift = guess - margin
     for _ in range(RITZ_ITERATIONS):
         below, theta, z, norm2 = _twisted(alpha, beta, shift, squares)
@@ -152,6 +159,11 @@ def _lowest_ritz(alpha: list, beta: list, guess: float | None) -> tuple[float, f
             lo = shift
         shift = theta - margin if lo < theta - margin < hi else 0.5 * (lo + hi)
     raise ArithmeticError(f"no lowest Ritz value within {RITZ_ITERATIONS} iterations")
+
+
+def _norm_bound(alpha: list, beta: list) -> float:
+    """Gershgorin bound on ||T||: max |alpha| plus twice max |beta|."""
+    return max(map(abs, alpha)) + 2.0 * max(map(abs, beta), default=0.0)
 
 
 def _ritz_coefficients(alpha: list, beta: list, theta: float) -> np.ndarray:
@@ -204,7 +216,9 @@ def _lanczos_sweep(ham: CompiledHamiltonian, start: np.ndarray, tol: float,
         theta, last = _lowest_ritz(alpha_list, beta_list, theta)
         # residual of the Ritz pair is |beta * last coefficient|
         residual_est = abs(beta * last)
-        if residual_est <= tol or beta < 1e-14 or step == max_steps:
+        # breakdown: beta at the rounding level of ||T||, whatever H's scale
+        breakdown = beta <= EPS * _norm_bound(alpha_list, beta_list)
+        if residual_est <= tol or breakdown or step == max_steps:
             vector = _ritz_coefficients(alpha_list, beta_list, theta) @ krylov
             vector /= np.linalg.norm(vector)
             if vector @ krylov[0] < 0.0:
@@ -247,9 +261,10 @@ def ground_state(spec: HamiltonianSpec, tol: float = DEFAULT_TOL,
     """Lowest-energy eigenpair of the Hamiltonian, deterministic in ``seed``.
 
     Raises ConvergenceError (carrying the final residual) if the true
-    residual ||H psi - E psi|| of a sector does not reach ``tol`` within
-    ``max_iter`` Lanczos steps across restarts. Equal arguments return one
-    result.
+    residual ||H psi - E psi|| of a sector does not reach the effective
+    tolerance tol * min(1, ||H|| bound) within ``max_iter`` Lanczos steps
+    across restarts, and ValueError if that tolerance is below the rounding
+    level eps ||H|| bound. Equal arguments return one result.
     """
     limit = MAX_SECTOR_SITES if _uses_sectors(spec) else MAX_SITES
     if spec.num_sites > limit:
@@ -257,6 +272,10 @@ def ground_state(spec: HamiltonianSpec, tol: float = DEFAULT_TOL,
                          f"({MAX_SECTOR_SITES} sites need b_field = 0, j, j' >= 0, delta > -1)")
     if not 0.0 < tol < np.inf:  # also rejects nan
         raise ValueError(f"tol must be finite and positive, got {tol}")
+    scale = norm_bound(spec)
+    if tol * min(1.0, scale) < EPS * scale:
+        raise ValueError(f"tol {tol:.3g} is below the rounding level {EPS * scale:.3g} of "
+                         f"this Hamiltonian (||H|| <= {scale:.3g}); no residual can reach it")
     if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
         raise ValueError(f"max_iter must be a positive integer, got {max_iter!r}")
     return _solve(spec, tol, max_iter, seed)
@@ -282,6 +301,7 @@ def _lowest(ham: CompiledHamiltonian, vec: np.ndarray, tol: float,
 
 def _solve_uncached(spec: HamiltonianSpec, tol: float, max_iter: int, seed: int) -> EigenResult:
     """Lowest eigenpair over the sectors of ``spec`` (or its full space)."""
+    tol *= min(1.0, norm_bound(spec))  # relative to ||H|| where that is below 1
     rng = np.random.default_rng(seed)
     solved = []  # (energy, vector, residual, steps, sector, full-space index)
     for sector in SECTORS if _uses_sectors(spec) else (None,):

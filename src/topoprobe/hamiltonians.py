@@ -88,6 +88,20 @@ def exchange_bonds(spec: HamiltonianSpec) -> list[tuple[int, int, float]]:
     return bonds
 
 
+def bond_terms(spec: HamiltonianSpec) -> list[tuple[int, np.ndarray]]:
+    """(left site, 4x4 bond matrix) for every bond, one matrix per coupling."""
+    matrix = {c: 0.5 * c * (XX_PLUS_YY + spec.delta * ZZ) + spec.b_field * XZ_MINUS_ZX
+              for c in (spec.j, spec.j_prime)}
+    return [(left, matrix[c]) for left, _right, c in exchange_bonds(spec)]
+
+
+def norm_bound(spec: HamiltonianSpec) -> float:
+    """Upper bound on ||H||: each bond matrix's largest absolute row sum,
+    summed over the bonds, plus the largest field term."""
+    bonds = sum(float(np.abs(h).sum(axis=1).max()) for _left, h in bond_terms(spec))
+    return bonds + spec.num_sites * abs(spec.neel_delta * spec.neel_weight) + abs(spec.pinning)
+
+
 def staggered_signs(num_sites: int) -> np.ndarray:
     """(+1, -1, +1, ...) pattern multiplying sigma_z site by site."""
     return np.array([1.0 if i % 2 == 0 else -1.0 for i in range(num_sites)])
@@ -120,9 +134,7 @@ class CompiledHamiltonian:
         self.sector = sector
         n = spec.num_sites
         self.states = None
-        bond_matrix = {c: 0.5 * c * (XX_PLUS_YY + spec.delta * ZZ) + spec.b_field * XZ_MINUS_ZX
-                       for c in (spec.j, spec.j_prime)}
-        self.bonds = [(left, bond_matrix[c]) for left, _right, c in exchange_bonds(spec)]
+        self.bonds = bond_terms(spec)
         if sector is None:
             low, self.high = split_low_block(self.bonds, n)
             self.low_t = sum(low).T

@@ -44,13 +44,17 @@ probabilities, with the mirror weights (-2)^(-D[s, reversed(s)]/2).
 
 Error bars are nonparametric bootstrap over the unitary axis (the unitary
 ensemble is the dominant fluctuation axis and resampling it captures shot
-noise as well).
+noise as well). The resample indices are drawn and reduced a chunk of
+rows at a time (``_resample_means``), so a bootstrap over n unitaries
+holds O(n + BUDGET) entries, not one index per unitary and resample.
 
 Seeding: every random stream is ``Generator(PCG64(SeedSequence(master_seed,
 spawn_key=key)))``. Unitary u draws its pattern from key (0, u, 0) and the
 shots of its experiment k (k = 1, 2) from (0, u, k); the bootstrap uses
-(1,). A campaign is therefore reproducible bit for bit, and each
-unitary's draws do not depend on how the unitary axis is chunked.
+(1,), drawn in chunks of BUDGET // n rows that continue one another into
+the (resamples, n) draw. A campaign is therefore reproducible bit for
+bit, and neither a unitary's draws nor the bootstrap's depend on how an
+axis is chunked.
 The streams of a chunk are built in bulk (``_streams``): the spawn-key
 words are hashed into the pool of ``SeedSequence(master_seed)`` for all
 unitaries at once, and one reused PCG64 is set to each seeded state.
@@ -78,6 +82,8 @@ BOOTSTRAP_RESAMPLES = 200
 # intermediate would exceed CHUNK_ELEMENTS complex entries (8 MB)
 CHUNK_UNITARIES = 256
 CHUNK_ELEMENTS = 2 ** 19
+# entries per chunk of a Monte Carlo reduction: bootstrap indices, twirl draws
+BUDGET = 2 ** 16
 
 # single-site Hamming weight kernel: (-2)^(-D) between two outcomes
 PAIR_KERNEL = np.array([[1.0, -0.5], [-0.5, 1.0]])
@@ -446,26 +452,31 @@ def _hamming_form(left: np.ndarray, right: np.ndarray, kernels: list[np.ndarray]
     return scale * np.einsum("ij,ij->i", left, _apply_kernel_rows(right, kernels))
 
 
-def _bootstrap_std(per_unitary: np.ndarray, master_seed: int, normalizer=None) -> float:
-    """Bootstrap standard error of the mean over the unitary axis.
+def _resample_means(master_seed: int, *per_unitary: np.ndarray) -> np.ndarray:
+    """(len(per_unitary), BOOTSTRAP_RESAMPLES) bootstrap resample means of
+    each per-unitary array, all resampled with the same unitary indices.
 
-    For a ratio statistic, ``normalizer`` maps the index arrays to its
-    denominator, which is then resampled jointly with the numerator.
+    The (BOOTSTRAP_RESAMPLES, n) index draw of the (1,) stream is made and
+    reduced ``BUDGET // n`` rows at a time: the bounded-integer draw
+    continues the stream across calls and each row's mean is its own
+    pairwise sum, so the means are those of one draw bit for bit.
     """
     rng = next(_streams(master_seed, 1))
-    n = per_unitary.shape[0]
-    picks = rng.integers(0, n, size=(BOOTSTRAP_RESAMPLES, n))
-    values = per_unitary[picks].mean(axis=1)
-    if normalizer is not None:
-        values = values / normalizer(picks)
-    return float(np.std(values))
+    n = per_unitary[0].shape[0]
+    rows = max(1, BUDGET // n)
+    means = np.empty((len(per_unitary), BOOTSTRAP_RESAMPLES))
+    for start in range(0, BOOTSTRAP_RESAMPLES, rows):
+        picks = rng.integers(0, n, size=(min(rows, BOOTSTRAP_RESAMPLES - start), n))
+        for mean, values in zip(means, per_unitary):
+            mean[start:start + len(picks)] = values[picks].mean(axis=1)
+    return means
 
 
 def _mean_result(per_unitary: np.ndarray, params: ProtocolParams,
                  kind: str) -> EstimatorResult:
-    return EstimatorResult(float(per_unitary.mean()),
-                           _bootstrap_std(per_unitary, params.master_seed),
-                           kind, params.n_unitaries, params.n_shots, params.master_seed)
+    std = float(np.std(_resample_means(params.master_seed, per_unitary)[0]))
+    return EstimatorResult(float(per_unitary.mean()), std, kind, params.n_unitaries,
+                           params.n_shots, params.master_seed)
 
 
 # -- estimators ----------------------------------------------------------------
@@ -546,22 +557,21 @@ def estimate_normalized(records, params) -> EstimatorResult:
     purity_1 = _per_unitary_purity(outcomes, exact, params, segment=0)
     purity_2 = _per_unitary_purity(outcomes, exact, params, segment=1)
     campaign = f"({params.n_unitaries} unitaries x {params.n_shots} shots)"
-
-    def denominator(picks: np.ndarray) -> np.ndarray:
-        mean_p = (purity_1[picks].mean(axis=1) + purity_2[picks].mean(axis=1)) / 2.0
-        nonpositive = np.count_nonzero(mean_p <= 0.0)
-        if nonpositive:
-            raise ValueError(f"{nonpositive} of {BOOTSTRAP_RESAMPLES} bootstrap resamples have "
-                             f"mean sampled segment purity <= 0 {campaign}; the "
-                             f"{params.kind} error bar cannot be normalized")
-        return mean_p ** power
-
     mean_purity = (purity_1.mean() + purity_2.mean()) / 2.0
     if mean_purity <= 0.0:
         raise ValueError(f"mean sampled segment purity {mean_purity:.6g} is not positive "
                          f"{campaign}; the {params.kind} estimate cannot be normalized")
     value = raw.mean() / mean_purity ** power
-    std = _bootstrap_std(raw, params.master_seed, denominator)
+    # the resampled ratio: raw and both purities resampled jointly
+    raw_means, purity_1_means, purity_2_means = _resample_means(
+        params.master_seed, raw, purity_1, purity_2)
+    resampled_purity = (purity_1_means + purity_2_means) / 2.0
+    nonpositive = np.count_nonzero(resampled_purity <= 0.0)
+    if nonpositive:
+        raise ValueError(f"{nonpositive} of {BOOTSTRAP_RESAMPLES} bootstrap resamples have "
+                         f"mean sampled segment purity <= 0 {campaign}; the "
+                         f"{params.kind} error bar cannot be normalized")
+    std = float(np.std(raw_means / resampled_purity ** power))
     return EstimatorResult(float(value), std, params.kind, params.n_unitaries,
                            params.n_shots, params.master_seed)
 
@@ -608,17 +618,24 @@ def twirl_check(channel: str, n_samples: int, rng: np.random.Generator) -> Twirl
     reproduce the swap (channel "phi") or transpose-swap (channel "psi").
     HAMMING_DIAGONAL D is (I + 3 Z⊗Z)/2, so (u⊗v)^dag D (u⊗v) = (I + 3 a⊗b)/2
     with a = u^dag Z u and b = v^dag Z v = a (phi, v = u) or conj(a) (psi,
-    v = conj(u)); the average is one (4, n) @ (n, 4) product of a and b."""
+    v = conj(u)). The unitaries are ``sample_cue``'s: all real parts are
+    drawn first, then the imaginary parts of BUDGET // 4 samples at a time,
+    and each chunk adds its (4, chunk) @ (chunk, 4) product of a and b to
+    one 4x4 sum, so only the real parts grow with ``n_samples``."""
     if channel not in ("phi", "psi"):
         raise ValueError(f"channel must be 'phi' or 'psi', got {channel!r}")
     if n_samples < 100:
         raise ValueError("n_samples must be >= 100")
-    unitaries = sample_cue(rng, n_samples)
-    a = np.einsum("nki,k,nkj->nij", unitaries.conj(), [1.0, -1.0], unitaries).reshape(n_samples, 4)
-    b = a if channel == "phi" else a.conj()
+    real = rng.standard_normal((n_samples, 2, 2))  # sample_cue's first draw
+    ab = np.zeros((4, 4), dtype=complex)
+    for start in range(0, n_samples, BUDGET // 4):
+        chunk = real[start:start + BUDGET // 4]
+        unitaries = _qr_haar(chunk + 1j * rng.standard_normal(chunk.shape))
+        a = np.einsum("nki,k,nkj->nij", unitaries.conj(), [1.0, -1.0], unitaries).reshape(-1, 4)
+        ab += a.T @ (a if channel == "phi" else a.conj())
     diag = np.diagonal(HAMMING_DIAGONAL).real
     identity_weight, zz_weight = diag.mean(), diag @ [1.0, -1.0, -1.0, 1.0] / 4
-    ab = (a.T @ b).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    ab = ab.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
     averaged = identity_weight * np.eye(4) + zz_weight / n_samples * ab
     target = SWAP_2 if channel == "phi" else TRANSPOSE_SWAP_2
     error = float(np.linalg.norm(averaged - target))

@@ -9,6 +9,7 @@ import numpy as np
 from topoprobe.groundstate import ground_state
 from topoprobe.hamiltonians import CompiledHamiltonian, exchange_bonds, staggered_signs
 from topoprobe.partitions import reflection_partition
+from topoprobe.protocols import BOOTSTRAP_RESAMPLES
 from topoprobe.rdm import exact_invariant
 
 # two-spin swap |a, b> -> |b, a> with index = bit_a + 2 bit_b
@@ -94,6 +95,20 @@ def twirl_pair_average(channel, unitaries, diagonal):
     second = unitaries if channel == "phi" else unitaries.conj()
     pair = np.einsum("nij,nkl->nikjl", unitaries, second).reshape(n, 4, 4)
     return np.einsum("nji,j,njk->ik", pair.conj(), np.diagonal(diagonal).real, pair) / n
+
+
+def bootstrap_std(per_unitary, master_seed, normalizer=None):
+    """Bootstrap standard error of the mean over the unitary axis from one
+    (resamples, n) index draw of the seed contract's (1,) stream, all
+    resamples held at once. For a ratio statistic, ``normalizer`` maps the
+    index array to its denominator, resampled jointly with the numerator."""
+    rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(1,)))
+    n = per_unitary.shape[0]
+    picks = rng.integers(0, n, size=(BOOTSTRAP_RESAMPLES, n))
+    values = per_unitary[picks].mean(axis=1)
+    if normalizer is not None:
+        values = values / normalizer(picks)
+    return float(np.std(values))
 
 
 def partial_transpose_first_segment(matrix, first_bits, total_bits):

@@ -155,6 +155,12 @@ class TestGroundStateCommand:
         assert main(["ground-state", "--config", str(path)]) == 2
         assert "num_sites" in capsys.readouterr().err
 
+    def test_tol_below_rounding_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "large.cfg"
+        path.write_text(TINY_CONFIG.replace("j = 1.0\n", "j = 1.0e6\n"))
+        assert main(["ground-state", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "error: tol 1e-10 is below the rounding level" in capsys.readouterr().err
+
     def test_byte_identical_modulo_timestamp(self, tiny_config, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         main(["ground-state", "--config", str(tiny_config), "--out", str(out_a)])

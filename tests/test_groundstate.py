@@ -109,6 +109,35 @@ class TestSolverContract:
         assert abs(np.linalg.norm(result.state.amplitudes) - 1.0) < 1e-10
 
 
+class TestScaleFree:
+    # N = 8, J'/J = 0.5, delta = 0.25 and default pinning, every coupling
+    # times s: the stopping tests are relative to the size of H, so every
+    # scale matches the dense ground state as closely as s = 1 does
+    # (measured: relative energy error 3.8e-16 at s = 1, 0 at 1e-9, 1.7e-16
+    # at 1e-12 and 1.6e-16 at 1e4; 1 - overlap^2 at most 1.3e-15)
+    @staticmethod
+    def scaled(s):
+        return HamiltonianSpec(num_sites=8, j=s, j_prime=0.5 * s, delta=0.25)
+
+    def assert_matches_dense(self, spec, **kwargs):
+        energies, vectors = np.linalg.eigh(dense_matrix(spec))
+        result = ground_state(spec, **kwargs)
+        assert abs(result.energy - energies[0]) <= 1e-14 * abs(energies[0])
+        assert abs(np.vdot(vectors[:, 0], result.state.amplitudes)) ** 2 >= 1.0 - 1e-12
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-9, 1e-12, 1e4])
+    def test_matches_dense(self, scale):
+        self.assert_matches_dense(self.scaled(scale))
+
+    def test_tol_below_rounding_raises_before_solving(self, empty_memo):
+        # ||H|| <= 6.24e6 at s = 1e6: no residual gets below about 1.4e-9
+        with pytest.raises(ValueError, match=r"tol 1e-10 is below the rounding level 1.39e-09 "
+                                             r"of this Hamiltonian \(\|\|H\|\| <= 6.24e\+06\)"):
+            ground_state(self.scaled(1e6))
+        assert empty_memo.cache_info().misses == 0
+        self.assert_matches_dense(self.scaled(1e6), tol=1e-8)
+
+
 def _full_space(spec, monkeypatch):
     """The same solve with the sector path switched off (no memo)."""
     monkeypatch.setattr(groundstate, "_uses_sectors", lambda spec: False)

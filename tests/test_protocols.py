@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from topoprobe.partitions import PartitionSpec, partition_for, reflection_partition, \
     three_segment_partition
 from topoprobe.protocols import (
+    BOOTSTRAP_RESAMPLES,
+    BUDGET,
     HAMMING_DIAGONAL,
     SWAP_2,
     TRANSPOSE_SWAP_2,
@@ -20,8 +22,11 @@ from topoprobe.protocols import (
     ProtocolParams,
     _campaign_gates,
     _ginibre,
+    _outcome_matrices,
     _pattern_draw_count,
     _pattern_gates,
+    _per_unitary_purity,
+    _per_unitary_raw,
     _qr_haar,
     _spawn_words,
     _streams,
@@ -38,8 +43,8 @@ from topoprobe.protocols import (
 from topoprobe.rdm import MAX_INTERVAL, exact_invariant, purity, reduced_density_matrix
 from topoprobe.spincore import PAULI_X, PAULI_Y, SpinState, basis_state, random_state
 
-from oracles import qr_haar_lapack, statevector_born, twirl_pair_average, twirl_phi_exact, \
-    twirl_psi_exact
+from oracles import bootstrap_std, qr_haar_lapack, statevector_born, twirl_pair_average, \
+    twirl_phi_exact, twirl_psi_exact
 
 # (kind, pairs) of every engine layout with |I| <= 6
 ENGINE_LAYOUTS = [(kind, pairs) for kind in ("reflection", "purity", "time_reversal")
@@ -635,6 +640,69 @@ class TestGoldenEstimates:
                 assert result.std_error == pytest.approx(std_error, abs=1e-12), name
 
 
+class TestStreamedBootstrap:
+    # the bootstrap draws and reduces its resamples BUDGET // n at a time;
+    # every estimate must equal the one-draw reference bit for bit: one
+    # chunk, both sides of the one-chunk edge, and many chunks
+    EDGE = BUDGET // BOOTSTRAP_RESAMPLES  # the largest n reduced in one chunk
+    SIZES = (2, EDGE, EDGE + 1, 4097, 20000)
+
+    @staticmethod
+    def campaign(n_unitaries, exact):
+        state = random_state(8, np.random.default_rng(2024))
+        params = ProtocolParams("time_reversal", n_unitaries, 64,
+                                partition_for("time_reversal", 8, 2), 41)
+        return run_campaign(state, params, exact_probabilities=exact), params
+
+    @staticmethod
+    def reference(records, params):
+        """(value, std_error) of every estimate, with the one-draw bootstrap."""
+        outcomes, exact = _outcome_matrices(records, params)
+        raw = _per_unitary_raw(outcomes, exact, params)
+        first, last = (_per_unitary_purity(outcomes, exact, params, segment)
+                       for segment in (0, 1))
+        seed = params.master_seed
+
+        def denominator(picks):
+            return ((first[picks].mean(axis=1) + last[picks].mean(axis=1)) / 2.0) ** 1.5
+
+        return {"raw": (float(raw.mean()), bootstrap_std(raw, seed)),
+                "purity_first": (float(first.mean()), bootstrap_std(first, seed)),
+                "purity_last": (float(last.mean()), bootstrap_std(last, seed)),
+                "normalized": (float(raw.mean() / ((first.mean() + last.mean()) / 2.0) ** 1.5),
+                               bootstrap_std(raw, seed, denominator))}
+
+    def test_sizes_straddle_the_chunk_edge(self):
+        assert BUDGET // self.EDGE >= BOOTSTRAP_RESAMPLES > BUDGET // (self.EDGE + 1)
+        assert BUDGET // 20000 < BUDGET // 4097 < BOOTSTRAP_RESAMPLES / 2
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact"])
+    @pytest.mark.parametrize("n_unitaries", SIZES)
+    def test_matches_one_draw_reference(self, n_unitaries, exact):
+        records, params = self.campaign(n_unitaries, exact)
+        estimates = {"raw": estimate_raw(records, params),
+                     "purity_first": estimate_purity(records, params, segment=0),
+                     "purity_last": estimate_purity(records, params, segment=1),
+                     "normalized": estimate_normalized(records, params)}
+        for name, expected in self.reference(records, params).items():
+            assert (estimates[name].value, estimates[name].std_error) == expected, name
+
+    def test_traced_peak_is_bounded(self):
+        # 20 000 unitaries of exact probabilities at N = 8: the estimate
+        # holds the float outcome copy and one kernel form's temporaries
+        # (together twice the outcome table), O(n) per-unitary arrays, and
+        # one chunk of BUDGET indices and gathered values; one (200, n) draw
+        # alone would hold 200 n int64 indices (32 MB)
+        records, params = self.campaign(20000, True)
+        tracemalloc.start()
+        try:
+            estimate_normalized(records, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * records.outcomes.nbytes + 3 * 8 * BUDGET
+
+
 class TestTwirl:
     def test_closed_form_identities(self):
         np.testing.assert_allclose(twirl_phi_exact(HAMMING_DIAGONAL), SWAP_2, atol=1e-14)
@@ -665,7 +733,9 @@ class TestTwirl:
 
     @pytest.mark.parametrize("channel", ["phi", "psi"])
     def test_traced_peak_per_sample(self, channel):
-        # sample_cue's Ginibre draws and the (n, 4) arrays, no (n, 4, 4) pair tensors
+        # the (n, 2, 2) real parts (32 B per sample), and per chunk of
+        # BUDGET // 4 samples at most six complex (chunk, 2, 2) arrays: the
+        # Ginibre matrices, the unitaries and a; no (n, 4) or (n, 4, 4) arrays
         rng = np.random.default_rng(6)
         tracemalloc.start()
         try:
@@ -673,7 +743,7 @@ class TestTwirl:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / 100000 < 320
+        assert peak < 32 * 100000 + 6 * 64 * (BUDGET // 4)
 
     def test_sample_floor(self):
         with pytest.raises(ValueError, match="100"):
