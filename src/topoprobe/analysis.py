@@ -20,8 +20,8 @@ import numpy as np
 from .groundstate import ground_state
 from .hamiltonians import HamiltonianSpec
 from .partitions import partition_for
-from .protocols import NORMALIZED_KINDS, ProtocolParams, check_seed, estimate_raw, \
-    estimate_reported, reported_exact, run_campaign
+from .protocols import NORMALIZED_KINDS, ProtocolParams, check_seed, estimate_reported, \
+    raw_values, reported_exact, run_campaign
 from .rdm import exact_invariant
 
 SWEEPABLE = ("j_prime", "delta", "b_field", "pairs", "n_unitaries", "n_shots")
@@ -233,8 +233,11 @@ def error_scaling_scan(state, base: ProtocolParams, axis: str, values,
         errors = np.empty(repetitions)
         for rep in range(repetitions):
             rep_params = replace(params, master_seed=int(seed_rng.integers(0, 2 ** 63 - 1)))
-            records = run_campaign(state, rep_params)
-            errors[rep] = abs(estimate_raw(records, rep_params).value - exact)
+            # the raw estimate's value, without the bootstrap error bar
+            estimate = float(raw_values(run_campaign(state, rep_params), rep_params).mean())
+            if not np.isfinite(estimate):
+                raise ValueError(f"estimate is not finite: {estimate}")
+            errors[rep] = abs(estimate - exact)
         rows.append({
             "axis": axis, "value": value, "mean_abs_error": float(errors.mean()),
             "std_of_mean": float(errors.std() / np.sqrt(repetitions)),

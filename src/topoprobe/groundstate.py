@@ -32,7 +32,10 @@ the lowest tie, and a tie goes to the smaller |sum_i S_i^z|, then to +1.
 ``EigenResult.sector`` is the chosen sum_i S_i^z (None: full space) and
 ``sector_gap`` the lowest other sector energy minus the chosen one (below
 0 only in a tie).
-``max_iter`` bounds each sector's steps; ``iterations`` sums them.
+``max_iter`` bounds each sector's steps; ``iterations`` sums them. From
+``hamiltonians.BLOCK_SITES`` sites on, a sector's Lanczos vectors are kept
+in the block order its apply takes (``CompiledHamiltonian.order``): the
+start vector is drawn over the sorted states and permuted once.
 H is real in the computational basis and the start vector is real, so
 every returned state has real (float64) amplitudes.
 
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import mul
 
 import numpy as np
@@ -81,41 +85,44 @@ class EigenResult:
     sector_gap: float | None
 
 
-def _pivots(alpha: list, squares: list, shift: float, pivmin: float) -> list:
-    """Pivots of the LDL^T factorization of T - shift, ``squares`` holding
-    0 and then the squared off-diagonal in the order of ``alpha``."""
-    pivots = []
+def _twisted(alpha: list, beta: list, shift: float, squares: list,
+             pivmin: float) -> tuple[int, float, list, float]:
+    """Twisted factorization of T - shift (Dhillon and Parlett 2004): the
+    number of eigenvalues below ``shift``, the Rayleigh quotient of the
+    twisted vector z, and z with its squared norm. ``squares`` holds the
+    squared off-diagonal and ``pivmin`` stands in for a zero pivot. The
+    twist r minimizes |gamma_r| (the first such r), and
+    (T - shift) z = gamma_r e_r with z_r = 1."""
+    # pivots of the top-down LDL^T factorization, and the Sturm count: the
+    # negative ones
+    top = []
+    below = 0
     d = 1.0
-    for a, q in zip(alpha, squares):
+    for a, q in zip(alpha, chain((0.0,), squares)):
         d = (a - shift) - q / d
         if d == 0.0:
             d = -pivmin
-        pivots.append(d)
-    return pivots
-
-
-def _squares(beta: list) -> tuple[list, list, float]:
-    """``_pivots`` inputs for the top-down and the bottom-up factorization,
-    and the small number that stands in for a zero pivot."""
-    squares = [b * b for b in beta]
-    return [0.0] + squares, [0.0] + squares[::-1], TINY * max([1.0] + squares)
-
-
-def _twisted(alpha: list, beta: list, shift: float,
-             squares: tuple[list, list, float]) -> tuple[int, float, list, float]:
-    """Twisted factorization of T - shift (Dhillon and Parlett 2004): the
-    number of eigenvalues below ``shift``, the Rayleigh quotient of the
-    twisted vector z, and z with its squared norm. The twist r minimizes
-    |gamma_r|, and (T - shift) z = gamma_r e_r with z_r = 1."""
-    top_sq, bottom_sq, pivmin = squares
-    top = _pivots(alpha, top_sq, shift, pivmin)
-    bottom = _pivots(alpha[::-1], bottom_sq, shift, pivmin)[::-1]
-    gammas = [t + u - a + shift for t, u, a in zip(top, bottom, alpha)]
-    sizes = list(map(abs, gammas))
-    r = sizes.index(min(sizes))
+        top.append(d)
+        below += d < 0.0
+    # bottom-up pivots, and gamma at each index from both sides
+    bottom = []
+    d = 1.0
+    size = np.inf
+    for i, a, t, q in zip(range(len(alpha) - 1, -1, -1), reversed(alpha), reversed(top),
+                          chain((0.0,), reversed(squares))):
+        d = (a - shift) - q / d
+        if d == 0.0:
+            d = -pivmin
+        bottom.append(d)
+        gamma = t + d - a + shift
+        if abs(gamma) <= size:  # walking down, ties go to the first index
+            size, r, gamma_r = abs(gamma), i, gamma
+    if gamma != gamma:  # as min() over the sizes: a nan first entry wins
+        r, gamma_r = 0, gamma
+    bottom.reverse()
     z = []
     v = 1.0
-    for b, t in zip(beta[:r][::-1], top[:r][::-1]):
+    for b, t in zip(beta[r - 1::-1] if r else (), top[r - 1::-1]):
         v *= -b / t
         z.append(v)
     z.reverse()
@@ -125,14 +132,23 @@ def _twisted(alpha: list, beta: list, shift: float,
         v *= -b / u
         z.append(v)
     norm2 = sum(map(mul, z, z))
-    below = sum(t < 0.0 for t in top)
-    return below, shift + gammas[r] / norm2, z, norm2
+    return below, shift + gamma_r / norm2, z, norm2
 
 
-def _lowest_ritz(alpha: list, beta: list, guess: float | None) -> tuple[float, float]:
+def _extremes(alpha: list, beta: list) -> tuple[list, float, float, float, float]:
+    """The squared off-diagonal of T and the extremes its Ritz and breakdown
+    tests read: min and max of ``alpha``, max |alpha| and max |beta|."""
+    return ([b * b for b in beta], min(alpha), max(alpha), max(map(abs, alpha)),
+            max(map(abs, beta), default=0.0))
+
+
+def _lowest_ritz(alpha: list, beta: list, guess: float | None,
+                 extremes: tuple | None = None) -> tuple[float, float]:
     """Lowest eigenvalue theta of the symmetric tridiagonal matrix T with
     diagonal ``alpha`` and off-diagonal ``beta``, and the last component of
     its normalized eigenvector (sign arbitrary); O(k) per iteration.
+    ``extremes`` is ``_extremes(alpha, beta)``, which a sweep keeps as
+    running values.
 
     Rayleigh-quotient iteration on twisted factorizations from ``guess``,
     each shift a few ulp of ||T|| (a margin) below the last quotient, until
@@ -144,13 +160,15 @@ def _lowest_ritz(alpha: list, beta: list, guess: float | None) -> tuple[float, f
     """
     if len(alpha) == 1:
         return alpha[0], 1.0
-    squares = _squares(beta)
-    radius = 2.0 * max(map(abs, beta))
-    lo, hi = min(alpha) - radius, max(alpha) + radius  # Gershgorin
-    margin = 4.0 * EPS * _norm_bound(alpha, beta)
+    squares, alpha_min, alpha_max, alpha_abs, beta_abs = extremes or _extremes(alpha, beta)
+    # max(b * b) is exactly the square of max |b|: rounding is monotone
+    pivmin = TINY * max(1.0, beta_abs * beta_abs)
+    radius = 2.0 * beta_abs
+    lo, hi = alpha_min - radius, alpha_max + radius  # Gershgorin
+    margin = 4.0 * EPS * (alpha_abs + radius)
     shift = guess - margin
     for _ in range(RITZ_ITERATIONS):
-        below, theta, z, norm2 = _twisted(alpha, beta, shift, squares)
+        below, theta, z, norm2 = _twisted(alpha, beta, shift, squares, pivmin)
         if below:
             hi = shift
         elif theta - shift <= 2.0 * margin:
@@ -161,15 +179,12 @@ def _lowest_ritz(alpha: list, beta: list, guess: float | None) -> tuple[float, f
     raise ArithmeticError(f"no lowest Ritz value within {RITZ_ITERATIONS} iterations")
 
 
-def _norm_bound(alpha: list, beta: list) -> float:
-    """Gershgorin bound on ||T||: max |alpha| plus twice max |beta|."""
-    return max(map(abs, alpha)) + 2.0 * max(map(abs, beta), default=0.0)
-
-
 def _ritz_coefficients(alpha: list, beta: list, theta: float) -> np.ndarray:
     """Normalized eigenvector of T for its eigenvalue ``theta``: the twisted
     vector at shift theta."""
-    _below, _theta, z, norm2 = _twisted(alpha, beta, theta, _squares(beta))
+    squares = [b * b for b in beta]
+    _below, _theta, z, norm2 = _twisted(alpha, beta, theta, squares,
+                                        TINY * max([1.0] + squares))
     return np.asarray(z) / norm2 ** 0.5
 
 
@@ -183,20 +198,25 @@ def _lanczos_sweep(ham: CompiledHamiltonian, start: np.ndarray, tol: float,
     basis[0] = start / np.linalg.norm(start)
     alphas = np.empty(max_steps)  # diagonal of the Lanczos tridiagonal matrix
     betas = np.empty(max_steps)  # its off-diagonal
+    # the same as lists, grown one entry per step, with the running extremes
+    # of ``_extremes``
+    alpha_list, beta_list, squares = [], [], []
+    alpha_min, alpha_max, alpha_abs, beta_abs = np.inf, -np.inf, 0.0, 0.0
     # Simon's estimates of v_i . v_j for the newest basis vector j (1 at i = j)
     # and the one before it; psi is the rounding level of one inner product
     psi = EPS * np.sqrt(start.shape[0])
     omega, older = np.ones(1), np.zeros(0)
     again = False
     theta = None
+    scratch = np.empty_like(start)
     w = ham.apply(basis[0])
     for step in range(1, max_steps + 1):
         j = step - 1
         krylov = basis[:step]
         alphas[j] = alpha = float(krylov[-1] @ w)
-        w -= alpha * krylov[-1]
+        w -= np.multiply(alpha, krylov[-1], out=scratch)
         if j:
-            w -= betas[j - 1] * krylov[-2]
+            w -= np.multiply(betas[j - 1], krylov[-2], out=scratch)
         beta = float(np.linalg.norm(w))
         omega, older = _next_omega(omega, older, alphas[:step], betas[:j], beta, psi), omega
         lost = j > 0 and float(np.abs(omega[:j]).max()) > REORTH_LEVEL
@@ -212,12 +232,16 @@ def _lanczos_sweep(ham: CompiledHamiltonian, start: np.ndarray, tol: float,
             omega[:step] = psi
         again = lost  # the three-term recurrence carries the loss one step on
 
-        alpha_list, beta_list = alphas[:step].tolist(), betas[:j].tolist()
-        theta, last = _lowest_ritz(alpha_list, beta_list, theta)
+        alpha_list.append(alpha)
+        alpha_min, alpha_max = min(alpha_min, alpha), max(alpha_max, alpha)
+        alpha_abs = max(alpha_abs, abs(alpha))
+        theta, last = _lowest_ritz(alpha_list, beta_list, theta,
+                                   (squares, alpha_min, alpha_max, alpha_abs, beta_abs))
         # residual of the Ritz pair is |beta * last coefficient|
         residual_est = abs(beta * last)
-        # breakdown: beta at the rounding level of ||T||, whatever H's scale
-        breakdown = beta <= EPS * _norm_bound(alpha_list, beta_list)
+        # breakdown: beta at the rounding level of ||T|| (its Gershgorin
+        # bound), whatever H's scale
+        breakdown = beta <= EPS * (alpha_abs + 2.0 * beta_abs)
         if residual_est <= tol or breakdown or step == max_steps:
             vector = _ritz_coefficients(alpha_list, beta_list, theta) @ krylov
             vector /= np.linalg.norm(vector)
@@ -226,7 +250,10 @@ def _lanczos_sweep(ham: CompiledHamiltonian, start: np.ndarray, tol: float,
             return theta, vector, residual_est, step
 
         betas[j] = beta
-        basis[step] = w / beta
+        beta_list.append(beta)
+        squares.append(beta * beta)
+        beta_abs = max(beta_abs, abs(beta))
+        np.divide(w, beta, out=basis[step])
         w = ham.apply(basis[step])
     raise AssertionError("unreachable")
 
@@ -306,9 +333,14 @@ def _solve_uncached(spec: HamiltonianSpec, tol: float, max_iter: int, seed: int)
     solved = []  # (energy, vector, residual, steps, sector, full-space index)
     for sector in SECTORS if _uses_sectors(spec) else (None,):
         ham = CompiledHamiltonian(spec, sector)
-        # H is real in this basis, so the ground vector can be kept real
-        solved.append(_lowest(ham, rng.standard_normal(ham.dim), tol, max_iter)
-                      + (sector, slice(None) if sector is None else ham.states))
+        # H is real in this basis, so the ground vector can be kept real. The
+        # start vector is drawn over the sorted states; where ``apply`` takes
+        # block order, the solve runs in it
+        start = rng.standard_normal(ham.dim)
+        index = slice(None) if sector is None else ham.states
+        if ham.order is not None:
+            start, index = start[ham.order], index[ham.order]
+        solved.append(_lowest(ham, start, tol, max_iter) + (sector, index))
     iterations = sum(steps for _e, _v, _r, steps, *_ in solved)
     energies = [energy for energy, *_ in solved]
     # sectors come in tie-break order: the first within tol of the lowest wins

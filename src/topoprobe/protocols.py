@@ -531,12 +531,18 @@ def estimate_purity(records, params: ProtocolParams, segment: int) -> EstimatorR
                         "purity")
 
 
-def estimate_raw(records, params) -> EstimatorResult:
-    """Raw (unnormalized) invariant of the campaign's kind."""
+def raw_values(records, params) -> np.ndarray:
+    """Per-unitary raw invariants of the campaign's kind, whose mean is the
+    value of ``estimate_raw``."""
     if params.kind == "purity":
         raise ValueError(f"no raw invariant estimator for a {params.kind!r} campaign")
     outcomes, exact = _outcome_matrices(records, params)
-    return _mean_result(_per_unitary_raw(outcomes, exact, params), params, params.kind)
+    return _per_unitary_raw(outcomes, exact, params)
+
+
+def estimate_raw(records, params) -> EstimatorResult:
+    """Raw (unnormalized) invariant of the campaign's kind."""
+    return _mean_result(raw_values(records, params), params, params.kind)
 
 
 def estimate_normalized(records, params) -> EstimatorResult:

@@ -341,3 +341,42 @@ def lanczos_coefficients(apply, start, steps):
         basis.append(w / betas[-1])
         w = apply(basis[-1])
     return np.array(alphas), np.array(betas)
+
+
+def twisted_factorization(alpha, beta, shift):
+    """The solver's twisted factorization of T - shift as first written,
+    one list per quantity: the number of eigenvalues below ``shift``, the
+    Rayleigh quotient of the twisted vector z, z and its squared norm. The
+    program's fused loops must match it bit for bit."""
+    squares = [b * b for b in beta]
+    pivmin = float(np.finfo(float).tiny) * max([1.0] + squares)
+
+    def pivots(diagonal, offdiagonal_squares):
+        out = []
+        d = 1.0
+        for a, q in zip(diagonal, offdiagonal_squares):
+            d = (a - shift) - q / d
+            if d == 0.0:
+                d = -pivmin
+            out.append(d)
+        return out
+
+    top = pivots(alpha, [0.0] + squares)
+    bottom = pivots(alpha[::-1], [0.0] + squares[::-1])[::-1]
+    gammas = [t + u - a + shift for t, u, a in zip(top, bottom, alpha)]
+    sizes = list(map(abs, gammas))
+    r = sizes.index(min(sizes))
+    z = []
+    v = 1.0
+    for b, t in zip(beta[:r][::-1], top[:r][::-1]):
+        v *= -b / t
+        z.append(v)
+    z.reverse()
+    z.append(1.0)
+    v = 1.0
+    for b, u in zip(beta[r:], bottom[r + 1:]):
+        v *= -b / u
+        z.append(v)
+    norm2 = sum(x * x for x in z)
+    below = sum(t < 0.0 for t in top)
+    return below, shift + gammas[r] / norm2, z, norm2

@@ -1,6 +1,7 @@
 """Sweeps, correlation-length fits, error scaling, symmetry diagnostics."""
 import re
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from topoprobe.analysis import (
 from topoprobe.groundstate import ground_state
 from topoprobe.hamiltonians import HamiltonianSpec
 from topoprobe.partitions import partition_for, reflection_partition
-from topoprobe.protocols import ProtocolParams
+from topoprobe.protocols import ProtocolParams, estimate_raw, run_campaign
 from topoprobe.rdm import exact_invariant
 
 from oracles import symmetry_breaking_report
@@ -310,6 +311,28 @@ class TestErrorScaling:
         errors = [row["mean_abs_error"] for row in rows]
         for small, large in zip(errors, errors[1:]):
             assert 0.5 * 2 ** 1.5 <= large / small <= 1.5 * 2 ** 1.5
+
+    def test_rows_match_raw_estimates(self, scan_state):
+        # the scan averages the per-unitary raw values itself: the same
+        # errors as estimate_raw's value on the same campaigns, bit for bit
+        base = ProtocolParams("time_reversal", 16, 32, reflection_partition(8, 2), 106)
+        rows = error_scaling_scan(scan_state, base, "n_unitaries", [16, 32], repetitions=8)
+        seed_rng = np.random.default_rng(base.master_seed)
+        for row in rows:
+            params = replace(base, n_unitaries=row["value"])
+            errors = np.empty(8)
+            for rep in range(8):
+                rep_params = replace(params, master_seed=int(seed_rng.integers(0, 2 ** 63 - 1)))
+                estimate = estimate_raw(run_campaign(scan_state, rep_params), rep_params)
+                errors[rep] = abs(estimate.value - row["exact"])
+            assert row["mean_abs_error"] == float(errors.mean())
+            assert row["std_of_mean"] == float(errors.std() / np.sqrt(8))
+
+    def test_nonfinite_estimate_raises(self, scan_state, monkeypatch):
+        monkeypatch.setattr(analysis, "raw_values", lambda records, params: np.array([np.nan]))
+        base = ProtocolParams("reflection", 16, 32, reflection_partition(8, 2), 107)
+        with pytest.raises(ValueError, match="not finite"):
+            error_scaling_scan(scan_state, base, "n_unitaries", [16], repetitions=8)
 
     def test_repetition_floor(self, scan_state):
         base = ProtocolParams("reflection", 16, 32, reflection_partition(8, 2), 103)

@@ -14,7 +14,8 @@ from topoprobe.partitions import partition_for
 from topoprobe.rdm import exact_invariant
 from topoprobe.spincore import neel_state, random_state
 
-from oracles import dense_matrix, lanczos_coefficients, matvec, site_z
+from oracles import (dense_matrix, lanczos_coefficients, matvec, site_z,
+                     twisted_factorization)
 
 
 class TestAgainstDense:
@@ -365,6 +366,67 @@ class TestLowestRitz:
         assert 0 < evals[1] - evals[0] < 1e-12 * scale
         for guess in (_leading_lowest(alpha, beta), evals[1]):
             _check_ritz(alpha, beta, guess, scale, 1e-10 * scale)
+
+
+class TestTwisted:
+    """The fused ``_twisted`` against the one-list-per-quantity reference,
+    bit for bit: repr round-trips every float, so equal reprs are equal bits."""
+
+    @staticmethod
+    def _fused(alpha, beta, shift):
+        squares = [b * b for b in beta]
+        return groundstate._twisted(alpha, beta, shift, squares,
+                                    groundstate.TINY * max([1.0] + squares))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 20, 200])
+    def test_random_tridiagonals(self, k):
+        rng = np.random.default_rng(100 + k)
+        for scale in (1.0, 1e-8, 1e8):
+            alpha = (scale * rng.uniform(-0.5, 0.5, k)).tolist()
+            beta = (scale * rng.uniform(0.0, 1.5, k - 1)).tolist()
+            tri = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+            evals = np.linalg.eigvalsh(tri)
+            # shifts at and between eigenvalues, outside the spectrum, and on
+            # a diagonal entry (a zero first pivot)
+            for shift in (*evals[:3], evals[0] - scale, 0.5 * (evals[0] + evals[-1]),
+                          evals[-1] + scale, alpha[0]):
+                shift = float(shift)
+                assert repr(self._fused(alpha, beta, shift)) == \
+                    repr(twisted_factorization(alpha, beta, shift))
+
+    def test_ties_go_to_the_first_index(self):
+        # a diagonal T: gamma_i is alpha_i - shift, so |gamma| is 1, 1, 1, 2
+        # and the twist (z_r = 1) goes to index 0
+        alpha, beta = [1.0, 3.0, 1.0, 4.0], [0.0, 0.0, 0.0]
+        fused = self._fused(alpha, beta, 2.0)
+        assert repr(fused) == repr(twisted_factorization(alpha, beta, 2.0))
+        assert fused[2][0] == 1.0
+        # a nan entry: every gamma is nan, and the twist goes to index 0 too
+        alpha[1] = np.nan
+        assert repr(self._fused(alpha, beta, 2.0)) == \
+            repr(twisted_factorization(alpha, beta, 2.0))
+
+    def test_every_call_of_an_n16_sweep(self, monkeypatch):
+        calls = []
+        fused = groundstate._twisted
+
+        def recording(alpha, beta, shift, squares, pivmin):
+            # the sweep's running squares and zero-pivot stand-in are the ones
+            # the reference computes from beta
+            assert squares == [b * b for b in beta]
+            assert pivmin == groundstate.TINY * max([1.0] + squares)
+            result = fused(alpha, beta, shift, squares, pivmin)
+            calls.append((list(alpha), list(beta), shift, result))
+            return result
+
+        monkeypatch.setattr(groundstate, "_twisted", recording)
+        ham = CompiledHamiltonian(SPECS["n16_jp1"], 0)
+        start = np.random.default_rng(0).standard_normal(ham.dim)
+        _energy, _vector, _residual, steps = groundstate._lanczos_sweep(
+            ham, start, DEFAULT_TOL, groundstate.KRYLOV_CAP)
+        assert steps > 50 and len(calls) > steps
+        for alpha, beta, shift, result in calls:
+            assert repr(result) == repr(twisted_factorization(alpha, beta, shift))
 
 
 SPECS = {

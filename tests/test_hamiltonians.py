@@ -1,10 +1,12 @@
 """Matrix-free Hamiltonian against explicit Kronecker-product construction."""
+import inspect
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from topoprobe.hamiltonians import CompiledHamiltonian, HamiltonianSpec
+from topoprobe.hamiltonians import (CompiledHamiltonian, HamiltonianSpec, _uses_blocks,
+                                    norm_bound)
 from topoprobe.spincore import basis_state, random_state
 
 from oracles import (
@@ -14,6 +16,8 @@ from oracles import (
     sector_scatter_apply,
     strided_apply,
 )
+
+EPS = np.finfo(float).eps
 
 # N=2 coupling block of the exchange term in the spin basis (up,up / down,up /
 # up,down / down,down with site 0 the low bit): XX+YY flips the middle two
@@ -83,11 +87,53 @@ class TestMatvec:
     def test_sector_gather_matches_scatter_bitwise(self, num_sites, rng):
         spec = HamiltonianSpec(num_sites=num_sites, j=1.0, j_prime=2.6, delta=0.4,
                                neel_delta=0.7, neel_weight=0.5)
-        # one apply at N = 20 takes about 15 ms: one vector in sector 0 there
+        # one apply at N = 20 takes about 15 ms: one vector in sector 0 there.
+        # From BLOCK_SITES on ``apply`` takes the blocks, so the gather kernel
+        # is called directly
         for sector in (0, 1, -1) if num_sites < 20 else (0,):
             compiled = CompiledHamiltonian(spec, sector)
             for vec in rng.standard_normal((3 if num_sites < 20 else 1, compiled.dim)):
-                assert np.array_equal(compiled.apply(vec), sector_scatter_apply(compiled, vec))
+                assert np.array_equal(compiled._apply_gathers(vec),
+                                      sector_scatter_apply(compiled, vec))
+
+    @pytest.mark.parametrize("num_sites", [14, 16, 18, 20])
+    def test_sector_blocks_match_scatter(self, num_sites, rng):
+        # default pinning, and pinning 0; the staggered field on; J' = 0
+        # (no exchange on the central bond at N = 16 and 20) and J = 0 (none
+        # there at N = 14 and 18), so some bonds carry no exchange
+        specs = [HamiltonianSpec(num_sites=num_sites, j=1.0, j_prime=2.6, delta=0.4,
+                                 neel_delta=0.7, neel_weight=0.5),
+                 HamiltonianSpec(num_sites=num_sites, j=1.0, j_prime=0.0, delta=-0.5,
+                                 neel_delta=0.3, neel_weight=1.0, pinning=0.0),
+                 HamiltonianSpec(num_sites=num_sites, j=0.0, j_prime=1.3, delta=0.8,
+                                 neel_delta=-0.4, neel_weight=0.2)]
+        half = num_sites // 2
+        for spec in specs:
+            # each entry of H psi sums at most N + 2 products, whose absolute
+            # values add up to at most ||H|| bound max |psi|; the blocks and
+            # the scatter each round that sum, and the diagonal entries they
+            # are built from, within (N + 2) eps of it
+            bound = 4 * (num_sites + 2) * EPS * norm_bound(spec)
+            for sector in range(-half, half + 1) if num_sites < 20 else (0,):
+                compiled = CompiledHamiltonian(spec, sector)
+                order = compiled.order  # the blocks take amplitudes in block order
+                vec = rng.standard_normal(compiled.dim)
+                error = np.abs(compiled.apply(vec[order])
+                               - sector_scatter_apply(compiled, vec)[order]).max()
+                assert error <= bound * np.abs(vec).max()
+
+    def test_sector_kernel_reads_chain_length_only(self):
+        assert list(inspect.signature(_uses_blocks).parameters) == ["num_sites"]
+        # the shipped desk configs (N <= 12) gather, the N = 16 studies take blocks
+        assert not _uses_blocks(12) and _uses_blocks(14) and _uses_blocks(16)
+        for num_sites in range(4, 20, 2):
+            specs = [HamiltonianSpec(num_sites=num_sites),
+                     HamiltonianSpec(num_sites=num_sites, j=0.5, j_prime=0.0, delta=-0.9,
+                                     neel_delta=2.0, neel_weight=1.0, pinning=0.0)]
+            for spec in specs:
+                for sector in (0, 1, -num_sites // 2):
+                    compiled = CompiledHamiltonian(spec, sector)
+                    assert (compiled.order is not None) == _uses_blocks(num_sites)
 
     @pytest.mark.parametrize("num_sites", [12, 16])
     def test_full_space_matches_strided_reference(self, num_sites, rng):
