@@ -16,16 +16,22 @@ single-site unitaries:
                      identities in the middle.
 
 Engine: the protocols need only the Born distributions
-P_u(s) = <s| U_u rho_I U_u^dag |s> of the measured interval I. A campaign
-contracts rho_I once (``rdm.reduced_density_matrix``), builds the gate
-stacks of a chunk of unitaries as one (unitaries, |I|, 2, 2) array per
-experiment, and contracts rho_I against all of them in one kernel
-(``_born_probabilities``), one interval bit at a time. The cost per unitary
-grows as 4^|I| and does not depend on the chain length; campaigns are
-limited to intervals of ``rdm.MAX_INTERVAL`` sites. The outcomes of a
-campaign are one (n_unitaries, n_experiments, 2^|I|) array
-(``CampaignRecords``); iterating it yields one ``MeasurementRecord`` view
-per (unitary, experiment) pair.
+P_u(s) = <s| U_u rho_I U_u^dag |s> of the measured interval I. Each site is
+read out in the computational basis after its gate u, so u enters only
+through the Bloch vector n of u^dag Z u (Elben, Vermersch, Roos & Zoller,
+PRA 99, 052323 (2019)): u^dag |s><s| u = (1 + (-1)^s n . sigma)/2. A
+campaign turns rho_I once into its real Pauli coefficients Tr(rho_I sigma_k)
+(``_pauli_coefficients``). Each unitary's Ginibre draws give its sites' axes
+in closed form (``_bloch_axes``), and the patterns are sign flips of the
+axes (``_pattern_axes``). One real kernel (``_born_probabilities``)
+contracts the coefficients against a chunk of unitaries one interval bit at
+a time: the first bit as one product against the shared coefficients, each
+later one as a sum and a difference, and the outcome bits come out in index
+order. The cost per unitary grows as 4^|I| and does not depend on the chain
+length; campaigns are limited to intervals of ``rdm.MAX_INTERVAL`` sites.
+The outcomes of a campaign are one (n_unitaries, n_experiments, 2^|I|)
+array (``CampaignRecords``); iterating it yields one ``MeasurementRecord``
+view per (unitary, experiment) pair.
 
 Estimators read the outcome table once (``campaign_records``). Every
 second-order estimate is one kernel form per unitary,
@@ -71,7 +77,7 @@ import numpy as np
 
 from .partitions import PartitionSpec, check_layout
 from .rdm import reduced_density_matrix
-from .spincore import IDENTITY_2, PAULI_X, PAULI_Y, SpinState, reflection_permutation
+from .spincore import PAULI_X, PAULI_Y, PAULI_Z, SpinState, reflection_permutation
 
 PROTOCOL_KINDS = ("reflection", "time_reversal", "d2", "klein_bottle", "purity")
 # kinds whose reported value is the purity-normalized invariant; d2 and
@@ -79,9 +85,9 @@ PROTOCOL_KINDS = ("reflection", "time_reversal", "d2", "klein_bottle", "purity")
 NORMALIZED_KINDS = ("reflection", "time_reversal")
 BOOTSTRAP_RESAMPLES = 200
 # unitaries per engine chunk, reduced where one chunk's largest kernel
-# intermediate would exceed CHUNK_ELEMENTS complex entries (8 MB)
+# intermediate would exceed CHUNK_ELEMENTS real entries (8 MB)
 CHUNK_UNITARIES = 256
-CHUNK_ELEMENTS = 2 ** 19
+CHUNK_ELEMENTS = 2 ** 20
 # entries per chunk of a Monte Carlo reduction: bootstrap indices, twirl draws
 BUDGET = 2 ** 16
 
@@ -228,6 +234,13 @@ def sample_cue(rng: np.random.Generator, count: int | None = None) -> np.ndarray
 
 
 # -- patterns ----------------------------------------------------------------
+# A unitary u enters a Born distribution only through the Bloch vector n of
+# a = u^dag Z u = n . sigma; each gate map of a pattern is a sign flip of n.
+SIGMA_Y_COMPOSED = np.array([-1.0, 1.0, -1.0])  # u sigma_y: sigma_y a sigma_y
+CONJUGATED = np.array([1.0, -1.0, 1.0])  # conj(u): conj(a)
+SIGMA_X_COMPOSED = np.array([1.0, -1.0, -1.0])  # u sigma_x: sigma_x a sigma_x
+Z_AXIS = np.array([0.0, 0.0, 1.0])  # the identity: a = Z
+
 
 def _pattern_draw_count(kind: str, partition: PartitionSpec) -> int:
     if kind == "reflection":
@@ -239,29 +252,39 @@ def _pattern_draw_count(kind: str, partition: PartitionSpec) -> int:
     raise ValueError(f"unknown protocol kind {kind!r}")
 
 
-def _pattern_gates(kind: str, partition: PartitionSpec, haar: np.ndarray) -> np.ndarray:
-    """Gate stacks (unitaries, experiments, |I|, 2, 2) from CUE draws of
-    shape (unitaries, draw count, 2, 2)."""
+def _bloch_axes(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
+    """Bloch vectors n (..., 3) of u^dag Z u = n . sigma for the ``_qr_haar``
+    unitaries u of the Ginibre matrices G = real + 1j imag (..., 2, 2).
+    u's columns are (g00, g10)/r and phi (-conj(g10), conj(g00))/r, with
+    r^2 = |g00|^2 + |g10|^2 and phi = det G / |det G|, so
+    n_z = (|g00|^2 - |g10|^2)/r^2 and n_x + i n_y = -2 conj(phi) g00 g10 / r^2."""
+    ginibre = real + 1j * imag
+    top, bottom = ginibre[..., 0, 0], ginibre[..., 1, 0]
+    det = top * ginibre[..., 1, 1] - ginibre[..., 0, 1] * bottom
+    top2, bottom2 = top.real ** 2 + top.imag ** 2, bottom.real ** 2 + bottom.imag ** 2
+    r2 = top2 + bottom2
+    transverse = -2.0 * (det.conj() / np.abs(det)) * top * bottom / r2
+    return np.stack([transverse.real, transverse.imag, (top2 - bottom2) / r2], axis=-1)
+
+
+def _pattern_axes(kind: str, partition: PartitionSpec, axes: np.ndarray) -> np.ndarray:
+    """Bloch axes (unitaries, experiments, |I|, 3) of the measured gates from
+    those of the CUE draws, (unitaries, draw count, 3)."""
     n = partition.pairs
     if kind == "reflection":
-        return np.concatenate([haar, haar[:, ::-1]], axis=1)[:, None]
+        return np.concatenate([axes, axes[:, ::-1]], axis=1)[:, None]
     if kind == "purity":
-        return haar[:, None]
+        return axes[:, None]
+    pattern = np.empty((len(axes), 2, partition.interval_size, 3))
     if kind == "time_reversal":
-        gates = np.stack([haar, haar], axis=1)
-        gates[:, 0, :n] = haar[:, :n] @ PAULI_Y
-        gates[:, 1, :n] = haar[:, :n].conj()
-        return gates
-    gates = np.empty((haar.shape[0], 2, partition.interval_size, 2, 2), dtype=complex)
-    gates[:] = IDENTITY_2
-    if kind == "d2":
-        gates[:, 0, :n] = haar[:, :n] @ PAULI_X
-        gates[:, 1, :n] = haar[:, :n]
+        pattern[:] = axes[:, None]
     else:
-        gates[:, 0, :n] = haar[:, :n] @ PAULI_Y
-        gates[:, 1, :n] = haar[:, :n].conj()
-    gates[:, :, 2 * n:] = haar[:, None, n:]
-    return gates
+        pattern[:, :, n:2 * n] = Z_AXIS
+        pattern[:, :, 2 * n:] = axes[:, None, n:]
+    first, second = (SIGMA_X_COMPOSED, 1.0) if kind == "d2" else (SIGMA_Y_COMPOSED, CONJUGATED)
+    pattern[:, 0, :n] = axes[:, :n] * first
+    pattern[:, 1, :n] = axes[:, :n] * second
+    return pattern
 
 
 # -- campaigns ----------------------------------------------------------------
@@ -317,43 +340,87 @@ def _streams(master_seed: int, *key):
         yield rng
 
 
-def _campaign_gates(params: ProtocolParams, unitaries: range) -> np.ndarray:
-    """Gate stacks (len(unitaries), experiments, |I|, 2, 2) of the given
-    unitaries of a campaign; one batched QR serves the whole range. Each
-    unitary's stream draws the real parts of its Ginibre matrices, then the
-    imaginary parts."""
+def _campaign_axes(params: ProtocolParams, unitaries: range) -> np.ndarray:
+    """Bloch axes (len(unitaries), experiments, |I|, 3) of the measured
+    gates of the given unitaries of a campaign. Each unitary's stream draws
+    the real parts of its Ginibre matrices, then the imaginary parts, as
+    ``sample_cue`` does."""
     draw_count = _pattern_draw_count(params.kind, params.partition)
     normals = np.empty((len(unitaries), 2, draw_count, 2, 2))
     streams = _streams(params.master_seed, 0, np.arange(unitaries.start, unitaries.stop), 0)
     for row, rng in zip(normals, streams):
         rng.standard_normal(out=row)
-    ginibre = normals[:, 0] + 1j * normals[:, 1]
-    haar = _qr_haar(ginibre.reshape(-1, 2, 2)).reshape(ginibre.shape)
-    return _pattern_gates(params.kind, params.partition, haar)
+    axes = _bloch_axes(normals[:, 0], normals[:, 1])
+    return _pattern_axes(params.kind, params.partition, axes)
 
 
-def _born_probabilities(rho: np.ndarray, gates: np.ndarray) -> np.ndarray:
-    """P_b(s) = <s| U_b rho U_b^dag |s> for U_b the tensor product of
-    ``gates[b, j]`` (gate j acts on bit j); returns shape (batch, 2^|I|).
+def _pauli_passes(source: np.ndarray, target: np.ndarray, dim: int,
+                  sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """Split the (dim, dim) matrices held in ``source`` into the Pauli
+    components of their top ``sites`` sites, one pass per site, highest
+    first; returns the buffer holding the result and the spare one.
 
-    rho is contracted one bit at a time, highest bit first: each step turns
-    the (row bit r, column bit c) pair of rho into one outcome bit s with
-    the weights u[s, r] conj(u[s, c]), as a batched (batch, 2, 4) matmul.
-    The new outcome bit leads the accumulated ones, so they end in reversed
-    order and one bit reversal restores the index convention.
+    A Hermitian H is held as the real matrix S = Re H + Im H (Re H is
+    symmetric, Im H antisymmetric, so S determines H). A pass splits each
+    matrix into the four components of the site, each again Hermitian: from
+    S's 2x2 blocks S_rc, the I, X, Y and Z components are S_00 + S_11,
+    S_01 + S_10, (S_10 - S_01)^T and S_00 - S_11. Each pass puts the
+    site's component index after those of the higher sites, so the strings
+    come out in the order of k = sum_j k_j 4^j.
     """
-    batch, length = gates.shape[:2]
-    weights = (gates[..., :, :, None] * gates.conj()[..., :, None, :]).reshape(
-        batch, length, 2, 4)
-    half = 2 ** (length - 1)
-    tensor = rho.reshape(2, half, 2, half).transpose(0, 2, 1, 3).reshape(4, -1)
-    tensor = weights[:, length - 1] @ tensor
-    for bit in range(length - 2, -1, -1):
-        done, rest = 2 ** (length - 1 - bit), 2 ** bit
-        tensor = tensor.reshape(batch, done, 2, rest, 2, rest).transpose(
-            0, 2, 4, 1, 3, 5).reshape(batch, 4, -1)
-        tensor = weights[:, bit] @ tensor
-    return tensor.reshape(batch, -1)[:, reflection_permutation(length)].real
+    for level in range(sites):
+        half = dim >> level + 1
+        blocks = source.reshape(-1, 2, half, 2, half)
+        parts = target.reshape(-1, 4, half, half)
+        np.add(blocks[:, 0, :, 0], blocks[:, 1, :, 1], out=parts[:, 0])
+        np.add(blocks[:, 0, :, 1], blocks[:, 1, :, 0], out=parts[:, 1])
+        np.subtract(blocks[:, 1, :, 0], blocks[:, 0, :, 1], out=parts[:, 2].transpose(0, 2, 1))
+        np.subtract(blocks[:, 0, :, 0], blocks[:, 1, :, 1], out=parts[:, 3])
+        source, target = target, source
+    return source, target
+
+
+def _pauli_coefficients(state: SpinState, sites) -> np.ndarray:
+    """Tr(rho_I sigma_k) / 2^|I| for every Pauli string k on the interval
+    ``sites``: a real vector over k = sum_j k_j 4^j, with k_j = 0, 1, 2, 3
+    for I, X, Y, Z on site j (``_pauli_passes``). Below 16 x 16 blocks a
+    pass runs on short rows, so the last four sites go as one product with
+    their transform, the same passes run once on every basis matrix.
+    """
+    rho = reduced_density_matrix(state, sites)
+    dim, length = len(rho), len(sites)
+    source = rho.real + rho.imag if np.iscomplexobj(rho) else rho
+    del rho
+    tail = min(length, 4)
+    source, target = _pauli_passes(source, np.empty_like(source), dim, length - tail)
+    basis = np.eye(4 ** tail)
+    transform, _ = _pauli_passes(basis, np.empty_like(basis), 2 ** tail, tail)
+    transform *= 0.5 ** length
+    return np.matmul(source.reshape(-1, len(transform)), transform,
+                     out=target.reshape(-1, len(transform))).reshape(-1)
+
+
+def _born_probabilities(coefficients: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """P_b(s) = <s| U_b rho U_b^dag |s> for the gate stacks whose sites have
+    the Bloch axes ``axes[b, j]``; ``coefficients`` is
+    ``_pauli_coefficients`` of rho. Returns shape (batch, 2^|I|).
+
+    u^dag |s><s| u = (1 + (-1)^s n . sigma)/2 on each site, so P_b(s) is the
+    sum over Pauli strings k of 2^|I| coefficient k times the weights
+    (1, (-1)^s n) of each site's k_j. The contraction runs one site at a
+    time, highest first, as a (2, 4) matmul per stack: the first against
+    the shared coefficients as one product, each later one a sum and a
+    difference of the same terms. Each new outcome bit follows the earlier
+    ones, so the result is in index order.
+    """
+    batch, length = axes.shape[:2]
+    weights = np.ones((batch, length, 2, 4))
+    weights[:, :, 0, 1:] = axes
+    np.negative(axes, out=weights[:, :, 1, 1:])
+    tensor = weights[:, -1].reshape(-1, 4) @ coefficients.reshape(4, -1)
+    for site in range(length - 2, -1, -1):
+        tensor = np.matmul(weights[:, None, site], tensor.reshape(batch, -1, 4, 4 ** site))
+    return tensor.reshape(batch, -1)
 
 
 def _shot_distributions(probs: np.ndarray) -> np.ndarray:
@@ -374,7 +441,7 @@ def run_campaign(state: SpinState, params: ProtocolParams,
     """
     if params.partition.num_sites != state.num_sites:
         raise ValueError("partition chain size does not match state")
-    rho = reduced_density_matrix(state, params.partition.sites)
+    coefficients = _pauli_coefficients(state, params.partition.sites)
     length = params.partition.interval_size
     n_unitaries, experiments = params.n_unitaries, params.experiments
     outcomes = np.empty((n_unitaries, experiments, 2 ** length),
@@ -384,8 +451,8 @@ def run_campaign(state: SpinState, params: ProtocolParams,
                        CHUNK_ELEMENTS // (experiments * 2 ** (2 * length - 1))))
     for start in range(0, n_unitaries, chunk):
         unitaries = range(start, min(start + chunk, n_unitaries))
-        gates = _campaign_gates(params, unitaries).reshape(-1, length, 2, 2)
-        probs = _born_probabilities(rho, gates).reshape(len(unitaries), experiments, -1)
+        axes = _campaign_axes(params, unitaries).reshape(-1, length, 3)
+        probs = _born_probabilities(coefficients, axes).reshape(len(unitaries), experiments, -1)
         if exact_probabilities:
             outcomes[start:unitaries.stop] = probs
             continue
@@ -435,12 +502,20 @@ def _kernels(partition: PartitionSpec, segment: int | None = None) -> list[np.nd
 
 def _apply_kernel_rows(matrix: np.ndarray, kernels: list[np.ndarray]) -> np.ndarray:
     """Right-multiply each row by the tensor product of per-position 2x2
-    kernels (position j = bit j of the outcome index)."""
-    rows, dim = matrix.shape
+    kernels (position j = bit j of the outcome index). Every kernel has a
+    unit diagonal, so position j maps the halves v_0, v_1 of bit j to
+    v_a + K[a, 1 - a] v_(1-a): each is written into the output as the
+    product and added to in place. The off-diagonal entries are 1, -1 or
+    -0.5, so every product is exact."""
+    buffers = np.empty((2,) + matrix.shape)
     out = matrix
     for pos, kernel in enumerate(kernels):
-        view = out.reshape(rows, -1, 2, 2 ** pos)
-        out = np.einsum("ab,xcbd->xcad", kernel, view).reshape(rows, dim)
+        view = out.reshape(len(matrix), -1, 2, 2 ** pos)
+        out = buffers[pos % 2]
+        for bit in (0, 1):
+            half = out.reshape(view.shape)[:, :, bit]
+            np.multiply(view[:, :, 1 - bit], kernel[bit, 1 - bit], out=half)
+            half += view[:, :, bit]
     return out
 
 
@@ -623,25 +698,29 @@ def twirl_check(channel: str, n_samples: int, rng: np.random.Generator) -> Twirl
     """Monte Carlo twirl of the Hamming-weight operator; its average must
     reproduce the swap (channel "phi") or transpose-swap (channel "psi").
     HAMMING_DIAGONAL D is (I + 3 Z⊗Z)/2, so (u⊗v)^dag D (u⊗v) = (I + 3 a⊗b)/2
-    with a = u^dag Z u and b = v^dag Z v = a (phi, v = u) or conj(a) (psi,
-    v = conj(u)). The unitaries are ``sample_cue``'s: all real parts are
-    drawn first, then the imaginary parts of BUDGET // 4 samples at a time,
-    and each chunk adds its (4, chunk) @ (chunk, 4) product of a and b to
-    one 4x4 sum, so only the real parts grow with ``n_samples``."""
+    with a = u^dag Z u = n . sigma and b = v^dag Z v = a (phi, v = u) or
+    conj(a) (psi, v = conj(u)), whose Bloch vector is n with n_y negated.
+    The sum of a⊗b over the samples is sum_ij M_ij sigma_i⊗sigma_j, with M
+    the (3, 3) sum of the products of the two Bloch vectors, which come from
+    the campaigns' axis map (``_bloch_axes``). The unitaries are
+    ``sample_cue``'s: all real parts are drawn first, then the imaginary
+    parts of BUDGET // 4 samples at a time, and each chunk adds its
+    (3, chunk) @ (chunk, 3) product to M, so only the real parts grow with
+    ``n_samples``."""
     if channel not in ("phi", "psi"):
         raise ValueError(f"channel must be 'phi' or 'psi', got {channel!r}")
     if n_samples < 100:
         raise ValueError("n_samples must be >= 100")
     real = rng.standard_normal((n_samples, 2, 2))  # sample_cue's first draw
-    ab = np.zeros((4, 4), dtype=complex)
+    moment = np.zeros((3, 3))
     for start in range(0, n_samples, BUDGET // 4):
         chunk = real[start:start + BUDGET // 4]
-        unitaries = _qr_haar(chunk + 1j * rng.standard_normal(chunk.shape))
-        a = np.einsum("nki,k,nkj->nij", unitaries.conj(), [1.0, -1.0], unitaries).reshape(-1, 4)
-        ab += a.T @ (a if channel == "phi" else a.conj())
+        axes = _bloch_axes(chunk, rng.standard_normal(chunk.shape))
+        moment += axes.T @ (axes if channel == "phi" else axes * CONJUGATED)
     diag = np.diagonal(HAMMING_DIAGONAL).real
     identity_weight, zz_weight = diag.mean(), diag @ [1.0, -1.0, -1.0, 1.0] / 4
-    ab = ab.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    paulis = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
+    ab = np.einsum("ij,iab,jcd->acbd", moment, paulis, paulis).reshape(4, 4)
     averaged = identity_weight * np.eye(4) + zz_weight / n_samples * ab
     target = SWAP_2 if channel == "phi" else TRANSPOSE_SWAP_2
     error = float(np.linalg.norm(averaged - target))

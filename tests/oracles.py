@@ -9,7 +9,7 @@ import numpy as np
 from topoprobe.groundstate import ground_state
 from topoprobe.hamiltonians import CompiledHamiltonian, exchange_bonds, staggered_signs
 from topoprobe.partitions import reflection_partition
-from topoprobe.protocols import BOOTSTRAP_RESAMPLES
+from topoprobe.protocols import BOOTSTRAP_RESAMPLES, sample_cue
 from topoprobe.rdm import exact_invariant
 
 # two-spin swap |a, b> -> |b, a> with index = bit_a + 2 bit_b
@@ -37,6 +37,39 @@ def statevector_born(state, partition, gates):
     for site, gate in zip(partition.sites, gates):
         amps = apply_site(amps, site, gate)
     return interval_marginal(amps, partition.sites[0], partition.interval_size)
+
+
+def campaign_gates(params, u_index):
+    """Gate stacks (experiments, |I|, 2, 2) of unitary ``u_index`` of a
+    campaign as 2x2 matrices: the ``sample_cue`` draws of its pattern stream
+    (0, u_index, 0), composed with sigma_y, sigma_x or conjugated on the
+    first segment and identities on a middle one, as the patterns say."""
+    kind, partition = params.kind, params.partition
+    n = partition.pairs
+    draws = {"reflection": n, "d2": 2 * n, "klein_bottle": 2 * n}.get(kind, partition.interval_size)
+    rng = np.random.default_rng(np.random.SeedSequence(params.master_seed,
+                                                       spawn_key=(0, u_index, 0)))
+    haar = sample_cue(rng, draws)
+    if kind == "reflection":
+        return np.concatenate([haar, haar[::-1]])[None]
+    if kind == "purity":
+        return haar[None]
+    gates = np.empty((2, partition.interval_size, 2, 2), dtype=complex)
+    if kind == "time_reversal":
+        gates[:] = haar
+    else:
+        gates[:] = np.eye(2)
+        gates[:, 2 * n:] = haar[n:]
+    first, second = ((haar[:n] @ PAULI["x"], haar[:n]) if kind == "d2"
+                     else (haar[:n] @ PAULI["y"], haar[:n].conj()))
+    gates[0, :n], gates[1, :n] = first, second
+    return gates
+
+
+def bloch_axes(gates):
+    """Bloch vectors (..., 3) of u^dag Z u for 2x2 gates u (..., 2, 2)."""
+    a = np.einsum("...ki,k,...kj->...ij", gates.conj(), [1.0, -1.0], gates)
+    return np.stack([a[..., 1, 0].real, a[..., 1, 0].imag, a[..., 0, 0].real], axis=-1)
 
 
 def hamming_distance(a, b):

@@ -20,11 +20,9 @@ from topoprobe.protocols import (
     CampaignRecords,
     EstimatorResult,
     ProtocolParams,
-    _campaign_gates,
+    _campaign_axes,
     _ginibre,
     _outcome_matrices,
-    _pattern_draw_count,
-    _pattern_gates,
     _per_unitary_purity,
     _per_unitary_raw,
     _qr_haar,
@@ -41,15 +39,18 @@ from topoprobe.protocols import (
     write_records,
 )
 from topoprobe.rdm import MAX_INTERVAL, exact_invariant, purity, reduced_density_matrix
-from topoprobe.spincore import PAULI_X, PAULI_Y, SpinState, basis_state, random_state
+from topoprobe.spincore import SpinState, basis_state, random_state
 
-from oracles import bootstrap_std, qr_haar_lapack, statevector_born, twirl_pair_average, \
-    twirl_phi_exact, twirl_psi_exact
+from oracles import bloch_axes, bootstrap_std, campaign_gates, qr_haar_lapack, \
+    statevector_born, twirl_pair_average, twirl_phi_exact, twirl_psi_exact
 
 # (kind, pairs) of every engine layout with |I| <= 6
 ENGINE_LAYOUTS = [(kind, pairs) for kind in ("reflection", "purity", "time_reversal")
                   for pairs in (1, 2, 3)] + \
     [(kind, pairs) for kind in ("d2", "klein_bottle") for pairs in (1, 2)]
+# an |I| = 8 layout: the Pauli transform runs per-site passes above its last
+# four sites
+LONG_LAYOUT = ("time_reversal", 4)
 
 
 @pytest.fixture(scope="module")
@@ -62,20 +63,16 @@ def contract_stream(master_seed, *key):
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))
 
 
-def pattern_stream(master_seed, u_index):
-    """The pattern stream of unitary ``u_index`` under the seed contract."""
-    return contract_stream(master_seed, 0, u_index, 0)
-
-
 def exact_table(*distributions):
     """Infinite-shot records of a one-experiment campaign, one unitary per
     Born distribution."""
     return CampaignRecords(np.array(distributions)[:, None], exact=True)
 
 
-def first_gates(kind, partition):
-    """Gate stacks (experiments, |I|, 2, 2) of unitary 0 of a campaign."""
-    return _campaign_gates(ProtocolParams(kind, 2, 2, partition, 0), range(1))[0]
+def first_axes(kind, partition):
+    """Bloch axes (experiments, |I|, 3) of the gates of unitary 0 of a
+    campaign."""
+    return _campaign_axes(ProtocolParams(kind, 2, 2, partition, 0), range(1))[0]
 
 
 class TestCueSampling:
@@ -119,30 +116,30 @@ class TestCueSampling:
 
 
 class TestPatterns:
+    # u sigma_y, conj(u) and u sigma_x map the Bloch vector (x, y, z) of
+    # u^dag Z u to (-x, y, -z), (x, -y, z) and (x, -y, -z); an identity is Z
     def test_reflection_pairs_sites(self):
-        gates = first_gates("reflection", reflection_partition(8, 2))
-        assert len(gates) == 1
-        assert np.allclose(gates[0, 0], gates[0, 3])
-        assert np.allclose(gates[0, 1], gates[0, 2])
+        axes = first_axes("reflection", reflection_partition(8, 2))
+        assert len(axes) == 1
+        assert np.array_equal(axes[0, 0], axes[0, 3])
+        assert np.array_equal(axes[0, 1], axes[0, 2])
 
     def test_time_reversal_structure(self):
-        exp1, exp2 = first_gates("time_reversal", reflection_partition(8, 2))
-        for i in range(2):
-            assert np.allclose(exp1[i], exp2[i].conj() @ PAULI_Y)
-        for i in range(2, 4):
-            assert np.allclose(exp1[i], exp2[i])
+        exp1, exp2 = first_axes("time_reversal", reflection_partition(8, 2))
+        assert np.array_equal(exp1[:2], -exp2[:2])
+        assert np.array_equal(exp1[2:], exp2[2:])
 
     def test_d2_middle_identities(self):
-        exp1, exp2 = first_gates("d2", three_segment_partition(8, 1))
-        assert np.allclose(exp1[0], exp2[0] @ PAULI_X)
-        assert np.allclose(exp1[1], np.eye(2))
-        assert np.allclose(exp2[1], np.eye(2))
-        assert np.allclose(exp1[2], exp2[2])
+        exp1, exp2 = first_axes("d2", three_segment_partition(8, 1))
+        assert np.array_equal(exp1[0], exp2[0] * [1.0, -1.0, -1.0])
+        assert np.array_equal(exp1[1], [0.0, 0.0, 1.0])
+        assert np.array_equal(exp2[1], [0.0, 0.0, 1.0])
+        assert np.array_equal(exp1[2], exp2[2])
 
     def test_klein_bottle_structure(self):
-        exp1, exp2 = first_gates("klein_bottle", three_segment_partition(8, 1))
-        assert np.allclose(exp1[0], exp2[0].conj() @ PAULI_Y)
-        assert np.allclose(exp1[1], np.eye(2))
+        exp1, exp2 = first_axes("klein_bottle", three_segment_partition(8, 1))
+        assert np.array_equal(exp1[0], -exp2[0])
+        assert np.array_equal(exp1[1], [0.0, 0.0, 1.0])
 
     def test_incompatible_partition(self):
         with pytest.raises(ValueError, match="three-segment"):
@@ -246,27 +243,26 @@ class TestEngine:
     @pytest.mark.parametrize("num_sites", [8, 12])
     def test_born_probabilities_match_statevector_loop(self, num_sites):
         state = random_state(num_sites, np.random.default_rng(num_sites))
-        for kind, pairs in ENGINE_LAYOUTS:
+        layouts = ENGINE_LAYOUTS + ([LONG_LAYOUT] if num_sites == 12 else [])
+        for kind, pairs in layouts:
             partition = partition_for(kind, num_sites, pairs)
             params = ProtocolParams(kind, 5, 2, partition, 40 + pairs)
             records = run_campaign(state, params, exact_probabilities=True)
-            campaign_gates = _campaign_gates(params, range(params.n_unitaries))
             for u_index in range(params.n_unitaries):
-                for experiment, gates in enumerate(campaign_gates[u_index]):
+                for experiment, gates in enumerate(campaign_gates(params, u_index)):
                     reference = statevector_born(state, partition, gates)
                     assert np.max(np.abs(records.outcomes[u_index, experiment] - reference)) \
                         <= 1e-12, (kind, pairs, u_index, experiment)
 
-    def test_campaign_gates_follow_seed_contract(self):
+    def test_campaign_axes_follow_seed_contract(self):
         for kind, pairs in ENGINE_LAYOUTS:
             partition = partition_for(kind, 8, pairs)
             params = ProtocolParams(kind, 4, 2, partition, 61)
-            gates = _campaign_gates(params, range(4))
-            assert gates.shape == (4, params.experiments, partition.interval_size, 2, 2)
+            axes = _campaign_axes(params, range(4))
+            assert axes.shape == (4, params.experiments, partition.interval_size, 3)
             for u_index in range(4):
-                haar = sample_cue(pattern_stream(61, u_index), _pattern_draw_count(kind, partition))
-                expected = _pattern_gates(kind, partition, haar[None])[0]
-                assert np.array_equal(gates[u_index], expected)
+                expected = bloch_axes(campaign_gates(params, u_index))
+                assert np.max(np.abs(axes[u_index] - expected)) <= 1e-15, (kind, pairs, u_index)
 
     @pytest.mark.parametrize("master_seed", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 200])
     def test_bulk_words_match_seed_sequence(self, master_seed):
@@ -735,7 +731,8 @@ class TestTwirl:
     def test_traced_peak_per_sample(self, channel):
         # the (n, 2, 2) real parts (32 B per sample), and per chunk of
         # BUDGET // 4 samples at most six complex (chunk, 2, 2) arrays: the
-        # Ginibre matrices, the unitaries and a; no (n, 4) or (n, 4, 4) arrays
+        # Ginibre matrices and the axis map's temporaries; no (n, 3), (n, 4)
+        # or (n, 4, 4) arrays
         rng = np.random.default_rng(6)
         tracemalloc.start()
         try:
