@@ -189,14 +189,12 @@ def _ritz_coefficients(alpha: list, beta: list, theta: float) -> np.ndarray:
 
 
 def _lanczos_sweep(ham: CompiledHamiltonian, start: np.ndarray, tol: float,
-                   basis: np.ndarray) -> tuple[float, np.ndarray, float, int]:
-    """One restart-free Lanczos pass of at most ``len(basis)`` steps, with
-    the Krylov vectors written into the rows of ``basis``; returns (energy,
-    vector, residual, steps).
+                   max_steps: int) -> tuple[float, np.ndarray, float, int]:
+    """One restart-free Lanczos pass; returns (energy, vector, residual, steps).
 
     The vector has a positive overlap with ``start``.
     """
-    max_steps = len(basis)
+    basis = np.empty((max_steps, start.shape[0]))  # untouched rows are never resident
     basis[0] = start / np.linalg.norm(start)
     alphas = np.empty(max_steps)  # diagonal of the Lanczos tridiagonal matrix
     betas = np.empty(max_steps)  # its off-diagonal
@@ -310,16 +308,14 @@ def ground_state(spec: HamiltonianSpec, tol: float = DEFAULT_TOL,
     return _solve(spec, tol, max_iter, seed)
 
 
-def _lowest(ham: CompiledHamiltonian, vec: np.ndarray, tol: float, max_iter: int,
-            buffer: np.ndarray) -> tuple[float, np.ndarray, float, int]:
-    """Restarted Lanczos from ``vec``; returns (energy, vector, residual, steps).
-    Each sweep keeps its Krylov vectors in a contiguous prefix of ``buffer``."""
+def _lowest(ham: CompiledHamiltonian, vec: np.ndarray, tol: float,
+            max_iter: int) -> tuple[float, np.ndarray, float, int]:
+    """Restarted Lanczos from ``vec``; returns (energy, vector, residual, steps)."""
     total_steps = 0
     residual = np.inf
     while total_steps < max_iter:
         sweep_cap = min(KRYLOV_CAP, max_iter - total_steps, ham.dim)
-        basis = buffer[:sweep_cap * ham.dim].reshape(sweep_cap, ham.dim)
-        energy, vec, residual, steps = _lanczos_sweep(ham, vec, tol, basis)
+        energy, vec, residual, steps = _lanczos_sweep(ham, vec, tol, sweep_cap)
         total_steps += steps
         residual = float(np.linalg.norm(ham.apply(vec) - energy * vec))
         if residual <= tol:
@@ -335,11 +331,8 @@ def _solve_uncached(spec: HamiltonianSpec, tol: float, max_iter: int, seed: int)
     tol *= min(1.0, norm_bound(spec))  # relative to ||H|| where that is below 1
     rng = np.random.default_rng(seed)
     solved = []  # (energy, vector, residual, steps, sector, full-space index)
-    buffer = None  # one Krylov buffer for every sweep; rows a sweep skips stay unmapped
     for sector in SECTORS if _uses_sectors(spec) else (None,):
         ham = CompiledHamiltonian(spec, sector)
-        if buffer is None:  # the first sector, sum_i S_i^z = 0, is the largest
-            buffer = np.empty(min(KRYLOV_CAP, max_iter, ham.dim) * ham.dim)
         # H is real in this basis, so the ground vector can be kept real. The
         # start vector is drawn over the sorted states; where ``apply`` takes
         # block order, the solve runs in it
@@ -347,7 +340,7 @@ def _solve_uncached(spec: HamiltonianSpec, tol: float, max_iter: int, seed: int)
         index = slice(None) if sector is None else ham.states
         if ham.order is not None:
             start, index = start[ham.order], index[ham.order]
-        solved.append(_lowest(ham, start, tol, max_iter, buffer) + (sector, index))
+        solved.append(_lowest(ham, start, tol, max_iter) + (sector, index))
     iterations = sum(steps for _e, _v, _r, steps, *_ in solved)
     energies = [energy for energy, *_ in solved]
     # sectors come in tie-break order: the first within tol of the lowest wins

@@ -70,6 +70,7 @@ streams are the contract's streams bit for bit.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -380,12 +381,22 @@ def _pauli_passes(source: np.ndarray, target: np.ndarray, dim: int,
     return source, target
 
 
+@functools.cache
+def _pauli_tail(sites: int) -> np.ndarray:
+    """``_pauli_passes`` over ``sites`` sites as a read-only (4^sites,
+    4^sites) matrix: row i holds the components of basis matrix i."""
+    basis = np.eye(4 ** sites)
+    transform, _ = _pauli_passes(basis, np.empty_like(basis), 2 ** sites, sites)
+    transform.setflags(write=False)
+    return transform
+
+
 def _pauli_coefficients(state: SpinState, sites) -> np.ndarray:
     """Tr(rho_I sigma_k) / 2^|I| for every Pauli string k on the interval
     ``sites``: a real vector over k = sum_j k_j 4^j, with k_j = 0, 1, 2, 3
     for I, X, Y, Z on site j (``_pauli_passes``). Below 16 x 16 blocks a
     pass runs on short rows, so the last four sites go as one product with
-    their transform, the same passes run once on every basis matrix.
+    their transform (``_pauli_tail``).
     """
     rho = reduced_density_matrix(state, sites)
     dim, length = len(rho), len(sites)
@@ -393,9 +404,7 @@ def _pauli_coefficients(state: SpinState, sites) -> np.ndarray:
     del rho
     tail = min(length, 4)
     source, target = _pauli_passes(source, np.empty_like(source), dim, length - tail)
-    basis = np.eye(4 ** tail)
-    transform, _ = _pauli_passes(basis, np.empty_like(basis), 2 ** tail, tail)
-    transform *= 0.5 ** length
+    transform = _pauli_tail(tail) * 0.5 ** length
     return np.matmul(source.reshape(-1, len(transform)), transform,
                      out=target.reshape(-1, len(transform))).reshape(-1)
 
