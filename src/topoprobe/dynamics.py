@@ -17,18 +17,19 @@ preserves second-order accuracy.
 
 In the full 2^N space each bond group is applied in the form of the
 matvec (``hamiltonians.split_low_block``). The group's gates inside the low
-block of ``hamiltonians.LOW_BLOCK_SITES`` sites act on disjoint pairs, so
+block of ``hamiltonians.LOW_BLOCK_WIDTH`` sites act on disjoint pairs, so
 their product is their Kronecker product, one square matrix that
 multiplies the amplitudes reshaped to (higher sites, low block). Every
 other gate is a batched matmul of its 4x4 matrix with the (higher sites,
 bond pair, lower sites) view. In one sector of fixed sum S^z (B = 0 only),
 a gate g multiplies a state by g[0, 0] or g[1, 1] (bond spins aligned or
 not) and adds t = g[1, 2] / g[1, 1] times one in-place gather through the
-bond's partner table. These diagonals commute with their group's flips, so
+bond's partner table over the sorted sector states (``_partners``, built
+once per stepper). These diagonals commute with their group's flips, so
 each group keeps one; the even half-steps of consecutive steps merge into
-one A(dt) (``TrotterStepper.step``). D takes at most 2(N + 1) distinct values:
-the stepper keeps the distinct (pinning, staggered) pairs and an index
-code per basis state, exponentiates the small table each step and
+one A(dt) (``TrotterStepper.step``). D takes at most 2(N + 1) distinct
+values: the stepper keeps the distinct (pinning, staggered) pairs and an
+index code per basis state, exponentiates the small table each step and
 gathers the phases by code.
 
 The adiabatic ramp starts from the staggered product state and turns the
@@ -89,6 +90,8 @@ def _step_count(t_total: float, dt: float) -> int:
     """Number of steps of length dt in t_total; dt must divide t_total."""
     if not (dt > 0 and t_total >= 0):
         raise ValueError(f"need dt > 0 and t_total >= 0, got dt={dt}, t_total={t_total}")
+    if not np.isfinite(t_total / dt):
+        raise ValueError(f"t_total={t_total} / dt={dt} is not a finite step count")
     steps = round(t_total / dt)
     if abs(steps * dt - t_total) > STEP_COUNT_RTOL * abs(t_total):
         raise ValueError(f"dt={dt} does not divide the evolution time {t_total}")
@@ -117,8 +120,9 @@ class TrotterStepper:
             self.even, self.odd = [(reduce(np.matmul, low).T, high) for low, high in splits]
             static = compiled.diagonal
         else:
-            self.even, self.odd = [_sector_group(compiled, p, dt / 2.0) for p in (0, 1)]
-            self.even_merged = _sector_group(compiled, 0, dt)
+            partners = _partners(compiled)
+            self.even, self.odd = [_sector_group(compiled, partners, p, dt / 2.0) for p in (0, 1)]
+            self.even_merged = _sector_group(compiled, partners, 0, dt)
             static = spec.pinning * (1.0 - 2.0 * (self.states & 1))
         pairs, codes = np.unique(np.stack([static, compiled.neel_diag], axis=1),
                                  axis=0, return_inverse=True)
@@ -161,13 +165,26 @@ def _apply_group(group, amps: np.ndarray) -> np.ndarray:
     return amps
 
 
-def _sector_group(compiled: CompiledHamiltonian, parity: int, tau: float):
+def _partners(compiled: CompiledHamiltonian) -> list[tuple[int, np.ndarray]]:
+    """(left site, partner) per sector bond with exchange: ``partner`` holds
+    the index into ``compiled.states`` of the state the bond flips each state
+    into, or the zero slot ``dim`` where the bond does not flip it."""
+    # (c/2)(XX+YY) couples |01> <-> |10> of a bond with amplitude c;
+    # every state outside the sector maps to the zero slot dim, and
+    # flipping both bits of a 00 or 11 bond leaves the sector
+    lookup = np.full(2 ** compiled.spec.num_sites, compiled.dim, dtype=np.intp)
+    lookup[compiled.states] = np.arange(compiled.dim)
+    return [(left, lookup[compiled.states ^ (3 << left)])
+            for left, h in compiled.bonds if h[1, 2] != 0.0]
+
+
+def _sector_group(compiled: CompiledHamiltonian, partners: list, parity: int, tau: float):
     """The product of the diagonals of the sector gates g = exp(-i tau h) with
     left site of ``parity``, and per gate (g[1, 2] / g[1, 1], partner table).
     The diagonal goes first, so t multiplies amplitudes that carry g[1, 1]
     already, and the step stays accurate where g[1, 1] ~ cos(c tau) is small."""
     diag, flips = np.ones(compiled.dim, dtype=complex), []
-    for left, _coupling, partner in compiled.exchange:
+    for left, partner in partners:
         if left % 2 == parity:
             gate = _bond_gate(compiled.bonds[left][1], tau)
             diag *= np.where(partner == compiled.dim, gate[0, 0], gate[1, 1])

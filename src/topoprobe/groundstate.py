@@ -32,10 +32,10 @@ the lowest tie, and a tie goes to the smaller |sum_i S_i^z|, then to +1.
 ``EigenResult.sector`` is the chosen sum_i S_i^z (None: full space) and
 ``sector_gap`` the lowest other sector energy minus the chosen one (below
 0 only in a tie).
-``max_iter`` bounds each sector's steps; ``iterations`` sums them. From
-``hamiltonians.BLOCK_SITES`` sites on, a sector's Lanczos vectors are kept
-in the block order its apply takes (``CompiledHamiltonian.order``): the
-start vector is drawn over the sorted states and permuted once.
+``max_iter`` bounds each sector's steps; ``iterations`` sums them. A
+sector's Lanczos vectors are kept in the block order its apply takes
+(``CompiledHamiltonian.order``): the start vector is drawn over the sorted
+states and permuted once.
 H is real in the computational basis and the start vector is real, so
 every returned state has real (float64) amplitudes.
 
@@ -334,12 +334,12 @@ def _solve_uncached(spec: HamiltonianSpec, tol: float, max_iter: int, seed: int)
     for sector in SECTORS if _uses_sectors(spec) else (None,):
         ham = CompiledHamiltonian(spec, sector)
         # H is real in this basis, so the ground vector can be kept real. The
-        # start vector is drawn over the sorted states; where ``apply`` takes
-        # block order, the solve runs in it
+        # start vector is drawn over the sorted states; a sector's solve runs
+        # in the block order of its apply
         start = rng.standard_normal(ham.dim)
-        index = slice(None) if sector is None else ham.states
-        if ham.order is not None:
-            start, index = start[ham.order], index[ham.order]
+        index = slice(None)
+        if sector is not None:
+            start, index = start[ham.order], ham.states[ham.order]
         solved.append(_lowest(ham, start, tol, max_iter) + (sector, index))
     iterations = sum(steps for _e, _v, _r, steps, *_ in solved)
     energies = [energy for energy, *_ in solved]

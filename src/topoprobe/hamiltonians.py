@@ -16,22 +16,15 @@ edge orientation.
 Each bond's term is one real 4x4 matrix on the pair index
 bit(left) + 2 bit(left+1), summed from the two-site constants below, and
 every consumer reads it. In the full space, ``split_low_block`` embeds the
-bonds inside the lowest ``LOW_BLOCK_SITES`` sites in one square matrix on
+bonds inside the lowest ``LOW_BLOCK_WIDTH`` sites in one square matrix on
 the (higher sites, low block) view of the amplitudes, and every other bond
 multiplies the (higher sites, bond pair, lower sites) view, so the
 2^N x 2^N matrix is never built: ``CompiledHamiltonian.apply`` sums the low
 bonds, a full-space ``dynamics.TrotterStepper`` multiplies their gates.
-In one sector of fixed sum_i S_i^z (B = 0) the apply has two kernels, and
-``_uses_blocks`` picks one from the chain length alone. Below
-``BLOCK_SITES`` sites a bond's zz entry goes on the diagonal and its
-exchange entry weights one partner-index table per bond that gathers from
-the amplitudes padded with a zero slot. From ``BLOCK_SITES`` on, the chain
-splits at its central bond into two halves, and the sector's amplitudes
-form one block per split of the down spins, on which each half's bonds and
-fields act as one dense matrix (``_SectorBlocks``). The partner tables and
-the 2^N lookup behind them are built on first read: by the gather apply,
-or by a sector ``dynamics.TrotterStepper``, which gathers its gates' flips
-through them at every size. Only the B term changes sum_i S_i^z, so at
+In one sector of fixed sum_i S_i^z (B = 0) the chain splits at its central
+bond into two halves, and the sector's amplitudes form one block per split
+of the down spins, on which each half's bonds and fields act as one dense
+matrix (``_SectorBlocks``). Only the B term changes sum_i S_i^z, so at
 B = 0 H is block diagonal over those sectors.
 """
 from __future__ import annotations
@@ -43,14 +36,9 @@ from functools import cached_property
 import numpy as np
 
 DEFAULT_PINNING_FRACTION = 0.05
-# sites 0..LOW_BLOCK_SITES-1 form the low block of the full-space bond kernel;
+# sites 0..LOW_BLOCK_WIDTH-1 form the low block of the full-space bond kernel;
 # every bond above it multiplies a view with an inner stride of at least 16
-LOW_BLOCK_SITES = 5
-# sector applies from this chain length on run on the two-half blocks
-# (``_SectorBlocks``). Measured against the per-bond gathers (2 cores): 1.5-2.2
-# times their time at N = 8, 0.93-1.15 at N = 12, 0.57-0.68 at N = 14 and
-# 0.37-0.44 at N = 16
-BLOCK_SITES = 14
+LOW_BLOCK_WIDTH = 5
 # two-site terms on the pair index bit(left) + 2 bit(left+1)
 XX_PLUS_YY = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 2.0, 0.0],
                        [0.0, 2.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
@@ -123,111 +111,70 @@ def staggered_signs(num_sites: int) -> np.ndarray:
 def split_low_block(bonds: list[tuple[int, np.ndarray]], num_sites: int
                     ) -> tuple[list[np.ndarray], list[tuple[int, np.ndarray]]]:
     """Split (left site, 4x4 matrix) bonds of an N-site chain at the low
-    block of w = min(LOW_BLOCK_SITES, N) sites: each bond inside sites
+    block of w = min(LOW_BLOCK_WIDTH, N) sites: each bond inside sites
     0..w-1 embedded as a 2^w square matrix (site 0 the lowest bit), and
     the remaining bonds, whose left site is at least w - 1."""
-    width = min(LOW_BLOCK_SITES, num_sites)
+    width = min(LOW_BLOCK_WIDTH, num_sites)
     low = [np.kron(np.kron(np.eye(2 ** (width - 2 - left)), h), np.eye(2 ** left))
            for left, h in bonds if left + 2 <= width]
     return low, [(left, h) for left, h in bonds if left + 2 > width]
 
 
 class CompiledHamiltonian:
-    """H on the full 2^N space, or on the sorted basis ``states`` of one S^z
-    sector (B = 0 only). ``bonds`` holds (left site, 4x4 bond matrix) for
-    every bond. The full space keeps only the fields on ``diagonal``, the
-    bonds inside the low block summed into one matrix (``low_t``, transposed)
-    and the other bonds in ``high``; a sector keeps the zz part on
-    ``diagonal`` too.
-
-    A sector has two apply kernels, and ``_uses_blocks`` picks one from N
-    alone. Below ``BLOCK_SITES`` sites every bond with exchange gathers
-    through its partner table (``exchange``), and ``apply`` takes amplitudes
-    over ``states``. From ``BLOCK_SITES`` on the apply runs on the two-half
-    blocks of ``_SectorBlocks`` and takes them in block order, over
-    ``states[order]``; ``order`` is None otherwise. ``exchange`` and the 2^N
-    lookup behind it are built on first read, by the gather apply or by a
-    sector ``dynamics.TrotterStepper``."""
+    """H on the full 2^N space, or on one S^z sector (B = 0 only).
+    ``bonds`` holds (left site, 4x4 bond matrix) for every bond. The full
+    space keeps the fields on ``diagonal``, the bonds inside the low block
+    summed into one matrix (``low_t``, transposed) and the other bonds in
+    ``high``. A sector keeps its sorted basis ``states`` and the two-half
+    blocks of ``_SectorBlocks``, whose apply takes amplitudes in block
+    order, over ``states[order]``."""
 
     def __init__(self, spec: HamiltonianSpec, sector: int | None = None):
         self.spec = spec
         self.sector = sector
         n = spec.num_sites
-        self.states = None
         self.bonds = bond_terms(spec)
         if sector is None:
+            self.states = self.order = None
+            self.dim = spec.dim
             low, self.high = split_low_block(self.bonds, n)
             self.low_t = sum(low).T
-        else:
-            if not isinstance(sector, numbers.Integral) or abs(sector) > n // 2:
-                raise ValueError(f"sector must be an integer sum S^z in [-{n // 2}, {n // 2}], "
-                                 f"got {sector!r}")
-            if spec.b_field != 0.0:
-                raise ValueError("S^z sectors need b_field = 0: the B term changes sum S^z")
-            # sum_i S_i^z = sector: the states with N/2 - sector down spins (bit 1)
-            self.states = np.flatnonzero(np.bitwise_count(np.arange(2 ** n)) == n // 2 - sector)
-        # sigma_z eigenvalue (+1 up, -1 down) of every basis state, one array
-        # per site: no allocation exceeds 2^N doubles
-        indices = np.arange(2 ** n) if sector is None else self.states
-        zsign = [1.0 - 2.0 * ((indices >> site) & 1) for site in range(n)]
-
-        # diagonal: zz exchange parts (sector only) + staggered field + pinning
-        diag = np.zeros(zsign[0].shape[0])
-        if sector is not None:
-            for left, h in self.bonds:
-                diag += h[0, 0] * zsign[left] * zsign[left + 1]
-        # sum_i (-1)^i z_i, exact in any summation order; TrotterStepper reads
-        # it, on sectors too (its diagonal table pairs it with the static part)
-        self.neel_diag = sum(s * z for s, z in zip(staggered_signs(n), zsign))
-        diag += spec.neel_delta * spec.neel_weight * self.neel_diag
-        diag += spec.pinning * zsign[0]
-        self.diagonal = diag
-        self.dim = diag.shape[0]
-        self._blocks = _SectorBlocks(self) if sector is not None and _uses_blocks(n) else None
-        self.order = None if self._blocks is None else self._blocks.order
+            # staggered field + pinning
+            self.diagonal = (spec.neel_delta * spec.neel_weight * self.neel_diag
+                             + spec.pinning * (1.0 - 2.0 * (np.arange(self.dim) & 1)))
+            return
+        if not isinstance(sector, numbers.Integral) or abs(sector) > n // 2:
+            raise ValueError(f"sector must be an integer sum S^z in [-{n // 2}, {n // 2}], "
+                             f"got {sector!r}")
+        if spec.b_field != 0.0:
+            raise ValueError("S^z sectors need b_field = 0: the B term changes sum S^z")
+        # sum_i S_i^z = sector: the states with N/2 - sector down spins (bit 1)
+        self.states = np.flatnonzero(np.bitwise_count(np.arange(2 ** n)) == n // 2 - sector)
+        self.dim = self.states.shape[0]
+        self._blocks = _SectorBlocks(self)
+        self.order = self._blocks.order
 
     @cached_property
-    def exchange(self) -> list[tuple[int, float, np.ndarray]]:
-        """(left site, coupling, partner) per sector bond with exchange:
-        ``partner`` holds the index of the state the bond flips each state
-        into, or the zero slot ``dim`` where the bond does not flip it."""
-        # (c/2)(XX+YY) couples |01> <-> |10> of a bond with amplitude c;
-        # every state outside the sector maps to the zero slot dim, and
-        # flipping both bits of a 00 or 11 bond leaves the sector
-        lookup = np.full(2 ** self.spec.num_sites, self.dim, dtype=np.intp)
-        lookup[self.states] = np.arange(self.dim)
-        return [(left, h[1, 2], lookup[self.states ^ (3 << left)])
-                for left, h in self.bonds if h[1, 2] != 0.0]
+    def neel_diag(self) -> np.ndarray:
+        """sum_i (-1)^i z_i per basis state (over ``states`` in a sector), z_i
+        the sigma_z eigenvalue of site i; exact in any summation order."""
+        indices = np.arange(self.dim) if self.states is None else self.states
+        return sum(s * (1.0 - 2.0 * ((indices >> site) & 1))
+                   for site, s in enumerate(staggered_signs(self.spec.num_sites)))
 
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
         """H |psi> on a flat amplitude array over this basis (in block order
-        where ``order`` is set)."""
+        in a sector)."""
         if amplitudes.shape[0] != self.dim:
             raise ValueError(f"state dimension {amplitudes.shape[0]} does not match {self.dim}")
-        if self._blocks is not None:
-            return self._blocks.apply(amplitudes)
         if self.sector is not None:
-            return self._apply_gathers(amplitudes)
+            return self._blocks.apply(amplitudes)
         out = self.diagonal * amplitudes
         out += (amplitudes.reshape(-1, self.low_t.shape[0]) @ self.low_t).reshape(-1)
         for left, h in self.high:
             target = out.reshape(-1, 4, 2 ** left)
             target += np.matmul(h, amplitudes.reshape(-1, 4, 2 ** left))
         return out
-
-    def _apply_gathers(self, amplitudes: np.ndarray) -> np.ndarray:
-        """The sector apply as one gather per bond through its partner table."""
-        out = self.diagonal * amplitudes
-        padded = np.append(amplitudes, 0.0)
-        for _left, coupling, partner in self.exchange:
-            out += coupling * padded[partner]
-        return out
-
-
-def _uses_blocks(num_sites: int) -> bool:
-    """Whether a sector apply runs on the two-half blocks rather than the
-    per-bond gathers: a rule on the chain length alone."""
-    return num_sites >= BLOCK_SITES
 
 
 def _half_matrix(bonds: list[tuple[int, np.ndarray]], fields: np.ndarray) -> np.ndarray:

@@ -825,10 +825,12 @@ def read_records(path) -> tuple[CampaignRecords, ProtocolParams]:
         raise ValueError(f"line {row + first_line}: duplicates line {earlier + first_line} "
                          f"(unitary {units[row]}, experiment {experiments[row]}, "
                          f"outcome {outcomes[row]})")
-    filled = np.zeros(shape[:2], dtype=bool)
-    filled[units, experiments - 1] = True
-    if not filled.all():
-        u_index, experiment = np.argwhere(~filled)[0]
+    # sorted (unitary, experiment) pair keys of the lines: the first key that
+    # differs from its position is the first pair without lines
+    pairs = np.unique(keys // shape[2])
+    if pairs.size != shape[0] * shape[1]:
+        gaps = np.flatnonzero(pairs != np.arange(pairs.size))
+        u_index, experiment = divmod(int(gaps[0]) if gaps.size else pairs.size, shape[1])
         raise ValueError(f"no lines for unitary {u_index}, experiment {experiment + 1}")
     result = np.zeros(shape, dtype=np.int64)
     result.reshape(-1)[flat] = counts

@@ -322,12 +322,20 @@ def strided_apply(spec, amplitudes):
 
 
 def sector_scatter_apply(compiled, amplitudes):
-    """H |psi> in one S^z sector as a per-bond scatter of (coupling, source,
-    target) index triples: every state whose bond flips adds its amplitude to
-    its partner. The program's gather form must match it bit for bit."""
-    states = compiled.states
-    out = compiled.diagonal * amplitudes
-    for left, _right, coupling in exchange_bonds(compiled.spec):
+    """H |psi> in one S^z sector over the sorted ``compiled.states``: zz,
+    staggered field and pinning on a diagonal built from the spec, as in
+    ``strided_apply``, and the exchange as a per-bond scatter of (coupling,
+    source, target) index triples: every state whose bond flips adds its
+    amplitude to its partner."""
+    spec, states = compiled.spec, compiled.states
+    zsign = [1.0 - 2.0 * ((states >> site) & 1) for site in range(spec.num_sites)]
+    diag = spec.pinning * zsign[0]
+    for left, right, coupling in exchange_bonds(spec):
+        diag = diag + 0.5 * coupling * spec.delta * zsign[left] * zsign[right]
+    for site, sign in enumerate(staggered_signs(spec.num_sites)):
+        diag = diag + spec.neel_delta * spec.neel_weight * sign * zsign[site]
+    out = diag * amplitudes
+    for left, _right, coupling in exchange_bonds(spec):
         if coupling == 0.0:
             continue
         source = np.flatnonzero(((states >> left) ^ (states >> (left + 1))) & 1)

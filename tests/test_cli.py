@@ -344,6 +344,16 @@ class TestOtherCommands:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("t_final", ["inf", "1e308"])
+    def test_adiabatic_infinite_step_count_exits_2(self, tmp_path, capsys, t_final):
+        path = tmp_path / "ramp.cfg"
+        path.write_text(TINY_CONFIG + f"\n[ramp]\nt_final = {t_final}\ndt = 0.01\n")
+        out = tmp_path / "out"
+        assert main(["adiabatic", "--config", str(path), "--out", str(out)]) == 2
+        message = f"t_total={float(t_final)} / dt=0.01 is not a finite step count"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_error_scan(self, tmp_path):
         path = tmp_path / "scan.cfg"
         path.write_text(TINY_CONFIG + "\n[error_scan]\naxis = n_unitaries\n"

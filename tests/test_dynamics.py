@@ -1,5 +1,6 @@
 """Trotterized evolution: the step against dense and per-bond references,
 splitting order, norm and energy conservation, adiabatic ramp behavior."""
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -52,6 +53,12 @@ class TestRampSpec:
         with pytest.raises(ValueError, match="need dt > 0 and t_total >= 0"):
             evolve(spec, neel_state(4), t_total, dt)
 
+    @pytest.mark.parametrize("t_total", [np.inf, 1e308])
+    def test_evolve_rejects_infinite_step_count(self, t_total):
+        spec = HamiltonianSpec(num_sites=4, j=1.0, j_prime=0.5, delta=0.25)
+        with pytest.raises(ValueError, match=re.escape(f"t_total={t_total} / dt=0.01 is not")):
+            evolve(spec, neel_state(4), t_total, 0.01)
+
     def test_evolve_rejects_state_of_another_chain(self):
         spec = HamiltonianSpec(num_sites=8, j=1.0, j_prime=0.5, delta=0.25)
         with pytest.raises(ValueError, match="chain size does not match"):
@@ -70,7 +77,7 @@ class TestRampSpec:
 class TestTrotterStep:
     @pytest.mark.parametrize("num_sites", [4, 6, 8])
     def test_step_matches_dense_splitting(self, num_sites, rng):
-        # N = 4 < LOW_BLOCK_SITES makes the whole chain the low block of both
+        # N = 4 < LOW_BLOCK_WIDTH makes the whole chain the low block of both
         # bond groups; N = 6 and 8 also have gates above the block
         spec = HamiltonianSpec(num_sites=num_sites, j=1.0, j_prime=0.6, delta=0.3,
                                b_field=0.1, pinning=0.07, neel_delta=5.0)

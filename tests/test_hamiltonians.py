@@ -1,12 +1,10 @@
 """Matrix-free Hamiltonian against explicit Kronecker-product construction."""
-import inspect
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from topoprobe.hamiltonians import (CompiledHamiltonian, HamiltonianSpec, _uses_blocks,
-                                    norm_bound)
+from topoprobe.hamiltonians import CompiledHamiltonian, HamiltonianSpec, norm_bound
 from topoprobe.spincore import basis_state, random_state
 
 from oracles import (
@@ -83,24 +81,11 @@ class TestMatvec:
         right = np.vdot(psi.amplitudes, matvec(spec, phi))
         assert abs(left - np.conj(right)) < 1e-10
 
-    @pytest.mark.parametrize("num_sites", [8, 12, 16, 20])
-    def test_sector_gather_matches_scatter_bitwise(self, num_sites, rng):
-        spec = HamiltonianSpec(num_sites=num_sites, j=1.0, j_prime=2.6, delta=0.4,
-                               neel_delta=0.7, neel_weight=0.5)
-        # one apply at N = 20 takes about 15 ms: one vector in sector 0 there.
-        # From BLOCK_SITES on ``apply`` takes the blocks, so the gather kernel
-        # is called directly
-        for sector in (0, 1, -1) if num_sites < 20 else (0,):
-            compiled = CompiledHamiltonian(spec, sector)
-            for vec in rng.standard_normal((3 if num_sites < 20 else 1, compiled.dim)):
-                assert np.array_equal(compiled._apply_gathers(vec),
-                                      sector_scatter_apply(compiled, vec))
-
-    @pytest.mark.parametrize("num_sites", [14, 16, 18, 20])
+    @pytest.mark.parametrize("num_sites", range(4, 22, 2))
     def test_sector_blocks_match_scatter(self, num_sites, rng):
         # default pinning, and pinning 0; the staggered field on; J' = 0
-        # (no exchange on the central bond at N = 16 and 20) and J = 0 (none
-        # there at N = 14 and 18), so some bonds carry no exchange
+        # (no exchange on the central bond at N = 4, 8, ..., 20) and J = 0
+        # (none there at N = 6, 10, ..., 18), so some bonds carry no exchange
         specs = [HamiltonianSpec(num_sites=num_sites, j=1.0, j_prime=2.6, delta=0.4,
                                  neel_delta=0.7, neel_weight=0.5),
                  HamiltonianSpec(num_sites=num_sites, j=1.0, j_prime=0.0, delta=-0.5,
@@ -114,26 +99,13 @@ class TestMatvec:
             # the scatter each round that sum, and the diagonal entries they
             # are built from, within (N + 2) eps of it
             bound = 4 * (num_sites + 2) * EPS * norm_bound(spec)
-            for sector in range(-half, half + 1) if num_sites < 20 else (0,):
+            for sector in range(-half, half + 1):
                 compiled = CompiledHamiltonian(spec, sector)
                 order = compiled.order  # the blocks take amplitudes in block order
                 vec = rng.standard_normal(compiled.dim)
                 error = np.abs(compiled.apply(vec[order])
                                - sector_scatter_apply(compiled, vec)[order]).max()
                 assert error <= bound * np.abs(vec).max()
-
-    def test_sector_kernel_reads_chain_length_only(self):
-        assert list(inspect.signature(_uses_blocks).parameters) == ["num_sites"]
-        # the shipped desk configs (N <= 12) gather, the N = 16 studies take blocks
-        assert not _uses_blocks(12) and _uses_blocks(14) and _uses_blocks(16)
-        for num_sites in range(4, 20, 2):
-            specs = [HamiltonianSpec(num_sites=num_sites),
-                     HamiltonianSpec(num_sites=num_sites, j=0.5, j_prime=0.0, delta=-0.9,
-                                     neel_delta=2.0, neel_weight=1.0, pinning=0.0)]
-            for spec in specs:
-                for sector in (0, 1, -num_sites // 2):
-                    compiled = CompiledHamiltonian(spec, sector)
-                    assert (compiled.order is not None) == _uses_blocks(num_sites)
 
     @pytest.mark.parametrize("num_sites", [12, 16])
     def test_full_space_matches_strided_reference(self, num_sites, rng):
@@ -204,7 +176,9 @@ class TestDenseOracle:
             states = compiled.states
             assert np.all(np.diff(states) > 0)
             assert np.all(np.bitwise_count(states) == half - sector)
-            block = dense[np.ix_(states, states)]
+            assert np.array_equal(np.sort(compiled.order), np.arange(len(states)))
+            # ``apply`` takes and returns amplitudes in block order
+            block = dense[np.ix_(states[compiled.order], states[compiled.order])]
             for vec in rng.standard_normal((5, len(states))):
                 np.testing.assert_allclose(compiled.apply(vec), block @ vec, atol=1e-12)
             sizes += len(states)

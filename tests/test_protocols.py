@@ -813,6 +813,23 @@ class TestRecordFileErrors:
         with pytest.raises(ValueError, match="no lines for unitary 1, experiment 2"):
             read_records(bad)
 
+    def test_missing_pair_found_without_sizing_by_header(self, exported, tmp_path):
+        # a header claiming 2**24 unitaries and one line: the missing pair is
+        # found from the lines, with no array over every claimed pair
+        source, lines = exported
+        header = json.loads(Path(source).read_text().splitlines()[0][1:])
+        header["n_unitaries"] = 2 ** 24
+        bad = tmp_path / "bad.records"
+        bad.write_text("#" + json.dumps(header) + "\n" + lines[0] + "\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="no lines for unitary 0, experiment 2"):
+                read_records(bad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
     def test_counts_not_summing_to_shots(self, exported, tmp_path):
         source, lines = exported
         bad = tmp_path / "bad.records"
