@@ -61,17 +61,21 @@ shots of its experiment k (k = 1, 2) from (0, u, k); the bootstrap uses
 the (resamples, n) draw. A campaign is therefore reproducible bit for
 bit, and neither a unitary's draws nor the bootstrap's depend on how an
 axis is chunked.
-The streams of a chunk are built in bulk (``_streams``): the spawn-key
-words are hashed into the pool of ``SeedSequence(master_seed)`` for all
-unitaries at once, and one reused PCG64 is set to each seeded state.
-That is the same computation as one ``SeedSequence`` and ``PCG64`` per
-key, and NEP 19 keeps both algorithms fixed across numpy versions, so the
-streams are the contract's streams bit for bit.
+A campaign computes the PCG64 start words of all its streams at once
+(``_stream_states``) and writes each stream's words into the state struct
+of one reused generator (``_seeded``): the computation of one
+``SeedSequence`` and ``PCG64`` per key, which NEP 19 keeps fixed, so the
+streams are the contract's bit for bit. The struct behind the public
+``state_address`` is not public: the first write of a process is read back
+and a layout that differs raises ``RuntimeError``. There is no fallback to
+the public state setter, a second path untested on every numpy this fits.
 """
 from __future__ import annotations
 
+import ctypes
 import functools
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,7 +110,7 @@ _HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
 _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK_32, _MASK_128 = 2 ** 32 - 1, 2 ** 128 - 1
+_MASK_32, _MASK_64 = 2 ** 32 - 1, 2 ** 64 - 1
 
 
 def check_seed(seed, name: str) -> int:
@@ -320,36 +324,77 @@ def _spawn_words(prefix: np.random.SeedSequence, keys: np.ndarray) -> np.ndarray
     return np.stack([low | high << 32 for low, high in zip(state[::2], state[1::2])], axis=1)
 
 
-def _streams(master_seed: int, *key):
-    """The seed contract's streams (module docstring) with spawn key ``key``,
-    whose 32-bit words are ints or arrays broadcast together: one stream per
-    broadcast entry, in order. Each is yielded as one reused generator set
-    to the stream's start, bit for bit
-    ``Generator(PCG64(SeedSequence(master_seed, spawn_key=key)))``; draw
-    from it before taking the next."""
+def _stream_states(master_seed: int, *key) -> np.ndarray:
+    """(streams, 4) uint64 start words state low, state high, inc low, inc
+    high of ``PCG64(SeedSequence(master_seed, spawn_key=key))``, one row per
+    entry of the key words (ints or arrays) broadcast together, in order:
+    PCG64's srandom, inc = k << 1 | 1 and state = (inc + s) * ``_PCG_MULT``
+    + inc mod 2^128 on the (s, k) of ``_spawn_words``, with carries."""
     keys = np.stack(np.broadcast_arrays(*key), axis=-1).reshape(-1, len(key))
-    prefix = np.random.SeedSequence(master_seed)
-    bit_generator = np.random.PCG64(prefix)
+    words = _spawn_words(np.random.SeedSequence(master_seed), keys.astype(np.uint32))
+    seed_high, seed_low, key_high, key_low = words.T
+    inc_low, inc_high = key_low << 1 | 1, key_high << 1 | key_low >> 63
+    sum_low = inc_low + seed_low
+    sum_high = inc_high + seed_high + (sum_low < inc_low)
+    # sum_low times the multiplier's low word in full, from 32-bit limbs
+    # whose partial products fit a uint64; the other terms mod 2^64
+    limb_low, limb_high = sum_low & _MASK_32, sum_low >> 32
+    mult_low, mult_high = _PCG_MULT & _MASK_32, _PCG_MULT >> 32 & _MASK_32
+    low, cross_a, cross_b = limb_low * mult_low, limb_low * mult_high, limb_high * mult_low
+    middle = (low >> 32) + (cross_a & _MASK_32) + (cross_b & _MASK_32)
+    state_low = (low & _MASK_32 | middle << 32) + inc_low
+    state_high = (limb_high * mult_high + (cross_a >> 32) + (cross_b >> 32) + (middle >> 32)
+                  + sum_high * (_PCG_MULT & _MASK_64) + sum_low * (_PCG_MULT >> 64)
+                  + inc_high + (state_low < inc_low))
+    return np.stack([state_low, state_high, inc_low, inc_high], axis=1)
+
+
+def _check_state_layout(bit_generator: np.random.PCG64, row: np.ndarray) -> None:
+    """``RuntimeError`` unless ``bit_generator.state`` holds the words ``row``."""
+    state = bit_generator.state["state"]
+    if [state["state"] & _MASK_64, state["state"] >> 64, state["inc"] & _MASK_64,
+            state["inc"] >> 64] != row.tolist():
+        raise RuntimeError(f"numpy {np.__version__}: the PCG64 state struct does not hold "
+                           "(state low, state high, inc low, inc high) at its pointer")
+
+
+_state_layout_checked = False
+
+
+def _seeded(states: np.ndarray):
+    """One reused generator set to each row's stream (``_stream_states``) in
+    turn; draw from it before taking the next. A row's words go to the
+    pointer at offset 0 of the struct at ``PCG64.ctypes.state_address``, and
+    has_uint32 and its buffered word at +8 are cleared. The first write of
+    the process is read back (``_check_state_layout``); a layout that
+    differs raises, with no fallback path (module docstring)."""
+    global _state_layout_checked
+    bit_generator = np.random.PCG64(0)
+    address = bit_generator.ctypes.state_address
+    header = np.frombuffer((ctypes.c_uint64 * 2).from_address(address), np.uint64)
+    words = np.frombuffer((ctypes.c_uint64 * 4).from_address(int(header[0])), np.uint64)
     rng = np.random.Generator(bit_generator)
-    words = _spawn_words(prefix, keys.astype(np.uint32))
-    for seed_high, seed_low, inc_high, inc_low in words.tolist():
-        # PCG64's srandom: from state 0, step, add the seed, step again
-        inc = ((inc_high << 64 | inc_low) << 1 | 1) & _MASK_128
-        state = ((inc + (seed_high << 64 | seed_low)) * _PCG_MULT + inc) & _MASK_128
-        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
+    for row in states:
+        words[:], header[1] = row, 0
+        if not _state_layout_checked:
+            _check_state_layout(bit_generator, row)
+            _state_layout_checked = True
         yield rng
 
 
-def _campaign_axes(params: ProtocolParams, unitaries: range) -> np.ndarray:
+def _campaign_axes(params: ProtocolParams, unitaries: range,
+                   states: np.ndarray | None = None) -> np.ndarray:
     """Bloch axes (len(unitaries), experiments, |I|, 3) of the measured
     gates of the given unitaries of a campaign. Each unitary's stream draws
     the real parts of its Ginibre matrices, then the imaginary parts, as
-    ``sample_cue`` does."""
+    ``sample_cue`` does. ``states`` are the start words of the unitaries'
+    (0, u, 0) streams when the caller holds them."""
+    if states is None:
+        states = _stream_states(params.master_seed, 0,
+                                np.arange(unitaries.start, unitaries.stop), 0)
     draw_count = _pattern_draw_count(params.kind, params.partition)
     normals = np.empty((len(unitaries), 2, draw_count, 2, 2))
-    streams = _streams(params.master_seed, 0, np.arange(unitaries.start, unitaries.stop), 0)
-    for row, rng in zip(normals, streams):
+    for row, rng in zip(normals, _seeded(states)):
         rng.standard_normal(out=row)
     axes = _bloch_axes(normals[:, 0], normals[:, 1])
     return _pattern_axes(params.kind, params.partition, axes)
@@ -446,30 +491,45 @@ def run_campaign(state: SpinState, params: ProtocolParams,
     With ``exact_probabilities`` the projective sampling step is skipped and
     each record stores the exact Born distribution for its experiment
     (infinite-shot limit, used to validate estimator unbiasedness).
-    Intervals longer than ``rdm.MAX_INTERVAL`` sites raise ``ValueError``.
+    Intervals longer than ``rdm.MAX_INTERVAL`` sites raise ``ValueError``,
+    and so does a campaign whose outcome table and stream words would not
+    fit in physical memory, before either is allocated.
     """
     if params.partition.num_sites != state.num_sites:
         raise ValueError("partition chain size does not match state")
-    coefficients = _pauli_coefficients(state, params.partition.sites)
     length = params.partition.interval_size
     n_unitaries, experiments = params.n_unitaries, params.experiments
+    # stream keys (0, u, k) per unitary: k = 0 for the axes, k = e for the shots of experiment e
+    keys = 1 if exact_probabilities else 1 + experiments
+    needed = n_unitaries * (experiments * 2 ** length * 8 + keys * 32)
+    available = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if needed > available:
+        raise ValueError(f"a campaign of {n_unitaries} unitaries needs {needed} bytes for its "
+                         f"outcome table and stream words, more than the {available} bytes "
+                         "of physical memory")
+    coefficients = _pauli_coefficients(state, params.partition.sites)
     outcomes = np.empty((n_unitaries, experiments, 2 ** length),
                         dtype=float if exact_probabilities else np.int64)
+    # start words BUDGET // keys unitaries at a time: hashing holds ~200 B per stream
+    states, block = np.empty((n_unitaries, keys, 4), dtype=np.uint64), BUDGET // keys
+    for start in range(0, n_unitaries, block):
+        rows = np.arange(start, min(start + block, n_unitaries))[:, None]
+        states[start:start + block] = _stream_states(params.master_seed, 0, rows,
+                                                     np.arange(keys)).reshape(-1, keys, 4)
     # the kernel's largest intermediate holds 2^(2|I| - 1) entries per gate stack
     chunk = max(1, min(CHUNK_UNITARIES,
                        CHUNK_ELEMENTS // (experiments * 2 ** (2 * length - 1))))
     for start in range(0, n_unitaries, chunk):
         unitaries = range(start, min(start + chunk, n_unitaries))
-        axes = _campaign_axes(params, unitaries).reshape(-1, length, 3)
+        chunk_states = states[start:unitaries.stop]
+        axes = _campaign_axes(params, unitaries, chunk_states[:, 0]).reshape(-1, length, 3)
         probs = _born_probabilities(coefficients, axes).reshape(len(unitaries), experiments, -1)
         if exact_probabilities:
             outcomes[start:unitaries.stop] = probs
             continue
         probs = _shot_distributions(probs)
         for experiment in range(experiments):
-            streams = _streams(params.master_seed, 0,
-                               np.arange(unitaries.start, unitaries.stop), experiment + 1)
-            for row, rng in enumerate(streams):
+            for row, rng in enumerate(_seeded(chunk_states[:, experiment + 1])):
                 outcomes[start + row, experiment] = rng.multinomial(params.n_shots,
                                                                     probs[row, experiment])
     return CampaignRecords(outcomes, exact_probabilities)
@@ -545,7 +605,7 @@ def _resample_means(master_seed: int, *per_unitary: np.ndarray) -> np.ndarray:
     continues the stream across calls and each row's mean is its own
     pairwise sum, so the means are those of one draw bit for bit.
     """
-    rng = next(_streams(master_seed, 1))
+    rng = next(_seeded(_stream_states(master_seed, 1)))
     n = per_unitary[0].shape[0]
     rows = max(1, BUDGET // n)
     means = np.empty((len(per_unitary), BOOTSTRAP_RESAMPLES))

@@ -1,5 +1,7 @@
 """Command-line surface: config validation, artifacts, determinism."""
 import json
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -116,8 +118,6 @@ class TestConfigParsing:
         assert load_config(path).partition(8).segments == ((1, 3), (3, 5), (5, 7))
 
     def test_shipped_configs_parse(self):
-        from pathlib import Path
-
         config_dir = Path(__file__).resolve().parent.parent / "configs"
         names = sorted(p.name for p in config_dir.glob("*.cfg"))
         assert names == [
@@ -251,8 +251,6 @@ class TestSweepCommand:
         assert all(entry["reason"] for entry in skipped)
 
     def test_unfittable_groups_listed_as_skipped(self, tmp_path):
-        from pathlib import Path
-
         config = Path(__file__).resolve().parent.parent / "configs" / "fig2d_desk.cfg"
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
@@ -404,6 +402,29 @@ class TestOtherCommands:
         assert main(["campaign-export", "--config", str(path),
                      "--out", str(tmp_path / "out")]) == 2
         assert "exceeds limit" in capsys.readouterr().err
+
+    def test_campaign_beyond_physical_memory_exits_2(self, tmp_path, capsys):
+        # fig1e at 2**32 unitaries: 128 B of outcomes and 2 x 32 B of stream
+        # words per unitary, refused before any of it is allocated
+        config = Path(__file__).resolve().parent.parent / "configs" / "fig1e_desk.cfg"
+        path = tmp_path / "huge.cfg"
+        path.write_text(config.read_text().replace("n_unitaries = 512",
+                                                   "n_unitaries = 4294967296"))
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = main(["campaign-export", "--config", str(path), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: a campaign of 4294967296 unitaries needs "
+                              f"{2 ** 32 * (16 * 8 + 2 * 32)} bytes for its outcome table "
+                              "and stream words, more than the ")
+        assert err.endswith(" bytes of physical memory\n")
+        assert peak < 8 * 2 ** 20
+        assert not out.exists()
 
     def test_unnormalizable_sampled_estimate_exits_2(self, tmp_path, capsys):
         # 2 unitaries x 2 shots at seed 1: the mean sampled segment purity is -0.5

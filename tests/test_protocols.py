@@ -21,13 +21,15 @@ from topoprobe.protocols import (
     EstimatorResult,
     ProtocolParams,
     _campaign_axes,
+    _check_state_layout,
     _ginibre,
     _outcome_matrices,
     _per_unitary_purity,
     _per_unitary_raw,
     _qr_haar,
+    _seeded,
     _spawn_words,
-    _streams,
+    _stream_states,
     estimate_normalized,
     estimate_purity,
     estimate_raw,
@@ -273,6 +275,34 @@ class TestEngine:
         assert words.dtype == np.uint64
         assert np.array_equal(words, np.array(expected))
 
+    @pytest.mark.parametrize("master_seed", [0, 2 ** 64 - 1, 2 ** 200])
+    def test_stream_states_match_pcg64(self, master_seed):
+        # all-ones key words carry through every 32-bit limb of the srandom step
+        keys = [(0, 0, 0), (0, 2 ** 32 - 1, 2), (2 ** 32 - 1,) * 3, (1,)]
+        for key in keys:
+            state = np.random.PCG64(np.random.SeedSequence(master_seed, spawn_key=key)).state
+            state, inc = state["state"]["state"], state["state"]["inc"]
+            expected = [state & 2 ** 64 - 1, state >> 64, inc & 2 ** 64 - 1, inc >> 64]
+            words = _stream_states(master_seed, *key)
+            assert words.shape == (1, 4) and words.dtype == np.uint64
+            assert words[0].tolist() == expected, key
+
+    def test_odd_uint32_draw_leaves_next_stream_fresh(self):
+        # a draw of an odd number of uint32s buffers the spare half of a
+        # uint64; the next stream must not start from that buffer
+        streams = _seeded(_stream_states(3, 0, np.arange(3), 1))
+        for u_index, rng in enumerate(streams):
+            fresh = contract_stream(3, 0, u_index, 1)
+            assert np.array_equal(rng.integers(0, 5, size=3, dtype=np.uint32),
+                                  fresh.integers(0, 5, size=3, dtype=np.uint32))
+            assert rng.bit_generator.state == fresh.bit_generator.state
+
+    def test_state_layout_check_raises_on_other_words(self):
+        bit_generator = np.random.PCG64(np.random.SeedSequence(9, spawn_key=(0, 4, 0)))
+        _check_state_layout(bit_generator, _stream_states(9, 0, 4, 0)[0])
+        with pytest.raises(RuntimeError, match=re.escape(f"numpy {np.__version__}")):
+            _check_state_layout(bit_generator, _stream_states(9, 0, 5, 0)[0])
+
     def test_reused_generator_multinomial_matches_fresh_stream(self):
         # the reused generator keeps its binomial constants between draws;
         # each (n, p) must still give the counts of a fresh stream
@@ -280,20 +310,28 @@ class TestEngine:
         draws = [(n, rng.dirichlet(np.ones(size))) for n in (2, 7, 64, 5000, 64, 2)
                  for size in (4, 16)]
         unitaries = range(2 ** 32 - len(draws), 2 ** 32)
-        for master_seed in (3, 2 ** 63 + 12345):
-            streams = _streams(master_seed, 0, np.array(unitaries), 2)
+        for master_seed in (3, 2 ** 63 + 12345, 2 ** 200):
+            streams = _seeded(_stream_states(master_seed, 0, np.array(unitaries), 2))
             for (n, p), u_index, reused in zip(draws, unitaries, streams):
                 fresh = contract_stream(master_seed, 0, u_index, 2)
                 assert np.array_equal(reused.multinomial(n, p), fresh.multinomial(n, p))
                 assert np.array_equal(reused.multinomial(n, p), fresh.multinomial(n, p))
 
     def test_chunking_leaves_counts_unchanged(self, state8, monkeypatch):
+        # the shot streams of every chunk are sliced from one per-campaign
+        # table, filled BUDGET // 3 unitaries at a time for these kinds, so
+        # a chunk or block offset off by one would move the counts
         import topoprobe.protocols as protocols
 
-        params = ProtocolParams("d2", 9, 32, three_segment_partition(8, 1), 62)
-        whole = run_campaign(state8, params)
-        monkeypatch.setattr(protocols, "CHUNK_UNITARIES", 2)
-        assert np.array_equal(run_campaign(state8, params).outcomes, whole.outcomes)
+        for kind in ("d2", "time_reversal", "klein_bottle"):
+            params = ProtocolParams(kind, 9, 32, partition_for(kind, 8, 1), 62)
+            whole = run_campaign(state8, params)
+            for chunk in (1, 2, 7):
+                monkeypatch.setattr(protocols, "CHUNK_UNITARIES", chunk)
+                monkeypatch.setattr(protocols, "BUDGET", 3 * (chunk + 1))
+                assert np.array_equal(run_campaign(state8, params).outcomes, whole.outcomes), \
+                    (kind, chunk)
+            monkeypatch.undo()
 
     def test_interval_above_limit_rejected(self):
         num_sites = 2 * (MAX_INTERVAL // 2 + 1)
