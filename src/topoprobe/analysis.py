@@ -171,27 +171,27 @@ def fit_correlation_length(pair_counts, values, target_sign: float | None = None
     return CorrelationLengthFit(float(-1.0 / slope), points, sign, residual)
 
 
-def correlation_length_fits(kind: str, rows: list[dict]) -> tuple[list[dict], list[dict]]:
+def correlation_length_fits(rows: list[dict]) -> tuple[list[dict], list[dict]]:
     """One correlation-length fit per series of sweep rows along the pairs
-    axis, a series per combination of the other axes and repetition; rows
-    with an error are left out.
+    axis, a series per kind, combination of the other axes and repetition;
+    rows with an error are left out. Series come in the order of their
+    first row.
 
     Returns ``(fits, skipped)``. A series the fit rejects (fewer than
     ``FIT_POINT_COUNT`` points, or some |value| >= 1) goes to ``skipped``
-    with its pair counts, values and the reason. Only kinds with a
+    with its pair counts, values and the reason. Only rows of a kind with a
     normalized, quantized value are fitted.
     """
-    fits, skipped = [], []
-    if kind not in NORMALIZED_KINDS:
-        return fits, skipped
-    by_pairs = [row for row in rows if "pairs" in row and not row["error"]]
+    by_pairs = [row for row in rows
+                if row["kind"] in NORMALIZED_KINDS and "pairs" in row and not row["error"]]
     other_keys = sorted({k for row in by_pairs for k in row
                          if k not in ("pairs", "kind", "mode", "seed", "value",
                                       "std_error", "exact", "error")})
     groups: dict[tuple, list] = {}
     for row in by_pairs:
-        groups.setdefault(tuple(row[k] for k in other_keys), []).append(row)
-    for group_key, group in groups.items():
+        groups.setdefault((row["kind"],) + tuple(row[k] for k in other_keys), []).append(row)
+    fits, skipped = [], []
+    for (kind, *group_key), group in groups.items():
         group.sort(key=lambda row: row["pairs"])
         pair_counts = [row["pairs"] for row in group]
         values = [row["value"] for row in group]

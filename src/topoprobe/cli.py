@@ -1,5 +1,12 @@
 """Command line front end.
 
+Each subcommand's ``cmd_*`` function is registered on its own subparser.
+``main`` resolves what every command shares once, before the command runs:
+the config (for commands that take ``--config``), the master seed
+(``--seed``, else ``run.master_seed``) and the output directory (``--out``,
+else ``run.out``, else ``.``). The directory is created only when an
+artifact is written, so a failing command leaves none behind.
+
 Every artifact embeds the fully resolved configuration and master seed, so
 any output file is reproducible from its own header. Timestamps are
 metadata only and are excluded from payload comparisons.
@@ -39,19 +46,10 @@ def _write_json(path: Path, payload: dict) -> None:
     print(path)
 
 
-def _out_dir(args, config: RunConfig | None) -> Path:
-    if args.out:
-        return Path(args.out)
-    if config is not None and config.get("run", "out"):
-        return Path(config.get("run", "out"))
-    return Path(".")
-
-
-def _write_rows(args, config: RunConfig, seed: int, name: str, rows: list[dict],
+def _write_rows(out: Path, config: RunConfig, seed: int, name: str, rows: list[dict],
                 **extra) -> int:
     """Write ``rows`` to ``<name>.csv`` and a JSON sidecar ``<name>.json``
     with the row count, the CSV file name and ``extra``; print both paths."""
-    out = _out_dir(args, config)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{name}.csv"
     analysis.write_rows_csv(csv_path, rows)
@@ -61,16 +59,9 @@ def _write_rows(args, config: RunConfig, seed: int, name: str, rows: list[dict],
     return 0
 
 
-def _seed(args, config: RunConfig) -> int:
-    if args.seed is not None:
-        return args.seed
-    return config.master_seed()
-
-
-def cmd_ground_state(args) -> int:
-    config = load_config(args.config)
+def cmd_ground_state(args, config: RunConfig, seed: int, out: Path) -> int:
     spec = config.hamiltonian()
-    result = ground_state(spec, seed=_seed(args, config))
+    result = ground_state(spec, seed=seed)
     body = {
         "energy": result.energy,
         "residual_norm": result.residual_norm,
@@ -79,8 +70,7 @@ def cmd_ground_state(args) -> int:
         "sector": result.sector,
         "sector_gap": result.sector_gap,
     }
-    _write_json(_out_dir(args, config) / "ground_state.json",
-                _payload(config, _seed(args, config), "ground-state", body))
+    _write_json(out / "ground_state.json", _payload(config, seed, "ground-state", body))
     return 0
 
 
@@ -96,9 +86,7 @@ def _protocol_params(config: RunConfig, partition, seed: int) -> protocols.Proto
     )
 
 
-def cmd_invariants(args) -> int:
-    config = load_config(args.config)
-    seed = _seed(args, config)
+def cmd_invariants(args, config: RunConfig, seed: int, out: Path) -> int:
     state, spec = _prepared_state(config)
     kind = config.require("protocol", "kind")
     partition = config.partition(spec.num_sites)
@@ -120,8 +108,7 @@ def cmd_invariants(args) -> int:
         if args.exact_reference:
             body["exact_reference"] = protocols.reported_exact(
                 exact_invariant(state, partition, kind))
-    _write_json(_out_dir(args, config) / "invariants.json",
-                _payload(config, seed, "invariants", body))
+    _write_json(out / "invariants.json", _payload(config, seed, "invariants", body))
     return 0
 
 
@@ -142,29 +129,20 @@ def _sweep_spec(config: RunConfig, kind: str, seed: int) -> analysis.SweepSpec:
     )
 
 
-def cmd_sweep(args) -> int:
-    config = load_config(args.config)
-    seed = _seed(args, config)
+def cmd_sweep(args, config: RunConfig, seed: int, out: Path) -> int:
     kinds = config.get("sweep", "kinds") or (config.require("protocol", "kind"),)
-    tables = [analysis.run_sweep(_sweep_spec(config, kind, seed)) for kind in kinds]
-    rows = [row for table in tables for row in table]
+    rows = [row for kind in kinds for row in analysis.run_sweep(_sweep_spec(config, kind, seed))]
     # correlation-length fits whenever the interval size is an axis
-    fits, skipped = [], []
-    for kind, table in zip(kinds, tables):
-        kind_fits, kind_skipped = analysis.correlation_length_fits(kind, table)
-        fits += kind_fits
-        skipped += kind_skipped
+    fits, skipped = analysis.correlation_length_fits(rows)
     extra = {}
     if fits:
         extra["correlation_lengths"] = fits
     if skipped:
         extra["correlation_lengths_skipped"] = skipped
-    return _write_rows(args, config, seed, "sweep", rows, **extra)
+    return _write_rows(out, config, seed, "sweep", rows, **extra)
 
 
-def cmd_adiabatic(args) -> int:
-    config = load_config(args.config)
-    seed = _seed(args, config)
+def cmd_adiabatic(args, config: RunConfig, seed: int, out: Path) -> int:
     spec = config.hamiltonian()
     for key in ("neel_delta", "neel_weight"):
         if key in config.sections["hamiltonian"]:
@@ -183,16 +161,14 @@ def cmd_adiabatic(args) -> int:
     kinds = tuple(ramp_body.get("monitor", ("reflection",)))
     rows = dynamics.monitor_invariants(snapshots, config.require("partition", "pairs"), kinds,
                                        "exact")
-    return _write_rows(args, config, seed, "adiabatic", rows,
+    return _write_rows(out, config, seed, "adiabatic", rows,
                        pinning_active=spec.pinning != 0.0, t_final=ramp.t_final, dt=ramp.dt,
                        sector=dynamics.ramp_sector(spec),
                        max_norm_drift=max(abs(np.linalg.norm(state.amplitudes) - 1.0)
                                           for _time, state in snapshots))
 
 
-def cmd_error_scan(args) -> int:
-    config = load_config(args.config)
-    seed = _seed(args, config)
+def cmd_error_scan(args, config: RunConfig, seed: int, out: Path) -> int:
     state, spec = _prepared_state(config)
     partition = config.partition(spec.num_sites)
     params = _protocol_params(config, partition, seed)
@@ -201,11 +177,11 @@ def cmd_error_scan(args) -> int:
         config.require("error_scan", "values"),
         config.require("error_scan", "repetitions"),
     )
-    return _write_rows(args, config, seed, "error_scan", rows)
+    return _write_rows(out, config, seed, "error_scan", rows)
 
 
-def cmd_twirl_check(args) -> int:
-    seed = args.seed if args.seed is not None else 0
+def cmd_twirl_check(args, config: RunConfig | None, seed: int | None, out: Path) -> int:
+    seed = seed if seed is not None else 0
     rng = np.random.default_rng(seed)
     reports = [protocols.twirl_check(channel, args.samples, rng)
                for channel in ("phi", "psi")]
@@ -213,19 +189,15 @@ def cmd_twirl_check(args) -> int:
                              "frobenius_error": report.frobenius_error,
                              "target": report.target}
             for report in reports}
-    _write_json(_out_dir(args, None) / "twirl_check.json",
-                _payload(None, seed, "twirl-check", body))
+    _write_json(out / "twirl_check.json", _payload(None, seed, "twirl-check", body))
     return 0
 
 
-def cmd_campaign_export(args) -> int:
-    config = load_config(args.config)
-    seed = _seed(args, config)
+def cmd_campaign_export(args, config: RunConfig, seed: int, out: Path) -> int:
     state, spec = _prepared_state(config)
     partition = config.partition(spec.num_sites)
     params = _protocol_params(config, partition, seed)
     records = protocols.run_campaign(state, params)
-    out = _out_dir(args, config)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "campaign.records"
     protocols.write_records(path, records, params)
@@ -233,7 +205,8 @@ def cmd_campaign_export(args) -> int:
     return 0
 
 
-def cmd_campaign_analyze(args) -> int:
+def cmd_campaign_analyze(args, config: RunConfig | None, seed: int | None, out: Path) -> int:
+    # the master seed is the one the records were taken with
     records, params = protocols.read_records(args.records)
     est = protocols.estimate_raw(records, params)
     body = {
@@ -245,7 +218,7 @@ def cmd_campaign_analyze(args) -> int:
         norm = protocols.estimate_normalized(records, params)
         body["normalized_value"] = norm.value
         body["normalized_std_error"] = norm.std_error
-    _write_json(_out_dir(args, None) / "campaign_analysis.json",
+    _write_json(out / "campaign_analysis.json",
                 _payload(None, params.master_seed, "campaign-analyze", body))
     return 0
 
@@ -257,43 +230,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
+    def command(name, run, about, config_required=True):
+        p = sub.add_parser(name, help=about)
+        p.set_defaults(run=run)
         if config_required:
             p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
         p.add_argument("--out", default=None, help="output directory")
+        return p
 
-    common(sub.add_parser("ground-state", help="solve for the ground state"))
-    p_inv = sub.add_parser("invariants", help="exact or sampled invariant at one point")
-    common(p_inv)
+    command("ground-state", cmd_ground_state, "solve for the ground state")
+    p_inv = command("invariants", cmd_invariants, "exact or sampled invariant at one point")
     mode = p_inv.add_mutually_exclusive_group(required=True)
     mode.add_argument("--exact", dest="mode", action="store_const", const="exact")
     mode.add_argument("--sampled", dest="mode", action="store_const", const="sampled")
     p_inv.add_argument("--exact-reference", action="store_true",
                        help="also compute the exact oracle value in sampled mode")
-    common(sub.add_parser("sweep", help="parameter sweep to CSV"))
-    common(sub.add_parser("adiabatic", help="adiabatic ramp with invariant monitoring"))
-    common(sub.add_parser("error-scan", help="statistical error scaling scan"))
-    p_twirl = sub.add_parser("twirl-check", help="Monte Carlo twirling-identity check")
+    command("sweep", cmd_sweep, "parameter sweep to CSV")
+    command("adiabatic", cmd_adiabatic, "adiabatic ramp with invariant monitoring")
+    command("error-scan", cmd_error_scan, "statistical error scaling scan")
+    p_twirl = command("twirl-check", cmd_twirl_check, "Monte Carlo twirling-identity check",
+                      config_required=False)
     p_twirl.add_argument("--samples", type=int, default=100000)
-    common(p_twirl, config_required=False)
-    common(sub.add_parser("campaign-export", help="persist raw measurement records"))
-    p_an = sub.add_parser("campaign-analyze", help="re-estimate from persisted records")
+    command("campaign-export", cmd_campaign_export, "persist raw measurement records")
+    p_an = command("campaign-analyze", cmd_campaign_analyze,
+                   "re-estimate from persisted records", config_required=False)
     p_an.add_argument("--records", required=True)
-    common(p_an, config_required=False)
     return parser
-
-
-_COMMANDS = {
-    "ground-state": cmd_ground_state,
-    "invariants": cmd_invariants,
-    "sweep": cmd_sweep,
-    "adiabatic": cmd_adiabatic,
-    "error-scan": cmd_error_scan,
-    "twirl-check": cmd_twirl_check,
-    "campaign-export": cmd_campaign_export,
-    "campaign-analyze": cmd_campaign_analyze,
-}
 
 
 def main(argv=None) -> int:
@@ -301,9 +264,15 @@ def main(argv=None) -> int:
     try:
         if args.seed is not None:
             protocols.check_seed(args.seed, "--seed")
-        return _COMMANDS[args.command](args)
+        config = load_config(args.config) if "config" in args else None
+        seed = args.seed if args.seed is not None or config is None else config.master_seed()
+        out = Path(args.out or (config and config.get("run", "out")) or ".")
+        return args.run(args, config, seed, out)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, dynamics.NormDriftError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -49,6 +49,13 @@ def _kind(text: str) -> str:
     return text
 
 
+def _kinds(text: str) -> tuple[str, ...]:
+    kinds = tuple(_kind(x.strip()) for x in text.split(","))
+    if len(set(kinds)) != len(kinds):
+        raise ValueError("a kind is listed more than once")
+    return kinds
+
+
 _PARSERS = {
     "int": int,
     "seed": lambda text: check_seed(int(text), "master_seed"),
@@ -56,7 +63,7 @@ _PARSERS = {
     "str": str,
     "floats": lambda text: tuple(float(x) for x in text.split(",")),
     "kind": _kind,
-    "kinds": lambda text: tuple(_kind(x.strip()) for x in text.split(",")),
+    "kinds": _kinds,
 }
 
 

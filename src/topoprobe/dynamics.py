@@ -40,6 +40,7 @@ sector, sum S^z = 0 (``ramp_sector``); B != 0 ramps and ``evolve`` use 2^N.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 from functools import reduce
 
@@ -227,16 +228,23 @@ def adiabatic_evolve(spec: HamiltonianSpec, ramp: RampSpec) -> list[tuple[float,
     """Ramp the staggered field off, starting from the staggered product
     state; returns (time, state) snapshots at the requested sample times
     (plus t=0 and t=t_final), each rounded to the nearest step boundary.
+    Snapshots that would not fit in physical memory (2^N complex amplitudes
+    per distinct sample step) raise ``ValueError`` before any is allocated.
     """
     if ramp.neel_delta < 10.0 * abs(spec.j):
         import warnings
 
         warnings.warn("staggered field is weak relative to the exchange coupling; "
                       "the initial product state is a poor ground state", stacklevel=2)
-    sector = ramp_sector(spec)
-    stepper = TrotterStepper(replace(spec, neel_delta=ramp.neel_delta), ramp.dt, sector)
     total_steps = _step_count(ramp.t_final, ramp.dt)
     sample_steps = {0, total_steps} | {int(round(t / ramp.dt)) for t in ramp.sample_times}
+    needed = len(sample_steps) * spec.dim * 16
+    available = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if needed > available:
+        raise ValueError(f"{len(sample_steps)} ramp snapshots of {spec.dim} amplitudes need "
+                         f"{needed} bytes, more than the {available} bytes of physical memory")
+    sector = ramp_sector(spec)
+    stepper = TrotterStepper(replace(spec, neel_delta=ramp.neel_delta), ramp.dt, sector)
 
     start = neel_state(spec.num_sites).amplitudes
     snapshots = [(0.0, SpinState(spec.num_sites, start))]

@@ -616,11 +616,15 @@ def _resample_means(master_seed: int, *per_unitary: np.ndarray) -> np.ndarray:
     return means
 
 
-def _mean_result(per_unitary: np.ndarray, params: ProtocolParams,
-                 kind: str) -> EstimatorResult:
-    std = float(np.std(_resample_means(params.master_seed, per_unitary)[0]))
-    return EstimatorResult(float(per_unitary.mean()), std, kind, params.n_unitaries,
-                           params.n_shots, params.master_seed)
+def _estimate(params: ProtocolParams, kind: str, *per_unitary: np.ndarray,
+              statistic=lambda mean: mean) -> EstimatorResult:
+    """``statistic`` of the means of the per-unitary arrays (by default the
+    one array's mean), with the standard deviation of the same statistic
+    over their joint bootstrap resample means as its error."""
+    value = statistic(*(values.mean() for values in per_unitary))
+    std = float(np.std(statistic(*_resample_means(params.master_seed, *per_unitary))))
+    return EstimatorResult(float(value), std, kind, params.n_unitaries, params.n_shots,
+                           params.master_seed)
 
 
 # -- estimators ----------------------------------------------------------------
@@ -671,8 +675,7 @@ def estimate_purity(records, params: ProtocolParams, segment: int) -> EstimatorR
         raise ValueError(f"segment 1 of a {params.kind} campaign gets no random unitaries; "
                          "its purity cannot be estimated")
     outcomes, exact = _outcome_matrices(records, params)
-    return _mean_result(_per_unitary_purity(outcomes, exact, params, segment), params,
-                        "purity")
+    return _estimate(params, "purity", _per_unitary_purity(outcomes, exact, params, segment))
 
 
 def raw_values(records, params) -> np.ndarray:
@@ -686,7 +689,7 @@ def raw_values(records, params) -> np.ndarray:
 
 def estimate_raw(records, params) -> EstimatorResult:
     """Raw (unnormalized) invariant of the campaign's kind."""
-    return _mean_result(raw_values(records, params), params, params.kind)
+    return _estimate(params, params.kind, raw_values(records, params))
 
 
 def estimate_normalized(records, params) -> EstimatorResult:
@@ -702,28 +705,26 @@ def estimate_normalized(records, params) -> EstimatorResult:
             f"normalized estimates are defined for reflection/time_reversal, not {params.kind!r}"
         )
     outcomes, exact = _outcome_matrices(records, params)
-    raw = _per_unitary_raw(outcomes, exact, params)
     power = 0.5 if params.kind == "reflection" else 1.5
-    purity_1 = _per_unitary_purity(outcomes, exact, params, segment=0)
-    purity_2 = _per_unitary_purity(outcomes, exact, params, segment=1)
     campaign = f"({params.n_unitaries} unitaries x {params.n_shots} shots)"
-    mean_purity = (purity_1.mean() + purity_2.mean()) / 2.0
-    if mean_purity <= 0.0:
-        raise ValueError(f"mean sampled segment purity {mean_purity:.6g} is not positive "
-                         f"{campaign}; the {params.kind} estimate cannot be normalized")
-    value = raw.mean() / mean_purity ** power
-    # the resampled ratio: raw and both purities resampled jointly
-    raw_means, purity_1_means, purity_2_means = _resample_means(
-        params.master_seed, raw, purity_1, purity_2)
-    resampled_purity = (purity_1_means + purity_2_means) / 2.0
-    nonpositive = np.count_nonzero(resampled_purity <= 0.0)
-    if nonpositive:
-        raise ValueError(f"{nonpositive} of {BOOTSTRAP_RESAMPLES} bootstrap resamples have "
-                         f"mean sampled segment purity <= 0 {campaign}; the "
-                         f"{params.kind} error bar cannot be normalized")
-    std = float(np.std(raw_means / resampled_purity ** power))
-    return EstimatorResult(float(value), std, params.kind, params.n_unitaries,
-                           params.n_shots, params.master_seed)
+
+    def normalized(raw, purity_1, purity_2):
+        # scalars for the campaign, arrays for the bootstrap resamples
+        purity = (purity_1 + purity_2) / 2.0
+        if np.ndim(purity) == 0 and purity <= 0.0:
+            raise ValueError(f"mean sampled segment purity {purity:.6g} is not positive "
+                             f"{campaign}; the {params.kind} estimate cannot be normalized")
+        nonpositive = np.count_nonzero(purity <= 0.0)
+        if nonpositive:
+            raise ValueError(f"{nonpositive} of {BOOTSTRAP_RESAMPLES} bootstrap resamples have "
+                             f"mean sampled segment purity <= 0 {campaign}; the "
+                             f"{params.kind} error bar cannot be normalized")
+        return raw / purity ** power
+
+    return _estimate(params, params.kind, _per_unitary_raw(outcomes, exact, params),
+                     _per_unitary_purity(outcomes, exact, params, segment=0),
+                     _per_unitary_purity(outcomes, exact, params, segment=1),
+                     statistic=normalized)
 
 
 def estimate_reported(records, params) -> EstimatorResult:
@@ -815,12 +816,17 @@ def write_records(path, records, params: ProtocolParams) -> None:
         "pairs": params.partition.pairs,
         "segments": list(list(seg) for seg in params.partition.segments),
     }
-    units, experiments, outcomes = np.nonzero(table.outcomes)
-    counts = table.outcomes[units, experiments, outcomes]
+    # BUDGET // 8 table entries at a time: the lines of a block are built
+    # from Python lists of its nonzero counts
+    block = max(1, BUDGET // 8 // table.outcomes[0].size)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("#" + json.dumps(header, sort_keys=True) + "\n")
-        handle.writelines(f"{u},{e + 1},{s},{c}\n" for u, e, s, c in zip(
-            units.tolist(), experiments.tolist(), outcomes.tolist(), counts.tolist()))
+        for start in range(0, len(table.outcomes), block):
+            rows = table.outcomes[start:start + block]
+            units, experiments, outcomes = np.nonzero(rows)
+            handle.writelines(f"{u},{e + 1},{s},{c}\n" for u, e, s, c in zip(
+                (units + start).tolist(), experiments.tolist(), outcomes.tolist(),
+                rows[units, experiments, outcomes].tolist()))
 
 
 def _read_header(line: str) -> ProtocolParams:

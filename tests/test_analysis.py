@@ -258,7 +258,7 @@ class TestCorrelationLengthFit:
         again = [row(0.5, n, 1 - 0.5 * np.exp(-n / 3.0), repetition=1) for n in (1, 2, 3)]
         overshoot = [row(3.0, n, v) for n, v in ((1, -0.9), (2, -1.01), (3, -0.99))]
         short = [row(1.0, 1, 0.5), row(1.0, 2, 0.6), row(1.0, 3, None, error="boom")]
-        fits, skipped = correlation_length_fits("reflection", good + again + overshoot + short)
+        fits, skipped = correlation_length_fits(good + again + overshoot + short)
         assert [(fit["j_prime"], fit["repetition"], fit["kind"]) for fit in fits] \
             == [(0.5, 0, "reflection"), (0.5, 1, "reflection")]
         assert fits[0]["length_scale"] == pytest.approx(2.0, abs=1e-6)
@@ -268,7 +268,7 @@ class TestCorrelationLengthFit:
         assert skipped[0]["values"] == [-0.9, -1.01, -0.99]
         assert "|value| < 1" in skipped[0]["reason"]
         assert "at least 3" in skipped[1]["reason"]
-        assert correlation_length_fits("d2", good) == ([], [])
+        assert correlation_length_fits([dict(r, kind="d2") for r in good]) == ([], [])
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 """Command-line surface: config validation, artifacts, determinism."""
 import json
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -90,6 +91,16 @@ class TestConfigParsing:
             path = tmp_path / "bad.cfg"
             path.write_text(body)
             with pytest.raises(ConfigError, match=key):
+                load_config(path)
+
+    def test_repeated_kind_rejected(self, tmp_path):
+        # a sweep's correlation-length series are told apart by kind
+        for body, key in (("[sweep]\nkinds = time_reversal, reflection, time_reversal\n",
+                           "sweep.kinds"),
+                          ("[ramp]\nt_final = 1.0\nmonitor = d2, d2\n", "ramp.monitor")):
+            path = tmp_path / "bad.cfg"
+            path.write_text(body)
+            with pytest.raises(ConfigError, match=key + ".*a kind is listed more than once"):
                 load_config(path)
 
     def test_jobs_key_removed(self, tmp_path):
@@ -426,6 +437,46 @@ class TestOtherCommands:
         assert peak < 8 * 2 ** 20
         assert not out.exists()
 
+    def test_ramp_snapshots_beyond_physical_memory_exit_2(self, tmp_path, capsys, monkeypatch):
+        from topoprobe import dynamics
+
+        # N = 20: 16 MiB per snapshot, and one more distinct sample step than
+        # fits; the check comes before the stepper, which must not be built
+        monkeypatch.setattr(dynamics, "TrotterStepper", None)
+        available = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        count = available // 2 ** 24 + 1
+        path = tmp_path / "ramp.cfg"
+        path.write_text(TINY_CONFIG.replace("num_sites = 8", "num_sites = 20")
+                        + f"\n[ramp]\nt_final = {count - 1}\ndt = 1\n"
+                        + f"sample_times = {', '.join(str(t) for t in range(count))}\n")
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = main(["adiabatic", "--config", str(path), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {count} ramp snapshots of {2 ** 20} amplitudes need {count * 2 ** 24} "
+            f"bytes, more than the {available} bytes of physical memory\n")
+        assert peak < 8 * 2 ** 20
+        assert not out.exists()
+
+    def test_out_of_memory_exits_2_without_traceback(self, tiny_config, tmp_path, capsys,
+                                                     monkeypatch):
+        from topoprobe import protocols
+
+        def refuse(state, params):
+            raise MemoryError("Unable to allocate 512. GiB for an array")
+
+        monkeypatch.setattr(protocols, "run_campaign", refuse)
+        out = tmp_path / "out"
+        assert main(["campaign-export", "--config", str(tiny_config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: out of memory: Unable to allocate 512. GiB "
+                                           "for an array\n")
+        assert not out.exists()
+
     def test_unnormalizable_sampled_estimate_exits_2(self, tmp_path, capsys):
         # 2 unitaries x 2 shots at seed 1: the mean sampled segment purity is -0.5
         path = tmp_path / "tiny.cfg"
@@ -532,3 +583,43 @@ class TestOtherCommands:
         main(["invariants", "--config", str(tiny_config), "--sampled", "--out", str(live)])
         live_result = read_json(live / "invariants.json")["result"]
         assert analysis["normalized_value"] == pytest.approx(live_result["value"], abs=1e-12)
+
+
+class TestSharedResolution:
+    def test_out_from_flag_then_config_then_cwd(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.cfg"
+        path.write_text(TINY_CONFIG + f"out = {tmp_path / 'configured'}\n")
+        assert main(["ground-state", "--config", str(path)]) == 0
+        assert (tmp_path / "configured" / "ground_state.json").exists()
+        assert main(["ground-state", "--config", str(path), "--out", str(tmp_path / "flag")]) == 0
+        assert (tmp_path / "flag" / "ground_state.json").exists()
+        monkeypatch.chdir(tmp_path)
+        assert main(["twirl-check", "--samples", "1000"]) == 0
+        assert (tmp_path / "twirl_check.json").exists()
+
+    def test_seed_from_flag_when_config_has_none(self, tmp_path, capsys):
+        path = tmp_path / "unseeded.cfg"
+        path.write_text(TINY_CONFIG.replace("master_seed = 5\n", ""))
+        out = tmp_path / "out"
+        assert main(["ground-state", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: missing required key run.master_seed\n"
+        assert not out.exists()
+        assert main(["ground-state", "--config", str(path), "--seed", "7",
+                     "--out", str(out)]) == 0
+        assert read_json(out / "ground_state.json")["master_seed"] == 7
+
+    def test_commands_are_looked_up_on_the_module(self, tmp_path, monkeypatch):
+        # the parser takes each cmd_* from the module when main builds it, so
+        # a wrapper installed on the module (as a span tracer does) is called
+        from topoprobe import cli
+
+        calls = []
+        original = cli.cmd_twirl_check
+
+        def wrapped(*args):
+            calls.append(args[1:3])
+            return original(*args)
+
+        monkeypatch.setattr(cli, "cmd_twirl_check", wrapped)
+        assert main(["twirl-check", "--samples", "1000", "--out", str(tmp_path)]) == 0
+        assert calls == [(None, None)]

@@ -1,11 +1,14 @@
 """Trotterized evolution: the step against dense and per-bond references,
 splitting order, norm and energy conservation, adiabatic ramp behavior."""
+import os
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from topoprobe import dynamics
 from topoprobe.dynamics import (
     NormDriftError,
     RampSpec,
@@ -237,6 +240,26 @@ class TestAdiabaticRamp:
         spec = HamiltonianSpec(num_sites=4, j=1.0, j_prime=0.5, delta=0.25)
         with pytest.warns(UserWarning, match="staggered field"):
             adiabatic_evolve(spec, RampSpec(t_final=0.1, dt=0.05, neel_delta=2.0))
+
+    def test_snapshots_beyond_physical_memory_raise_before_allocating(self, monkeypatch):
+        # N = 20: 16 MiB per snapshot, and one more distinct sample step than
+        # fits; the check comes before the stepper, which must not be built
+        monkeypatch.setattr(dynamics, "TrotterStepper", None)
+        available = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        count = available // 2 ** 24 + 1
+        ramp = RampSpec(t_final=float(count - 1), dt=1.0,
+                        sample_times=tuple(float(t) for t in range(count)))
+        spec = HamiltonianSpec(num_sites=20, j=1.0, j_prime=0.5, delta=0.25)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{count} ramp snapshots of {2 ** 20} amplitudes need {count * 2 ** 24} "
+                    f"bytes, more than the {available} bytes of physical memory")):
+                adiabatic_evolve(spec, ramp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,10 @@
 """Package surface: every exported name resolves, modules import no
-private names from each other, and the docs name no attribute that is gone."""
+private names from each other, the docs name no attribute that is gone, and
+every program name the benchmark harness uses exists."""
 import ast
 import importlib
+import importlib.util
+import inspect
 import pathlib
 import re
 
@@ -45,3 +48,50 @@ def test_doc_references_name_module_attributes():
     stale = [f"{where}: {module}.{name}" for where, (module, name) in references
              if module in modules and name != "py" and not hasattr(modules[module], name)]
     assert references and stale == []
+
+
+def _imported(module: str, name: str):
+    """What ``from module import name`` binds: an attribute, else a
+    submodule; ``None`` if neither exists."""
+    try:
+        return getattr(importlib.import_module(module), name)
+    except AttributeError:
+        try:
+            return importlib.import_module(f"{module}.{name}")
+        except ModuleNotFoundError:
+            return None
+
+
+def test_benchmark_names_resolve():
+    # every name a perfbench file imports from the package, every attribute
+    # it reads in code on a module so imported, and every method and
+    # function its tracer names as a string
+    bench = pathlib.Path(topoprobe.__file__).parents[2] / "perfbench"
+    missing = []
+    for path in sorted(bench.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 \
+                    and node.module.split(".")[0] == "topoprobe":
+                for alias in node.names:
+                    value = _imported(node.module, alias.name)
+                    if value is None:
+                        missing.append(f"{path.name}: {node.module}.{alias.name}")
+                    elif inspect.ismodule(value):
+                        modules[alias.asname or alias.name] = value
+        missing += [f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}"
+                    for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name) and node.value.id in modules
+                    and not hasattr(modules[node.value.id], node.attr)]
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", bench / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, cls, method in tracing.METHODS:
+        if not hasattr(getattr(_imported("topoprobe", module), cls, None), method):
+            missing.append(f"tracing.METHODS: {module}.{cls}.{method}")
+    for name in list(tracing.HOOKS) + list(tracing.NAMERS):
+        module, function = name.split(".")
+        if not hasattr(_imported("topoprobe", module), function):
+            missing.append(f"tracing hooks: {name}")
+    assert missing == []

@@ -803,6 +803,26 @@ class TestPersistence:
         assert original.value == reloaded.value
         assert original.std_error == reloaded.std_error
 
+    def test_export_peak_below_outcome_table(self, state8, tmp_path):
+        # 20 000 unitaries x 64 shots of time reversal at |I| = 4: a 5.12 MB
+        # outcome table, written a block of unitaries at a time
+        params = ProtocolParams("time_reversal", 20000, 64, reflection_partition(8, 2), 26)
+        records = run_campaign(state8, params)
+        path = tmp_path / "campaign.records"
+        tracemalloc.start()
+        try:
+            write_records(path, records, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < records.outcomes.nbytes
+        # the lines of the whole table at once, unitary-major
+        units, experiments, outcomes = np.nonzero(records.outcomes)
+        counts = records.outcomes[units, experiments, outcomes]
+        assert path.read_text().splitlines()[1:] == [
+            f"{u},{e + 1},{s},{c}" for u, e, s, c in zip(
+                units.tolist(), experiments.tolist(), outcomes.tolist(), counts.tolist())]
+
     def test_exact_records_not_persisted(self, state8, tmp_path):
         part = reflection_partition(8, 2)
         params = ProtocolParams("reflection", 2, 2, part, 24)
