@@ -70,7 +70,6 @@ _PARSERS = {
 @dataclass
 class RunConfig:
     sections: dict[str, dict[str, Any]] = field(default_factory=dict)
-    path: str = ""
 
     def get(self, section: str, key: str, default=None):
         return self.sections.get(section, {}).get(key, default)
@@ -107,9 +106,23 @@ class RunConfig:
         return self.require("run", "master_seed")
 
 
+def _parse_error(path, exc: configparser.Error) -> ConfigError:
+    """A one-line ``ConfigError`` naming the file and line of a parse error."""
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        lineno, what = exc.lineno, "a key before any [section] header"
+    elif isinstance(exc, configparser.ParsingError):  # it lists every bad line
+        lineno, what = exc.errors[0][0], "expected 'key = value'"
+    else:  # a key or a section given twice: "While reading from ... [line n]: ..."
+        lineno, what = exc.lineno, str(exc).split("]: ", 1)[1]
+    return ConfigError(f"config file {path} line {lineno}: {what}")
+
+
 def load_config(path) -> RunConfig:
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    parser = configparser.ConfigParser(interpolation=None)  # values are literal
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise _parse_error(path, exc) from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     sections: dict[str, dict[str, Any]] = {}
@@ -133,4 +146,4 @@ def load_config(path) -> RunConfig:
     if layout is not None and layout not in allowed:
         raise ConfigError(f"partition.layout = {layout} is not the layout of protocol.kind = "
                           f"{kind} ({' or '.join(sorted(allowed))})")
-    return RunConfig(sections, str(path))
+    return RunConfig(sections)

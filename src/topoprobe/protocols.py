@@ -33,12 +33,13 @@ The outcomes of a campaign are one (n_unitaries, n_experiments, 2^|I|)
 array (``CampaignRecords``); iterating it yields one ``MeasurementRecord``
 view per (unitary, experiment) pair.
 
-Estimators read the outcome table once (``campaign_records``). Every
-second-order estimate is one kernel form per unitary,
-sum_{s,s'} P(s) K(s, s') P'(s'), with K the tensor product of one 2x2
-kernel per interval site (``_hamming_form``); the pair kernel, 2 (-2)^(-d)
-for d = 0, 1 mismatches, gives 2^n (-2)^(-D) over n paired sites at
-Hamming distance D. The segment purity pairs experiment 1 with itself,
+Estimators check the table's shape (``campaign_records``) and read it in
+place, experiment e as the strided view ``outcomes[:, e - 1]``; shot counts
+are divided by ``n_shots`` once. Every second-order estimate is one kernel
+form per unitary, sum_{s,s'} P(s) K(s, s') P'(s'), with K the tensor
+product of one 2x2 kernel per interval site (``_hamming_form``); the pair
+kernel, 2 (-2)^(-d) for d = 0, 1 mismatches, gives 2^n (-2)^(-D) over n
+paired sites at Hamming distance D. The segment purity pairs experiment 1 with itself,
 pair kernels on the segment's sites and all-ones kernels (the marginal)
 elsewhere (Elben, Vermersch, Roos & Zoller, PRA 99, 052323 (2019)); it
 needs the without-replacement pair correction for shot counts.
@@ -62,13 +63,13 @@ the (resamples, n) draw. A campaign is therefore reproducible bit for
 bit, and neither a unitary's draws nor the bootstrap's depend on how an
 axis is chunked.
 A campaign computes the PCG64 start words of all its streams at once
-(``_stream_states``) and writes each stream's words into the state struct
-of one reused generator (``_seeded``): the computation of one
+(``_stream_states``) and writes each into the state struct of the
+process's one generator (``_seeded``): the computation of one
 ``SeedSequence`` and ``PCG64`` per key, which NEP 19 keeps fixed, so the
-streams are the contract's bit for bit. The struct behind the public
-``state_address`` is not public: the first write of a process is read back
-and a layout that differs raises ``RuntimeError``. There is no fallback to
-the public state setter, a second path untested on every numpy this fits.
+streams are the contract's bit for bit. That struct is not public: when
+the generator is built (``_stream_generator``), one write is read back and
+a layout that differs raises ``RuntimeError``. There is no fallback to the
+public state setter, a second path untested on every numpy this fits.
 """
 from __future__ import annotations
 
@@ -81,7 +82,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .partitions import PartitionSpec, check_layout
-from .rdm import reduced_density_matrix
+from .rdm import MAX_INTERVAL, reduced_density_matrix
 from .spincore import PAULI_X, PAULI_Y, PAULI_Z, SpinState, reflection_permutation
 
 PROTOCOL_KINDS = ("reflection", "time_reversal", "d2", "klein_bottle", "purity")
@@ -248,13 +249,10 @@ Z_AXIS = np.array([0.0, 0.0, 1.0])  # the identity: a = Z
 
 
 def _pattern_draw_count(kind: str, partition: PartitionSpec) -> int:
-    if kind == "reflection":
-        return partition.pairs
     if kind in ("purity", "time_reversal"):
         return partition.interval_size
-    if kind in ("d2", "klein_bottle"):
-        return 2 * partition.pairs  # first and third segments only
-    raise ValueError(f"unknown protocol kind {kind!r}")
+    # one per mirror pair, or per site of the first and third segments
+    return partition.pairs * (1 if kind == "reflection" else 2)
 
 
 def _bloch_axes(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
@@ -358,42 +356,40 @@ def _check_state_layout(bit_generator: np.random.PCG64, row: np.ndarray) -> None
                            "(state low, state high, inc low, inc high) at its pointer")
 
 
-_state_layout_checked = False
-
-
-def _seeded(states: np.ndarray):
-    """One reused generator set to each row's stream (``_stream_states``) in
-    turn; draw from it before taking the next. A row's words go to the
-    pointer at offset 0 of the struct at ``PCG64.ctypes.state_address``, and
-    has_uint32 and its buffered word at +8 are cleared. The first write of
-    the process is read back (``_check_state_layout``); a layout that
-    differs raises, with no fallback path (module docstring)."""
-    global _state_layout_checked
+@functools.cache
+def _stream_generator() -> tuple[np.ndarray, np.ndarray, np.random.Generator]:
+    """The process's one generator and the struct views ``_seeded`` writes:
+    the words at the pointer at offset 0 of ``PCG64.ctypes.state_address``
+    and the header (has_uint32, buffered word at +8). One stream's words are
+    written and read back first (``_check_state_layout``); a raise caches
+    nothing."""
     bit_generator = np.random.PCG64(0)
     address = bit_generator.ctypes.state_address
     header = np.frombuffer((ctypes.c_uint64 * 2).from_address(address), np.uint64)
     words = np.frombuffer((ctypes.c_uint64 * 4).from_address(int(header[0])), np.uint64)
-    rng = np.random.Generator(bit_generator)
+    row = _stream_states(0, 1)[0]
+    words[:], header[1] = row, 0
+    _check_state_layout(bit_generator, row)
+    return words, header, np.random.Generator(bit_generator)
+
+
+def _seeded(states: np.ndarray):
+    """The process's one generator set to each row's stream
+    (``_stream_states``) in turn. Every row rewrites the same generator, so
+    a consumer draws from one row before it takes the next, and two
+    ``_seeded`` iterations are never interleaved."""
+    words, header, rng = _stream_generator()
     for row in states:
         words[:], header[1] = row, 0
-        if not _state_layout_checked:
-            _check_state_layout(bit_generator, row)
-            _state_layout_checked = True
         yield rng
 
 
-def _campaign_axes(params: ProtocolParams, unitaries: range,
-                   states: np.ndarray | None = None) -> np.ndarray:
-    """Bloch axes (len(unitaries), experiments, |I|, 3) of the measured
-    gates of the given unitaries of a campaign. Each unitary's stream draws
-    the real parts of its Ginibre matrices, then the imaginary parts, as
-    ``sample_cue`` does. ``states`` are the start words of the unitaries'
-    (0, u, 0) streams when the caller holds them."""
-    if states is None:
-        states = _stream_states(params.master_seed, 0,
-                                np.arange(unitaries.start, unitaries.stop), 0)
+def _campaign_axes(params: ProtocolParams, states: np.ndarray) -> np.ndarray:
+    """Bloch axes (len(states), experiments, |I|, 3) of the measured gates
+    of the unitaries whose (0, u, 0) streams start at ``states``; each draws
+    its Ginibre matrices' real parts, then their imaginary parts (``sample_cue``)."""
     draw_count = _pattern_draw_count(params.kind, params.partition)
-    normals = np.empty((len(unitaries), 2, draw_count, 2, 2))
+    normals = np.empty((len(states), 2, draw_count, 2, 2))
     for row, rng in zip(normals, _seeded(states)):
         rng.standard_normal(out=row)
     axes = _bloch_axes(normals[:, 0], normals[:, 1])
@@ -520,12 +516,11 @@ def run_campaign(state: SpinState, params: ProtocolParams,
     chunk = max(1, min(CHUNK_UNITARIES,
                        CHUNK_ELEMENTS // (experiments * 2 ** (2 * length - 1))))
     for start in range(0, n_unitaries, chunk):
-        unitaries = range(start, min(start + chunk, n_unitaries))
-        chunk_states = states[start:unitaries.stop]
-        axes = _campaign_axes(params, unitaries, chunk_states[:, 0]).reshape(-1, length, 3)
-        probs = _born_probabilities(coefficients, axes).reshape(len(unitaries), experiments, -1)
+        chunk_states = states[start:start + chunk]
+        axes = _campaign_axes(params, chunk_states[:, 0]).reshape(-1, length, 3)
+        probs = _born_probabilities(coefficients, axes).reshape(len(chunk_states), experiments, -1)
         if exact_probabilities:
-            outcomes[start:unitaries.stop] = probs
+            outcomes[start:start + chunk] = probs
             continue
         probs = _shot_distributions(probs)
         for experiment in range(experiments):
@@ -545,14 +540,6 @@ def campaign_records(records: CampaignRecords, params: ProtocolParams) -> Campai
         raise ValueError(f"records have shape {records.outcomes.shape}, "
                          f"the campaign needs {shape}")
     return records
-
-
-def _outcome_matrices(records, params: ProtocolParams) -> tuple[np.ndarray, bool]:
-    """The validated outcomes of ``records`` as one float (experiments,
-    n_unitaries, 2^|I|) array, each experiment's matrix contiguous, and
-    whether they are probabilities rather than shot counts."""
-    table = campaign_records(records, params)
-    return np.ascontiguousarray(table.outcomes.transpose(1, 0, 2), dtype=float), table.exact
 
 
 def _kernels(partition: PartitionSpec, segment: int | None = None) -> list[np.ndarray]:
@@ -642,22 +629,13 @@ def reflection_weights(partition: PartitionSpec) -> np.ndarray:
     return np.where(half % 2 == 0, 1.0, -1.0) * 0.5 ** half
 
 
-def _per_unitary_raw(outcomes: np.ndarray, exact: bool, params: ProtocolParams) -> np.ndarray:
-    """Per-unitary raw invariant: mirror weights for reflection, the
-    cross-correlation of the two experiments for the other invariants."""
-    freqs = outcomes if exact else outcomes / params.n_shots
-    if params.kind == "reflection":
-        return 2 ** params.partition.pairs * (freqs[0] @ reflection_weights(params.partition))
-    # independent experiments: the frequency product is already unbiased
-    return _hamming_form(freqs[0], freqs[1], _kernels(params.partition))
-
-
-def _per_unitary_purity(outcomes: np.ndarray, exact: bool, params: ProtocolParams,
+def _per_unitary_purity(records: CampaignRecords, params: ProtocolParams,
                         segment: int) -> np.ndarray:
-    """Per-unitary purity of ``segment`` from experiment 1."""
-    first = outcomes[0]
+    """Per-unitary purity of ``segment`` from experiment 1 of the validated
+    ``records``."""
+    first = records.outcomes[:, 0]
     form = _hamming_form(first, first, _kernels(params.partition, segment))
-    if exact:
+    if records.exact:
         return form
     shots = params.n_shots
     # unbiased without-replacement pair average: the kernel diagonal is
@@ -674,17 +652,22 @@ def estimate_purity(records, params: ProtocolParams, segment: int) -> EstimatorR
     if params.partition.segment_positions(segment) == params.partition.middle_positions:
         raise ValueError(f"segment 1 of a {params.kind} campaign gets no random unitaries; "
                          "its purity cannot be estimated")
-    outcomes, exact = _outcome_matrices(records, params)
-    return _estimate(params, "purity", _per_unitary_purity(outcomes, exact, params, segment))
+    table = campaign_records(records, params)
+    return _estimate(params, "purity", _per_unitary_purity(table, params, segment))
 
 
 def raw_values(records, params) -> np.ndarray:
     """Per-unitary raw invariants of the campaign's kind, whose mean is the
-    value of ``estimate_raw``."""
+    value of ``estimate_raw``: mirror weights for reflection, the
+    cross-correlation of the two experiments for the other invariants."""
     if params.kind == "purity":
         raise ValueError(f"no raw invariant estimator for a {params.kind!r} campaign")
-    outcomes, exact = _outcome_matrices(records, params)
-    return _per_unitary_raw(outcomes, exact, params)
+    table = campaign_records(records, params)
+    freqs = table.outcomes if table.exact else table.outcomes / params.n_shots
+    if params.kind == "reflection":
+        return 2 ** params.partition.pairs * (freqs[:, 0] @ reflection_weights(params.partition))
+    # independent experiments: the frequency product is already unbiased
+    return _hamming_form(freqs[:, 0], freqs[:, 1], _kernels(params.partition))
 
 
 def estimate_raw(records, params) -> EstimatorResult:
@@ -704,7 +687,7 @@ def estimate_normalized(records, params) -> EstimatorResult:
         raise ValueError(
             f"normalized estimates are defined for reflection/time_reversal, not {params.kind!r}"
         )
-    outcomes, exact = _outcome_matrices(records, params)
+    table = campaign_records(records, params)
     power = 0.5 if params.kind == "reflection" else 1.5
     campaign = f"({params.n_unitaries} unitaries x {params.n_shots} shots)"
 
@@ -721,9 +704,9 @@ def estimate_normalized(records, params) -> EstimatorResult:
                              f"{params.kind} error bar cannot be normalized")
         return raw / purity ** power
 
-    return _estimate(params, params.kind, _per_unitary_raw(outcomes, exact, params),
-                     _per_unitary_purity(outcomes, exact, params, segment=0),
-                     _per_unitary_purity(outcomes, exact, params, segment=1),
+    return _estimate(params, params.kind, raw_values(table, params),
+                     _per_unitary_purity(table, params, segment=0),
+                     _per_unitary_purity(table, params, segment=1),
                      statistic=normalized)
 
 
@@ -842,6 +825,8 @@ def _read_header(line: str) -> ProtocolParams:
                 raise TypeError(f"{key} must be an integer, got {value!r}")
         partition = PartitionSpec(header["num_sites"], header["pairs"],
                                   tuple(tuple(seg) for seg in header["segments"]))
+        if (length := partition.interval_size) > MAX_INTERVAL:  # run_campaign refuses it
+            raise ValueError(f"interval of {length} sites exceeds limit {MAX_INTERVAL}")
         return ProtocolParams(header["kind"], header["n_unitaries"], header["n_shots"],
                               partition, header["master_seed"])
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError

@@ -11,11 +11,11 @@ an odd count puts the outer cuts on J bonds, and in the J'-strong phase
 the two-segment invariants then tend to -sqrt(2) (raw value -1 over a
 segment purity of 1/2) instead of -1. Such a placement is an error of the
 test, not a feature of the physics. Criteria 7 and 8 therefore run at
-N = 16 (the ground-state solver's cap) with n in {2, 4, 6}; n = 6 is a
-12-site interval (the RDM cap).
+N = 16 (the full-space solver's cap; the sector solver reaches N = 20)
+with n in {2, 4, 6}; n = 6 is a 12-site interval (the RDM cap).
 
 Nine of the ten criteria pass; criterion 1 meets its 300 s wall-time gate
-(about 75 s on 2 cores). Criterion 7 stays red at
+(about 8-11 s on 2 cores). Criterion 7 stays red at
 this system size: the three-point fit gives lambda(0.3) = 0 (the n = 6
 value reaches 1.0002, past the fit's |value| < 1 precondition),
 lambda(1) = 1.89 and lambda(3) = 2.26 with a log-residual of 1.01, because

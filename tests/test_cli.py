@@ -8,6 +8,8 @@ import pytest
 
 from topoprobe.cli import main
 from topoprobe.config import ConfigError, load_config
+from topoprobe.partitions import reflection_partition
+from topoprobe.rdm import MAX_INTERVAL
 
 TINY_CONFIG = """
 [hamiltonian]
@@ -538,6 +540,42 @@ class TestOtherCommands:
         assert err.startswith("error:")
         assert "absent.records" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("body, where", [
+        ("n_shots = 2\n" + TINY_CONFIG, "line 1: a key before any [section] header"),
+        (TINY_CONFIG.replace("j = 1.0\n", "j = 1.0\nj = 2.0\n"),
+         "line 5: option 'j' in section 'hamiltonian' already exists"),
+        (TINY_CONFIG + "\n[run]\nout = x\n", "line 19: section 'run' already exists"),
+        (TINY_CONFIG.replace("delta = 0.25", "delta 0.25"), "line 6: expected 'key = value'"),
+        # taken literally, not interpolated
+        (TINY_CONFIG.replace("n_shots = 32", "n_shots = %(x)s"),
+         "bad value for protocol.n_shots: '%(x)s'"),
+    ], ids=["key-before-section", "duplicate-key", "duplicate-section", "no-equals",
+            "interpolation"])
+    def test_malformed_config_exits_2_naming_the_line(self, tmp_path, capsys, body, where):
+        path = tmp_path / "bad.cfg"
+        path.write_text(body)
+        assert main(["ground-state", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and where in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_record_interval_above_limit_exits_2_on_header(self, tmp_path, capsys):
+        # 80 sites first: at 26 sites a missing check builds a 1.07 GB table
+        for num_sites in (80, 2 * (MAX_INTERVAL + 1)):
+            path = tmp_path / f"long{num_sites}.records"
+            partition = reflection_partition(num_sites, num_sites // 2)
+            header = {"kind": "reflection", "n_unitaries": 2, "n_shots": 2, "master_seed": 0,
+                      "num_sites": num_sites, "pairs": num_sites // 2,
+                      "segments": [list(seg) for seg in partition.segments]}
+            path.write_text("#" + json.dumps(header) + "\n0,1,0,2\n")
+            assert main(["campaign-analyze", "--records", str(path),
+                         "--out", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().err == (
+                f"error: line 1: bad record header (ValueError: interval of {num_sites} "
+                f"sites exceeds limit {MAX_INTERVAL})\n")
+        assert not (tmp_path / "out").exists()
 
     def test_non_invariant_kind_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "purity.cfg"

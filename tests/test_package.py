@@ -64,8 +64,8 @@ def _imported(module: str, name: str):
 
 def test_benchmark_names_resolve():
     # every name a perfbench file imports from the package, every attribute
-    # it reads in code on a module so imported, and every method and
-    # function its tracer names as a string
+    # it reads in code on a module so imported, every method and function
+    # its tracer names as a string, and every span name its metrics select
     bench = pathlib.Path(topoprobe.__file__).parents[2] / "perfbench"
     missing = []
     for path in sorted(bench.glob("*.py")):
@@ -95,3 +95,31 @@ def test_benchmark_names_resolve():
         if not hasattr(_imported("topoprobe", module), function):
             missing.append(f"tracing hooks: {name}")
     assert missing == []
+    # the span names the per-layer metrics select: a named("...") target or a
+    # name compared with == resolves to a program attribute, and a
+    # prefixed("...") one matches at least one public function of its module
+    targets = set()
+    for node in ast.walk(ast.parse((bench / "tracing.py").read_text())):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("named", "prefixed") \
+                and isinstance(node.args[0], ast.Constant):
+            targets.add((node.args[0].value, node.func.id == "prefixed"))
+        elif isinstance(node, ast.Compare):
+            targets |= {(side.value, False) for side in node.comparators
+                        if isinstance(side, ast.Constant) and isinstance(side.value, str)}
+    unresolved = set()
+    for target, prefix in targets:
+        module, rest = target.split(".", 1)
+        value = _imported("topoprobe", module)
+        if prefix:
+            value = [name for name, obj in vars(value).items() if inspect.isfunction(obj)
+                     and obj.__module__ == value.__name__ and not name.startswith("_")
+                     and name.startswith(rest)] or None
+        else:
+            for attr in rest.split("."):
+                value = getattr(value, attr, None)
+        if value is None:
+            unresolved.add(target)
+    assert {("rdm.InvariantValue.__post_init__", False), ("cli.", True)} <= targets
+    # the one metric whose function is gone; dropping the metric is a
+    # benchmark change
+    assert unresolved == {"spincore.apply_matrix_at_site"}

@@ -23,9 +23,7 @@ from topoprobe.protocols import (
     _campaign_axes,
     _check_state_layout,
     _ginibre,
-    _outcome_matrices,
     _per_unitary_purity,
-    _per_unitary_raw,
     _qr_haar,
     _seeded,
     _spawn_words,
@@ -33,6 +31,7 @@ from topoprobe.protocols import (
     estimate_normalized,
     estimate_purity,
     estimate_raw,
+    raw_values,
     read_records,
     reflection_weights,
     run_campaign,
@@ -74,7 +73,7 @@ def exact_table(*distributions):
 def first_axes(kind, partition):
     """Bloch axes (experiments, |I|, 3) of the gates of unitary 0 of a
     campaign."""
-    return _campaign_axes(ProtocolParams(kind, 2, 2, partition, 0), range(1))[0]
+    return _campaign_axes(ProtocolParams(kind, 2, 2, partition, 0), _stream_states(0, 0, 0, 0))[0]
 
 
 class TestCueSampling:
@@ -260,7 +259,7 @@ class TestEngine:
         for kind, pairs in ENGINE_LAYOUTS:
             partition = partition_for(kind, 8, pairs)
             params = ProtocolParams(kind, 4, 2, partition, 61)
-            axes = _campaign_axes(params, range(4))
+            axes = _campaign_axes(params, _stream_states(61, 0, np.arange(4), 0))
             assert axes.shape == (4, params.experiments, partition.interval_size, 3)
             for u_index in range(4):
                 expected = bloch_axes(campaign_gates(params, u_index))
@@ -302,6 +301,28 @@ class TestEngine:
         _check_state_layout(bit_generator, _stream_states(9, 0, 4, 0)[0])
         with pytest.raises(RuntimeError, match=re.escape(f"numpy {np.__version__}")):
             _check_state_layout(bit_generator, _stream_states(9, 0, 5, 0)[0])
+
+    def test_layout_check_fails_closed(self, state8, monkeypatch):
+        # the process generator is checked when it is built, on words not yet
+        # drawn from: a failing check stops a campaign and a bootstrap before
+        # either draws, and a failed build is not cached
+        import topoprobe.protocols as protocols
+
+        params = ProtocolParams("time_reversal", 4, 8, partition_for("time_reversal", 8, 1), 5)
+        records = run_campaign(state8, params)
+        checked = []
+
+        def fails(bit_generator, row):
+            _check_state_layout(bit_generator, row)
+            checked.append(row)
+            raise RuntimeError("layout differs")
+
+        protocols._stream_generator.cache_clear()
+        monkeypatch.setattr(protocols, "_check_state_layout", fails)
+        for run in (lambda: run_campaign(state8, params), lambda: estimate_raw(records, params)):
+            with pytest.raises(RuntimeError, match="layout differs"):
+                run()
+        assert len(checked) == 2 and protocols._stream_generator.cache_info().currsize == 0
 
     def test_reused_generator_multinomial_matches_fresh_stream(self):
         # the reused generator keeps its binomial constants between draws;
@@ -691,10 +712,8 @@ class TestStreamedBootstrap:
     @staticmethod
     def reference(records, params):
         """(value, std_error) of every estimate, with the one-draw bootstrap."""
-        outcomes, exact = _outcome_matrices(records, params)
-        raw = _per_unitary_raw(outcomes, exact, params)
-        first, last = (_per_unitary_purity(outcomes, exact, params, segment)
-                       for segment in (0, 1))
+        raw = raw_values(records, params)
+        first, last = (_per_unitary_purity(records, params, segment) for segment in (0, 1))
         seed = params.master_seed
 
         def denominator(picks):
@@ -723,10 +742,11 @@ class TestStreamedBootstrap:
 
     def test_traced_peak_is_bounded(self):
         # 20 000 unitaries of exact probabilities at N = 8: the estimate
-        # holds the float outcome copy and one kernel form's temporaries
-        # (together twice the outcome table), O(n) per-unitary arrays, and
-        # one chunk of BUDGET indices and gathered values; one (200, n) draw
-        # alone would hold 200 n int64 indices (32 MB)
+        # reads the outcome table in place and holds one kernel form's
+        # temporaries (the size of the table), O(n) per-unitary arrays, and
+        # one chunk of BUDGET indices and gathered values; a float copy of
+        # the table would add its size again, and one (200, n) draw alone
+        # would hold 200 n int64 indices (32 MB)
         records, params = self.campaign(20000, True)
         tracemalloc.start()
         try:
@@ -734,7 +754,7 @@ class TestStreamedBootstrap:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * records.outcomes.nbytes + 3 * 8 * BUDGET
+        assert peak < records.outcomes.nbytes + 3 * 8 * BUDGET
 
 
 class TestTwirl:
