@@ -89,6 +89,9 @@ class RunConfig:
         body = self.sections.get("hamiltonian", {})
         if "num_sites" not in body:
             raise ConfigError("missing required key hamiltonian.num_sites")
+        if ("neel_delta" in body) != ("neel_weight" in body):
+            raise ConfigError("hamiltonian.neel_delta and hamiltonian.neel_weight set the "
+                              "staggered field together; give both or neither")
         try:
             return HamiltonianSpec(**body)
         except ValueError as exc:

@@ -26,8 +26,9 @@ a gate g multiplies a state by g[0, 0] or g[1, 1] (bond spins aligned or
 not) and adds t = g[1, 2] / g[1, 1] times one in-place gather through the
 bond's partner table over the sorted sector states (``_partners``, built
 once per stepper). These diagonals commute with their group's flips, so
-each group keeps one; the even half-steps of consecutive steps merge into
-one A(dt) (``TrotterStepper.step``). D takes at most 2(N + 1) distinct
+each group keeps one. In both bases ``TrotterStepper.step`` merges the
+even half-steps of consecutive steps into one A(dt) wherever no state is
+read between them. D takes at most 2(N + 1) distinct
 values: the stepper keeps the distinct (pinning, staggered) pairs and an
 index code per basis state, exponentiates the small table each step and
 gathers the phases by code.
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -116,15 +117,14 @@ class TrotterStepper:
         compiled = CompiledHamiltonian(replace(spec, neel_weight=0.0), sector)
         self.states = compiled.states
         if sector is None:
-            gates = [(left, _bond_gate(h, dt / 2.0)) for left, h in compiled.bonds]
-            splits = [split_low_block(group, spec.num_sites) for group in (gates[0::2], gates[1::2])]
-            self.even, self.odd = [(reduce(np.matmul, low).T, high) for low, high in splits]
+            group, self._apply = partial(_full_group, compiled), _apply_group
             static = compiled.diagonal
         else:
-            partners = _partners(compiled)
-            self.even, self.odd = [_sector_group(compiled, partners, p, dt / 2.0) for p in (0, 1)]
-            self.even_merged = _sector_group(compiled, partners, 0, dt)
+            group = partial(_sector_group, compiled, _partners(compiled))
+            self._apply = _apply_sector_group
             static = spec.pinning * (1.0 - 2.0 * (self.states & 1))
+        keys = ((0, dt / 2.0), (1, dt / 2.0), (0, dt))  # (parity, tau): A(dt/2), B(dt/2), A(dt)
+        self.even, self.odd, self.even_merged = (group(*key) for key in keys)
         pairs, codes = np.unique(np.stack([static, compiled.neel_diag], axis=1),
                                  axis=0, return_inverse=True)
         self.static_values, self.neel_values = pairs.T
@@ -139,26 +139,25 @@ class TrotterStepper:
              merge: bool = False) -> np.ndarray:
         """One symmetric step; ``neel_weight`` is the midpoint field weight.
         ``merge`` ends the step with the next step's opening even half-step
-        too (one A(dt) in a sector), and that next step takes ``opened``."""
-        if self.states is None:
-            if not opened:
-                amps = _apply_group(self.even, amps)
-            amps = self.phases(neel_weight) * _apply_group(self.odd, amps)
-            amps = _apply_group(self.even, _apply_group(self.odd, amps))
-            return _apply_group(self.even, amps) if merge else amps
-        padded = np.append(amps, 0.0)
+        too (one A(dt)), and that next step takes ``opened``."""
         if not opened:
-            _apply_sector_group(padded, self.even)
-        _apply_sector_group(padded, self.odd)
-        padded[:-1] *= self.phases(neel_weight)
-        _apply_sector_group(padded, self.odd)
-        _apply_sector_group(padded, self.even_merged if merge else self.even)
-        return padded[:-1]
+            amps = self._apply(self.even, amps)
+        amps = self._apply(self.odd, amps)
+        amps *= self.phases(neel_weight)  # a fresh array, so in place
+        amps = self._apply(self.odd, amps)
+        return self._apply(self.even_merged if merge else self.even, amps)
+
+
+def _full_group(compiled: CompiledHamiltonian, parity: int, tau: float):
+    """The gates exp(-i tau h) at left sites of ``parity``, split as the matvec."""
+    gates = [(left, _bond_gate(h, tau)) for left, h in compiled.bonds if left % 2 == parity]
+    low, high = split_low_block(gates, compiled.spec.num_sites)
+    return reduce(np.matmul, low).T, high
 
 
 def _apply_group(group, amps: np.ndarray) -> np.ndarray:
-    """The product of one bond group's gates: its low block, then each
-    higher gate on its strided view."""
+    """The product of one full-space bond group's gates: its low block, then
+    each higher gate on its strided view."""
     low_t, high = group
     amps = (amps.reshape(-1, low_t.shape[0]) @ low_t).reshape(-1)
     for left, gate in high:
@@ -193,16 +192,18 @@ def _sector_group(compiled: CompiledHamiltonian, partners: list, parity: int, ta
     return diag, flips
 
 
-def _apply_sector_group(padded: np.ndarray, group) -> None:
-    """One sector bond group in place on ``padded[:-1]`` (``padded[-1]`` is
-    the zero slot): the diagonal, then amps += t amps[partner] per bond."""
+def _apply_sector_group(group, amps: np.ndarray) -> np.ndarray:
+    """One sector bond group on a copy of ``amps`` padded with the zero slot
+    ``dim``: the diagonal, then amps += t amps[partner] per bond, in place."""
     diag, flips = group
+    padded = np.concatenate((amps, [0.0]))
     amps = padded[:-1]
     amps *= diag
     for coefficient, partner in flips:
         flipped = padded[partner]
         flipped *= coefficient
         amps += flipped
+    return amps
 
 
 def evolve(spec: HamiltonianSpec, state: SpinState, t_total: float,
@@ -213,8 +214,8 @@ def evolve(spec: HamiltonianSpec, state: SpinState, t_total: float,
     steps = _step_count(t_total, dt)
     stepper = TrotterStepper(spec, dt)
     amps = state.amplitudes
-    for _ in range(steps):
-        amps = stepper.step(amps, spec.neel_weight)
+    for step in range(1, steps + 1):
+        amps = stepper.step(amps, spec.neel_weight, opened=step > 1, merge=step < steps)
     _check_norm(amps)
     return SpinState(spec.num_sites, amps)
 

@@ -79,21 +79,12 @@ class HamiltonianSpec:
         return 2 ** self.num_sites
 
 
-def exchange_bonds(spec: HamiltonianSpec) -> list[tuple[int, int, float]]:
-    """(site, site+1, coupling) for every exchange bond; strong J bonds sit
-    on even left sites, weak J' bonds on odd left sites."""
-    bonds = []
-    for left in range(spec.num_sites - 1):
-        coupling = spec.j if left % 2 == 0 else spec.j_prime
-        bonds.append((left, left + 1, coupling))
-    return bonds
-
-
 def bond_terms(spec: HamiltonianSpec) -> list[tuple[int, np.ndarray]]:
-    """(left site, 4x4 bond matrix) for every bond, one matrix per coupling."""
-    matrix = {c: 0.5 * c * (XX_PLUS_YY + spec.delta * ZZ) + spec.b_field * XZ_MINUS_ZX
-              for c in (spec.j, spec.j_prime)}
-    return [(left, matrix[c]) for left, _right, c in exchange_bonds(spec)]
+    """(left site, 4x4 bond matrix) for every bond: strong J bonds sit on
+    even left sites, weak J' bonds on odd left sites."""
+    matrices = [0.5 * c * (XX_PLUS_YY + spec.delta * ZZ) + spec.b_field * XZ_MINUS_ZX
+                for c in (spec.j, spec.j_prime)]
+    return [(left, matrices[left % 2]) for left in range(spec.num_sites - 1)]
 
 
 def norm_bound(spec: HamiltonianSpec) -> float:

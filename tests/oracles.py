@@ -7,7 +7,7 @@ program's own kernels, so an agreement is a check and not a tautology.
 import numpy as np
 
 from topoprobe.groundstate import ground_state
-from topoprobe.hamiltonians import CompiledHamiltonian, exchange_bonds, staggered_signs
+from topoprobe.hamiltonians import CompiledHamiltonian
 from topoprobe.partitions import reflection_partition
 from topoprobe.protocols import BOOTSTRAP_RESAMPLES, sample_cue
 from topoprobe.rdm import exact_invariant
@@ -257,6 +257,19 @@ def _apply_bond_gate(amps, left, gate):
 MAX_DENSE_SITES = 10
 
 
+def chain_bonds(spec):
+    """(left, right, coupling) per bond of the open chain, written out from
+    the model: J on the strong bonds (0, 1), (2, 3), ..., J' on the weak
+    bonds (1, 2), (3, 4), ..."""
+    return [(left, left + 1, spec.j if left % 2 == 0 else spec.j_prime)
+            for left in range(spec.num_sites - 1)]
+
+
+def stagger_signs(num_sites):
+    """(-1)^i, the staggered-field sign of site i: site 0 positive."""
+    return [(-1.0) ** site for site in range(num_sites)]
+
+
 def dense_matrix(spec):
     """Explicit 2^N x 2^N matrix of the chain built from Kronecker products
     (N <= 10), independent of the program's matrix-free operator."""
@@ -265,7 +278,7 @@ def dense_matrix(spec):
         raise ValueError(f"dense matrix limited to N <= {MAX_DENSE_SITES}, got {n}")
     x, y, z = PAULI["x"], PAULI["y"], PAULI["z"]
     h = np.zeros((spec.dim, spec.dim), dtype=complex)
-    for left, right, coupling in exchange_bonds(spec):
+    for left, right, coupling in chain_bonds(spec):
         h += 0.5 * coupling * (
             site_operator(n, {left: x, right: x})
             + site_operator(n, {left: y, right: y})
@@ -275,7 +288,7 @@ def dense_matrix(spec):
         for left in range(n - 1):
             h += spec.b_field * (site_operator(n, {left: x, left + 1: z})
                                  - site_operator(n, {left: z, left + 1: x}))
-    stagger = staggered_signs(n)
+    stagger = stagger_signs(n)
     for i in range(n):
         coeff = spec.neel_delta * spec.neel_weight * stagger[i]
         if i == 0:
@@ -300,13 +313,13 @@ def strided_apply(spec, amplitudes):
     n = spec.num_sites
     zsign = [1.0 - 2.0 * ((np.arange(2 ** n) >> site) & 1) for site in range(n)]
     diag = spec.pinning * zsign[0]
-    for left, right, coupling in exchange_bonds(spec):
+    for left, right, coupling in chain_bonds(spec):
         diag = diag + 0.5 * coupling * spec.delta * zsign[left] * zsign[right]
-    for site, sign in enumerate(staggered_signs(n)):
+    for site, sign in enumerate(stagger_signs(n)):
         diag = diag + spec.neel_delta * spec.neel_weight * sign * zsign[site]
     out = diag * amplitudes
     b = spec.b_field
-    for left, _right, coupling in exchange_bonds(spec):
+    for left, _right, coupling in chain_bonds(spec):
         # axes (higher sites, bit left+1, bit left, lower sites)
         source = amplitudes.reshape(-1, 2, 2, 2 ** left)
         target = out.reshape(-1, 2, 2, 2 ** left)
@@ -330,12 +343,12 @@ def sector_scatter_apply(compiled, amplitudes):
     spec, states = compiled.spec, compiled.states
     zsign = [1.0 - 2.0 * ((states >> site) & 1) for site in range(spec.num_sites)]
     diag = spec.pinning * zsign[0]
-    for left, right, coupling in exchange_bonds(spec):
+    for left, right, coupling in chain_bonds(spec):
         diag = diag + 0.5 * coupling * spec.delta * zsign[left] * zsign[right]
-    for site, sign in enumerate(staggered_signs(spec.num_sites)):
+    for site, sign in enumerate(stagger_signs(spec.num_sites)):
         diag = diag + spec.neel_delta * spec.neel_weight * sign * zsign[site]
     out = diag * amplitudes
-    for left, _right, coupling in exchange_bonds(spec):
+    for left, _right, coupling in chain_bonds(spec):
         if coupling == 0.0:
             continue
         source = np.flatnonzero(((states >> left) ^ (states >> (left + 1))) & 1)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from topoprobe import groundstate
 from topoprobe.cli import main
 from topoprobe.config import ConfigError, load_config
 from topoprobe.partitions import reflection_partition
@@ -181,6 +182,48 @@ class TestGroundStateCommand:
         payload_a = strip_timestamp(read_json(out_a / "ground_state.json"))
         payload_b = strip_timestamp(read_json(out_b / "ground_state.json"))
         assert json.dumps(payload_a, sort_keys=True) == json.dumps(payload_b, sort_keys=True)
+
+
+    def test_reports_the_solve_the_other_commands_measure(self, tiny_config, tmp_path):
+        # ground-state and the measured state share one seed-0 solve, while
+        # the artifact still records the master seed
+        groundstate._solve.cache_clear()
+        try:
+            out = tmp_path / "out"
+            assert main(["ground-state", "--config", str(tiny_config), "--out", str(out)]) == 0
+            assert main(["invariants", "--exact", "--config", str(tiny_config),
+                         "--out", str(out)]) == 0
+            assert groundstate._solve.cache_info().misses == 1
+            payload = read_json(out / "ground_state.json")
+            solved = groundstate.ground_state(load_config(tiny_config).hamiltonian(), seed=0)
+            assert payload["result"]["iterations"] == solved.iterations
+            assert payload["result"]["residual_norm"] == solved.residual_norm
+            assert payload["master_seed"] == 5
+        finally:
+            groundstate._solve.cache_clear()
+
+    @pytest.mark.parametrize("key", ["neel_delta", "neel_weight"])
+    def test_staggered_field_key_alone_exits_2(self, tmp_path, capsys, key):
+        # the static field is neel_delta * neel_weight, and neel_weight
+        # defaults to 0, so either key alone would change nothing
+        path = tmp_path / "field.cfg"
+        path.write_text(TINY_CONFIG.replace("delta = 0.25", f"delta = 0.25\n{key} = 0.5"))
+        out = tmp_path / "out"
+        assert main(["ground-state", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: hamiltonian.neel_delta and hamiltonian.neel_weight ")
+        assert not out.exists()
+
+    def test_staggered_field_keys_together_move_the_energy(self, tiny_config, tmp_path):
+        path = tmp_path / "field.cfg"
+        path.write_text(TINY_CONFIG.replace("delta = 0.25",
+                                            "delta = 0.25\nneel_delta = 5.0\nneel_weight = 0.5"))
+        energies = []
+        for name, config in (("plain", tiny_config), ("field", path)):
+            out = tmp_path / name
+            assert main(["ground-state", "--config", str(config), "--out", str(out)]) == 0
+            energies.append(read_json(out / "ground_state.json")["result"]["energy"])
+        assert energies[1] < energies[0] - 1.0
 
 
 class TestInvariantsCommand:
