@@ -8,46 +8,49 @@ where A collects the strong (even-left) bonds, B the weak (odd-left)
 bonds, and D the diagonal field part (staggered field and pinning). Bonds
 inside each group act on disjoint site pairs, so the group exponentials
 are exact; only the splitting between groups carries the O(dt^2) error.
-The bond and diagonal terms are read from one
+The bonds and the staggered diagonal are read from one
 ``hamiltonians.CompiledHamiltonian``: each gate exponentiates its 4x4 bond
 matrix (exchange, anisotropy and the symmetry-breaking term), and D takes
-the pinning field and ``neel_diag``. For ramps, the time-dependent
+``neel_diag`` and the pinning field, read off each basis state's site-0
+bit in both bases. For ramps, the time-dependent
 staggered-field weight is evaluated at the midpoint of each step, which
 preserves second-order accuracy.
 
-In the full 2^N space each bond group is applied in the form of the
-matvec (``hamiltonians.split_low_block``). The group's gates inside the low
-block of ``hamiltonians.LOW_BLOCK_WIDTH`` sites act on disjoint pairs, so
-their product is their Kronecker product, one square matrix that
-multiplies the amplitudes reshaped to (higher sites, low block). Every
-other gate is a batched matmul of its 4x4 matrix with the (higher sites,
-bond pair, lower sites) view. In one sector of fixed sum S^z (B = 0 only),
-a gate g multiplies a state by g[0, 0] or g[1, 1] (bond spins aligned or
-not) and adds t = g[1, 2] / g[1, 1] times one in-place gather through the
-bond's partner table over the sorted sector states (``_partners``, built
-once per stepper). These diagonals commute with their group's flips, so
-each group keeps one. In both bases ``TrotterStepper.step`` merges the
+In the full 2^N space a bond group's gates inside the lowest
+``LOW_BLOCK_WIDTH`` sites act on disjoint pairs, so their product is their
+Kronecker product, one square matrix that multiplies the amplitudes
+reshaped to (higher sites, low block); every other gate is a batched
+matmul of its 4x4 matrix with the (higher sites, bond pair, lower sites)
+view. In one sector of fixed sum S^z (B = 0 only), a gate g multiplies a
+state by g[0, 0] or g[1, 1] (bond spins aligned or not) and adds
+t = g[1, 2] / g[1, 1] times one in-place gather through the bond's
+partner table over the sorted sector states (``_partners``, built once
+per stepper). These diagonals commute with their group's flips, so each
+group keeps one. In both bases ``TrotterStepper.step`` merges the
 even half-steps of consecutive steps into one A(dt) wherever no state is
-read between them. D takes at most 2(N + 1) distinct
-values: the stepper keeps the distinct (pinning, staggered) pairs and an
-index code per basis state, exponentiates the small table each step and
-gathers the phases by code.
+read between them. D takes at most 2(N + 1) distinct values: the stepper
+keeps the distinct (pinning, staggered) pairs and an index code per basis
+state, exponentiates the small table each step and gathers the phases by
+code.
 
 The adiabatic ramp starts from the staggered product state and turns the
 strong staggered field off with weight f(t) = (t/t_final - 1)^exponent,
 so f(0) = 1 and f(t_final) = 0; the exponent must be a positive even
 integer, and dt must divide t_final. At B = 0 it runs in its start state's
 sector, sum S^z = 0 (``ramp_sector``); B != 0 ramps and ``evolve`` use 2^N.
+``evolve`` runs the ramp's stepping loop at a constant weight, sampling
+only its start and end.
 """
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass, replace
 from functools import partial, reduce
 
 import numpy as np
 
-from .hamiltonians import CompiledHamiltonian, HamiltonianSpec, split_low_block
+from .hamiltonians import CompiledHamiltonian, HamiltonianSpec
 from .partitions import partition_for
 from .protocols import estimate_reported, reported_exact, run_campaign
 from .rdm import exact_invariant
@@ -56,6 +59,7 @@ from .spincore import SpinState, neel_state
 DEFAULT_DT = 0.01
 NORM_DRIFT_TOL = 1e-8
 STEP_COUNT_RTOL = 1e-9
+LOW_BLOCK_WIDTH = 5  # lowest sites whose full-space gates multiply as one matrix
 
 
 class NormDriftError(RuntimeError):
@@ -109,22 +113,23 @@ def _bond_gate(h4: np.ndarray, dt: float) -> np.ndarray:
 
 class TrotterStepper:
     """Precomputed gates for a fixed step size over a fixed Hamiltonian, on
-    2^N or, at B = 0, on the sorted ``states`` of one S^z sector."""
+    2^N or, at B = 0, on the sorted ``states`` of one S^z sector; it builds
+    none of the matvec's half blocks."""
 
     def __init__(self, spec: HamiltonianSpec, dt: float, sector: int | None = None):
         self.spec = spec
         self.dt = dt
-        compiled = CompiledHamiltonian(replace(spec, neel_weight=0.0), sector)
+        compiled = CompiledHamiltonian(spec, sector)
         self.states = compiled.states
         if sector is None:
             group, self._apply = partial(_full_group, compiled), _apply_group
-            static = compiled.diagonal
         else:
             group = partial(_sector_group, compiled, _partners(compiled))
             self._apply = _apply_sector_group
-            static = spec.pinning * (1.0 - 2.0 * (self.states & 1))
         keys = ((0, dt / 2.0), (1, dt / 2.0), (0, dt))  # (parity, tau): A(dt/2), B(dt/2), A(dt)
         self.even, self.odd, self.even_merged = (group(*key) for key in keys)
+        indices = np.arange(compiled.dim) if self.states is None else self.states
+        static = spec.pinning * (1.0 - 2.0 * (indices & 1))
         pairs, codes = np.unique(np.stack([static, compiled.neel_diag], axis=1),
                                  axis=0, return_inverse=True)
         self.static_values, self.neel_values = pairs.T
@@ -149,10 +154,14 @@ class TrotterStepper:
 
 
 def _full_group(compiled: CompiledHamiltonian, parity: int, tau: float):
-    """The gates exp(-i tau h) at left sites of ``parity``, split as the matvec."""
+    """The gates exp(-i tau h) at left sites of ``parity``: the product of
+    those inside the lowest w = min(LOW_BLOCK_WIDTH, N) sites as one 2^w
+    square matrix (transposed), and the others as (left site, gate)."""
+    width = min(LOW_BLOCK_WIDTH, compiled.spec.num_sites)
     gates = [(left, _bond_gate(h, tau)) for left, h in compiled.bonds if left % 2 == parity]
-    low, high = split_low_block(gates, compiled.spec.num_sites)
-    return reduce(np.matmul, low).T, high
+    low = [np.kron(np.kron(np.eye(2 ** (width - 2 - left)), gate), np.eye(2 ** left))
+           for left, gate in gates if left + 2 <= width]
+    return reduce(np.matmul, low).T, [(left, gate) for left, gate in gates if left + 2 > width]
 
 
 def _apply_group(group, amps: np.ndarray) -> np.ndarray:
@@ -212,12 +221,22 @@ def evolve(spec: HamiltonianSpec, state: SpinState, t_total: float,
     if state.num_sites != spec.num_sites:
         raise ValueError(f"chain size does not match: {state.num_sites} != {spec.num_sites}")
     steps = _step_count(t_total, dt)
-    stepper = TrotterStepper(spec, dt)
-    amps = state.amplitudes
-    for step in range(1, steps + 1):
-        amps = stepper.step(amps, spec.neel_weight, opened=step > 1, merge=step < steps)
-    _check_norm(amps)
-    return SpinState(spec.num_sites, amps)
+    samples = _trotter_samples(TrotterStepper(spec, dt), state.amplitudes, steps,
+                               lambda _step: spec.neel_weight, {0, steps})
+    return SpinState(spec.num_sites, list(samples)[-1][1])
+
+
+def _trotter_samples(stepper: TrotterStepper, amps: np.ndarray, steps: int, weight,
+                     sample_steps: set[int]):
+    """(step, norm-checked amplitudes) at each of ``sample_steps`` in 0..steps;
+    step s runs at weight ``weight(s)``, merging half-steps between samples."""
+    for step in range(steps + 1):
+        if step:
+            amps = stepper.step(amps, weight(step), opened=step - 1 not in sample_steps,
+                                merge=step not in sample_steps)
+        if step in sample_steps:
+            _check_norm(amps)
+            yield step, amps
 
 
 def ramp_sector(spec: HamiltonianSpec) -> int | None:
@@ -233,8 +252,6 @@ def adiabatic_evolve(spec: HamiltonianSpec, ramp: RampSpec) -> list[tuple[float,
     per distinct sample step) raise ``ValueError`` before any is allocated.
     """
     if ramp.neel_delta < 10.0 * abs(spec.j):
-        import warnings
-
         warnings.warn("staggered field is weak relative to the exchange coupling; "
                       "the initial product state is a poor ground state", stacklevel=2)
     total_steps = _step_count(ramp.t_final, ramp.dt)
@@ -248,17 +265,13 @@ def adiabatic_evolve(spec: HamiltonianSpec, ramp: RampSpec) -> list[tuple[float,
     stepper = TrotterStepper(replace(spec, neel_delta=ramp.neel_delta), ramp.dt, sector)
 
     start = neel_state(spec.num_sites).amplitudes
-    snapshots = [(0.0, SpinState(spec.num_sites, start))]
-    amps = start if sector is None else start[stepper.states]
-    for step in range(1, total_steps + 1):
-        midpoint = (step - 0.5) * ramp.dt
-        amps = stepper.step(amps, ramp.weight(midpoint), opened=step - 1 not in sample_steps,
-                            merge=step not in sample_steps)
-        if step in sample_steps:
-            _check_norm(amps)
-            full = np.zeros(spec.dim, dtype=complex)
-            full[slice(None) if sector is None else stepper.states] = amps
-            snapshots.append((step * ramp.dt, SpinState(spec.num_sites, full)))
+    snapshots = []
+    for step, amps in _trotter_samples(stepper, start if sector is None else start[stepper.states],
+                                       total_steps, lambda s: ramp.weight((s - 0.5) * ramp.dt),
+                                       sample_steps):
+        full = np.zeros(spec.dim, dtype=complex)
+        full[slice(None) if sector is None else stepper.states] = amps
+        snapshots.append((step * ramp.dt, SpinState(spec.num_sites, full)))
     return snapshots
 
 

@@ -15,30 +15,24 @@ edge orientation.
 
 Each bond's term is one real 4x4 matrix on the pair index
 bit(left) + 2 bit(left+1), summed from the two-site constants below, and
-every consumer reads it. In the full space, ``split_low_block`` embeds the
-bonds inside the lowest ``LOW_BLOCK_WIDTH`` sites in one square matrix on
-the (higher sites, low block) view of the amplitudes, and every other bond
-multiplies the (higher sites, bond pair, lower sites) view, so the
-2^N x 2^N matrix is never built: ``CompiledHamiltonian.apply`` sums the low
-bonds, a full-space ``dynamics.TrotterStepper`` multiplies their gates.
-In one sector of fixed sum_i S_i^z (B = 0) the chain splits at its central
-bond into two halves, and the sector's amplitudes form one block per split
-of the down spins, on which each half's bonds and fields act as one dense
-matrix (``_SectorBlocks``). Only the B term changes sum_i S_i^z, so at
+every consumer reads it. ``CompiledHamiltonian.apply`` never builds the
+2^N x 2^N matrix: the chain splits at its central bond into two halves,
+each half's bonds and fields act as one dense matrix over the half's
+configurations, and the central bond acts on its own (``_HalfBlocks``).
+The full 2^N space is one block of that layout. In one sector of fixed
+sum_i S_i^z (B = 0) the amplitudes form one block per split of the down
+spins between the halves. Only the B term changes sum_i S_i^z, so at
 B = 0 H is block diagonal over those sectors.
 """
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 DEFAULT_PINNING_FRACTION = 0.05
-# sites 0..LOW_BLOCK_WIDTH-1 form the low block of the full-space bond kernel;
-# every bond above it multiplies a view with an inner stride of at least 16
-LOW_BLOCK_WIDTH = 5
 # two-site terms on the pair index bit(left) + 2 bit(left+1)
 XX_PLUS_YY = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 2.0, 0.0],
                        [0.0, 2.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
@@ -99,40 +93,20 @@ def staggered_signs(num_sites: int) -> np.ndarray:
     return np.array([1.0 if i % 2 == 0 else -1.0 for i in range(num_sites)])
 
 
-def split_low_block(bonds: list[tuple[int, np.ndarray]], num_sites: int
-                    ) -> tuple[list[np.ndarray], list[tuple[int, np.ndarray]]]:
-    """Split (left site, 4x4 matrix) bonds of an N-site chain at the low
-    block of w = min(LOW_BLOCK_WIDTH, N) sites: each bond inside sites
-    0..w-1 embedded as a 2^w square matrix (site 0 the lowest bit), and
-    the remaining bonds, whose left site is at least w - 1."""
-    width = min(LOW_BLOCK_WIDTH, num_sites)
-    low = [np.kron(np.kron(np.eye(2 ** (width - 2 - left)), h), np.eye(2 ** left))
-           for left, h in bonds if left + 2 <= width]
-    return low, [(left, h) for left, h in bonds if left + 2 > width]
-
-
 class CompiledHamiltonian:
     """H on the full 2^N space, or on one S^z sector (B = 0 only).
-    ``bonds`` holds (left site, 4x4 bond matrix) for every bond. The full
-    space keeps the fields on ``diagonal``, the bonds inside the low block
-    summed into one matrix (``low_t``, transposed) and the other bonds in
-    ``high``. A sector keeps its sorted basis ``states`` and the two-half
-    blocks of ``_SectorBlocks``, whose apply takes amplitudes in block
-    order, over ``states[order]``."""
+    ``bonds`` holds (left site, 4x4 bond matrix) for every bond, and a
+    sector keeps its sorted basis ``states``. ``apply`` runs on the
+    two-half blocks of ``_HalfBlocks``, built on its first call, and takes
+    amplitudes in block order, over ``states[order]`` in a sector."""
 
     def __init__(self, spec: HamiltonianSpec, sector: int | None = None):
         self.spec = spec
         self.sector = sector
         n = spec.num_sites
         self.bonds = bond_terms(spec)
+        self.states, self.dim = None, spec.dim
         if sector is None:
-            self.states = self.order = None
-            self.dim = spec.dim
-            low, self.high = split_low_block(self.bonds, n)
-            self.low_t = sum(low).T
-            # staggered field + pinning
-            self.diagonal = (spec.neel_delta * spec.neel_weight * self.neel_diag
-                             + spec.pinning * (1.0 - 2.0 * (np.arange(self.dim) & 1)))
             return
         if not isinstance(sector, numbers.Integral) or abs(sector) > n // 2:
             raise ValueError(f"sector must be an integer sum S^z in [-{n // 2}, {n // 2}], "
@@ -142,8 +116,15 @@ class CompiledHamiltonian:
         # sum_i S_i^z = sector: the states with N/2 - sector down spins (bit 1)
         self.states = np.flatnonzero(np.bitwise_count(np.arange(2 ** n)) == n // 2 - sector)
         self.dim = self.states.shape[0]
-        self._blocks = _SectorBlocks(self)
-        self.order = self._blocks.order
+
+    @cached_property
+    def _blocks(self) -> _HalfBlocks:
+        return _HalfBlocks(self)
+
+    @property
+    def order(self) -> np.ndarray | None:
+        """Index into ``states`` of each amplitude ``apply`` takes (None: 2^N)."""
+        return self._blocks.order
 
     @cached_property
     def neel_diag(self) -> np.ndarray:
@@ -154,17 +135,18 @@ class CompiledHamiltonian:
                    for site, s in enumerate(staggered_signs(self.spec.num_sites)))
 
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        """H |psi> on a flat amplitude array over this basis (in block order
-        in a sector)."""
+        """H |psi> on a flat amplitude array over this basis, in block order."""
         if amplitudes.shape[0] != self.dim:
             raise ValueError(f"state dimension {amplitudes.shape[0]} does not match {self.dim}")
-        if self.sector is not None:
-            return self._blocks.apply(amplitudes)
-        out = self.diagonal * amplitudes
-        out += (amplitudes.reshape(-1, self.low_t.shape[0]) @ self.low_t).reshape(-1)
-        for left, h in self.high:
-            target = out.reshape(-1, 4, 2 ** left)
-            target += np.matmul(h, amplitudes.reshape(-1, 4, 2 ** left))
+        blocks = self._blocks
+        out = blocks.central(amplitudes)
+        for start, stop, columns, high, low in blocks.blocks:
+            source = amplitudes[start:stop].reshape(-1, columns)
+            target = out[start:stop].reshape(-1, columns)
+            target += high @ source
+            target += source @ low  # H_low is symmetric
+        for flips, coupling, partner in blocks.exchange:
+            out[flips] += coupling * np.take(amplitudes, partner)
         return out
 
 
@@ -181,35 +163,42 @@ def _half_matrix(bonds: list[tuple[int, np.ndarray]], fields: np.ndarray) -> np.
     return mat
 
 
-class _SectorBlocks:
-    """A sector apply in the two-half block layout of exact diagonalization
-    (H. Q. Lin, PRB 42, 6561 (1990)).
+class _HalfBlocks:
+    """H in the two-half block layout of exact diagonalization (H. Q. Lin,
+    PRB 42, 6561 (1990)).
 
     The chain splits at its central bond into a low half (sites 0..h-1,
-    h = N/2) and a high half. A state with k down spins in the low half is
-    an entry of block k, of shape (C(h, D - k), C(h, k)) with D the sector's
-    number of down spins: its rows are the high half's configurations with
-    D - k down spins, its columns the low half's with k, both in sorted
-    order. The bonds inside a half, and its fields, act as one dense real
-    matrix per block: H_high,D-k @ psi_k + psi_k @ H_low,k. The central bond
-    adds its diagonal entry per state and, where its two spins differ, its
-    exchange through one partner table over the flipped states (at N = 16
-    this measured about 20 % faster per apply than adding the corners of
-    neighbouring blocks that the exchange pairs, one slice at a time).
-    Amplitudes are taken and returned in this block order: entry i belongs
-    to ``states[order[i]]``, so a solver that keeps its vectors in block
-    order permutes nothing per apply."""
+    h = N/2) and a high half. The full space is one block: the amplitudes
+    as a 2^h x 2^h matrix, rows the high half's configurations and columns
+    the low half's. In a sector with D down spins, block k holds the states
+    with k of them in the low half: rows the high half's configurations
+    with D - k down spins, columns the low half's with k, both sorted. The
+    bonds inside a half, and its fields, act as one dense real matrix per
+    block: H_high @ psi_k + psi_k @ H_low. ``central`` starts the output
+    with the central bond: in the full space the whole bond, one 4x4
+    matmul on the (high sites, bond pair, low sites) view; in a sector its
+    diagonal entry per state, and ``exchange`` adds its exchange last,
+    through one partner table over the states it flips. Entry i of the
+    amplitudes belongs to ``states[order[i]]``, so a solver that keeps its
+    vectors in this block order permutes nothing per apply."""
 
     def __init__(self, compiled: CompiledHamiltonian):
         spec, n = compiled.spec, compiled.spec.num_sites
         half = n // 2
-        down = half - compiled.sector
         fields = spec.neel_delta * spec.neel_weight * staggered_signs(n)
         fields[0] += spec.pinning
         low = _half_matrix([(left, h) for left, h in compiled.bonds if left + 2 <= half],
                            fields[:half])
         high = _half_matrix([(left - half, h) for left, h in compiled.bonds if left >= half],
                             fields[half:])
+        central = compiled.bonds[half - 1][1]
+        if compiled.states is None:
+            self.order, self.exchange = None, ()
+            self.blocks = [(0, compiled.dim, 2 ** half, high, low)]
+            view = (-1, 4, 2 ** (half - 1))
+            self.central = lambda amps: np.matmul(central, amps.reshape(view)).reshape(-1)
+            return
+        down = half - compiled.sector
         configs = np.arange(2 ** half)
         count = np.bitwise_count(configs)
         self.blocks, states = [], []
@@ -225,20 +214,8 @@ class _SectorBlocks:
         self.order = np.searchsorted(compiled.states, states)
         inverse = np.empty_like(self.order)
         inverse[self.order] = np.arange(self.order.size)
-        central = compiled.bonds[half - 1][1]
         pair = (states >> (half - 1)) & 3  # the central bond's pair index
-        self.central_diag = central[pair, pair]
-        self.coupling = central[1, 2]
-        self.flips = np.flatnonzero((pair == 1) | (pair == 2))
-        self.partner = inverse[np.searchsorted(
-            compiled.states, states[self.flips] ^ (3 << (half - 1)))]
-
-    def apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        out = self.central_diag * amplitudes
-        for start, stop, columns, high, low in self.blocks:
-            source = amplitudes[start:stop].reshape(-1, columns)
-            target = out[start:stop].reshape(-1, columns)
-            target += high @ source
-            target += source @ low  # H_low is symmetric
-        out[self.flips] += self.coupling * np.take(amplitudes, self.partner)
-        return out
+        self.central = partial(np.multiply, central[pair, pair])
+        flips = np.flatnonzero((pair == 1) | (pair == 2))
+        partner = inverse[np.searchsorted(compiled.states, states[flips] ^ (3 << (half - 1)))]
+        self.exchange = ((flips, central[1, 2], partner),)

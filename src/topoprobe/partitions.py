@@ -12,6 +12,15 @@ Which layout an invariant kind is measured on is decided here once
 (``THREE_SEGMENT_KINDS``, ``partition_for``, ``check_layout``), and so is
 which segment the exact contraction and the estimators weight with sigma_z
 (``PartitionSpec.middle_positions``).
+
+A placement is whole-cell when every segment is made of unit cells, the
+J bonds (2i, 2i + 1): every segment boundary is an even site, so each cut
+falls on a J' bond or a chain end. Two segments around the central bond
+are whole-cell iff N = 0 (mod 4) and ``pairs`` is even; three centered
+segments iff ``pairs`` is even and N = ``pairs`` (mod 4). At other
+placements the cuts fall on J bonds, and a series over ``pairs`` mixes
+the two placements, alternating with the parity of ``pairs`` instead of
+converging. Nothing here enforces the rule.
 """
 from __future__ import annotations
 

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from topoprobe import dynamics
+from topoprobe import dynamics, hamiltonians
 from topoprobe.dynamics import (
     NormDriftError,
     RampSpec,
@@ -80,8 +80,8 @@ class TestRampSpec:
 class TestTrotterStep:
     @pytest.mark.parametrize("num_sites", [4, 6, 8])
     def test_step_matches_dense_splitting(self, num_sites, rng):
-        # N = 4 < LOW_BLOCK_WIDTH makes the whole chain the low block of both
-        # bond groups; N = 6 and 8 also have gates above the block
+        # N = 4 < dynamics.LOW_BLOCK_WIDTH makes the whole chain the low block
+        # of both full-space bond groups; N = 6 and 8 also have gates above it
         spec = HamiltonianSpec(num_sites=num_sites, j=1.0, j_prime=0.6, delta=0.3,
                                b_field=0.1, pinning=0.07, neel_delta=5.0)
         weight, dt = 0.3, 0.05
@@ -165,6 +165,20 @@ class TestTrotterStep:
                                   reference.phases(weight).view(np.uint64))
             assert np.array_equal(sector_stepper.phases(weight).view(np.uint64),
                                   reference.phases(weight)[sector_stepper.states].view(np.uint64))
+
+    def test_stepper_builds_no_matvec_blocks(self, monkeypatch):
+        # the stepper reads bonds, states and the staggered diagonal of its
+        # CompiledHamiltonian; the apply's half matrices are never built
+        def refuse(*_args):
+            raise AssertionError("a Trotter stepper built the apply's half matrices")
+
+        monkeypatch.setattr(hamiltonians, "_half_matrix", refuse)
+        spec = HamiltonianSpec(num_sites=8, j=1.0, j_prime=0.5, delta=0.25, neel_delta=40.0)
+        for sector in (None, 0):
+            stepper = TrotterStepper(spec, 0.01, sector)
+            amps = neel_state(8).amplitudes
+            amps = amps if sector is None else amps[stepper.states]
+            assert np.linalg.norm(stepper.step(amps, 0.5)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestTrotterAccuracy:

@@ -107,10 +107,11 @@ class TestMatvec:
                                - sector_scatter_apply(compiled, vec)[order]).max()
                 assert error <= bound * np.abs(vec).max()
 
-    @pytest.mark.parametrize("num_sites", [12, 16])
+    @pytest.mark.parametrize("num_sites", [12, 14, 16])
     def test_full_space_matches_strided_reference(self, num_sites, rng):
         # beyond the dense oracle's reach: B != 0 with every field on, and a
-        # B = 0 chain with ferromagnetic anisotropy
+        # B = 0 chain with ferromagnetic anisotropy; N = 14 has halves of odd
+        # width, whose central bond is a strong J bond
         specs = [HamiltonianSpec(num_sites=num_sites, j=1.0, j_prime=4.0, delta=0.3,
                                  b_field=0.1, neel_delta=0.6, neel_weight=0.4),
                  HamiltonianSpec(num_sites=num_sites, j=1.0, j_prime=0.5, delta=-2.0)]

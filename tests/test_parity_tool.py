@@ -51,7 +51,25 @@ def test_differences_name_each_mismatch(parity):
         "a: stdout differs", "    @@ -1 +1 @@", "    -x", "    +y",
         "a: new.csv written only by the change",
         "a: old.csv written only by the parent",
-        "a: r.json differs (9 -> 9 bytes)", "    @@ -1 +1 @@", '    -{"v": 1}', '    +{"v": 2}',
+        "a: r.json differs (9 -> 9 bytes)", "    numbers differ by at most 1",
+        "    @@ -1 +1 @@", '    -{"v": 1}', '    +{"v": 2}',
         "gone: run only in the parent",
     ]
     assert parity.differences(parent, parent) == []
+
+
+def test_differences_give_largest_number_difference(parity):
+    # only where the text outside the numbers matches, in CSV and JSON
+    parent = {"a": run(**{"x.csv": b"k,n\nfig4,1.5,-2e-3\n", "y.json": b'{"v": 1}\n',
+                          "z.csv": b"a,1\n", "w.records": b"1\n"})}
+    change = {"a": run(**{"x.csv": b"k,n\nfig4,1.5000000000000002,-2.5e-03\n",
+                          "y.json": b'{"w": 1}\n', "z.csv": b"a,1,2\n", "w.records": b"2\n"})}
+    assert parity.differences(parent, change) == [
+        "a: w.records differs (2 -> 2 bytes)",
+        "a: x.csv differs (19 -> 37 bytes)", "    numbers differ by at most 0.0005",
+        "    @@ -2 +2 @@", "    -fig4,1.5,-2e-3", "    +fig4,1.5000000000000002,-2.5e-03",
+        "a: y.json differs (9 -> 9 bytes)", "    @@ -1 +1 @@", '    -{"v": 1}', '    +{"w": 1}',
+        "a: z.csv differs (4 -> 6 bytes)", "    @@ -1 +1 @@", "    -a,1", "    +a,1,2",
+    ]
+    assert parity._largest_number_difference(b"a 1e-3 b", b"a 0.001 b") == 0.0
+    assert parity._largest_number_difference(b"a 1 b", b"a 1 c") is None

@@ -10,12 +10,15 @@ checkout's ``src`` on ``PYTHONPATH``. Then compares, run by run, the exit
 codes, stdout and stderr (the output directory and the checkout path replaced
 by placeholders) and every artifact byte for byte, with the ``created_at``
 lines of JSON artifacts dropped. Lists each difference and exits 1 if there
-is any, else exits 0. Standard library only.
+is any, else exits 0; for a differing CSV or JSON artifact whose text
+outside its numbers matches, it also gives the largest absolute difference
+between corresponding numbers. Standard library only.
 """
 from __future__ import annotations
 
 import difflib
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -33,6 +36,7 @@ COMMANDS = {
 }
 TIMEOUT_S = 900
 DIFF_LINES = 12
+NUMBER = re.compile(rb"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def _runs(configs: list[Path], work: Path):
@@ -87,6 +91,15 @@ def _text_diff(old: str, new: str) -> list[str]:
                                  if len(lines) > DIFF_LINES else [])
 
 
+def _largest_number_difference(old: bytes, new: bytes) -> float | None:
+    """max |a - b| over corresponding numbers of two texts whose text
+    outside the numbers matches; None if it does not."""
+    if NUMBER.split(old) != NUMBER.split(new):
+        return None
+    pairs = zip(NUMBER.findall(old), NUMBER.findall(new))
+    return max((abs(float(a) - float(b)) for a, b in pairs), default=0.0)
+
+
 def differences(parent: dict[str, dict], change: dict[str, dict]) -> list[str]:
     found = []
     for name in sorted(parent.keys() | change.keys()):
@@ -108,6 +121,9 @@ def differences(parent: dict[str, dict], change: dict[str, dict]) -> list[str]:
             elif a != b:
                 found.append(f"{name}: {artifact} differs ({len(a)} -> {len(b)} bytes)")
                 if artifact.endswith((".json", ".csv")):
+                    worst = _largest_number_difference(a, b)
+                    if worst is not None:
+                        found.append(f"    numbers differ by at most {worst:.3g}")
                     found.extend("    " + line for line in _text_diff(a.decode(), b.decode()))
     return found
 
