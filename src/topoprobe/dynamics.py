@@ -12,26 +12,19 @@ The bonds and the staggered diagonal are read from one
 ``hamiltonians.CompiledHamiltonian``: each gate exponentiates its 4x4 bond
 matrix (exchange, anisotropy and the symmetry-breaking term), and D takes
 ``neel_diag`` and the pinning field, read off each basis state's site-0
-bit in both bases. For ramps, the time-dependent
-staggered-field weight is evaluated at the midpoint of each step, which
-preserves second-order accuracy.
+bit in both bases. For ramps, the time-dependent staggered-field weight
+is evaluated at the midpoint of each step, which preserves second-order
+accuracy.
 
-In the full 2^N space a bond group's gates inside the lowest
-``LOW_BLOCK_WIDTH`` sites act on disjoint pairs, so their product is their
-Kronecker product, one square matrix that multiplies the amplitudes
-reshaped to (higher sites, low block); every other gate is a batched
-matmul of its 4x4 matrix with the (higher sites, bond pair, lower sites)
-view. In one sector of fixed sum S^z (B = 0 only), a gate g multiplies a
-state by g[0, 0] or g[1, 1] (bond spins aligned or not) and adds
-t = g[1, 2] / g[1, 1] times one in-place gather through the bond's
-partner table over the sorted sector states (``_partners``, built once
-per stepper). These diagonals commute with their group's flips, so each
-group keeps one. In both bases ``TrotterStepper.step`` merges the
-even half-steps of consecutive steps into one A(dt) wherever no state is
-read between them. D takes at most 2(N + 1) distinct values: the stepper
-keeps the distinct (pinning, staggered) pairs and an index code per basis
-state, exponentiates the small table each step and gathers the phases by
-code.
+In the full 2^N space a bond group's gates on the lowest
+``LOW_BLOCK_WIDTH`` sites multiply the amplitudes as one matrix, their
+Kronecker product, and every higher gate is a batched 4x4 matmul
+(``_full_group``). In one sector of fixed sum S^z (B = 0 only) a group is
+one diagonal plus an in-place gather per gate through its bond's partner
+table (``_sector_group``). In both bases ``TrotterStepper.step`` merges
+the even half-steps of consecutive steps into one A(dt) wherever no
+state is read between them, and D is exponentiated over its at most
+2(N + 1) distinct values (``TrotterStepper.phases``).
 
 The adiabatic ramp starts from the staggered product state and turns the
 strong staggered field off with weight f(t) = (t/t_final - 1)^exponent,

@@ -189,12 +189,12 @@ def _ritz_coefficients(alpha: list, beta: list, theta: float) -> np.ndarray:
 
 
 def _lanczos_sweep(ham: CompiledHamiltonian, start: np.ndarray, tol: float,
-                   max_steps: int) -> tuple[float, np.ndarray, float, int]:
-    """One restart-free Lanczos pass; returns (energy, vector, residual, steps).
+                   basis: np.ndarray) -> tuple[float, np.ndarray, float, int]:
+    """One restart-free Lanczos pass on the rows of ``basis``: (energy, vector, residual, steps).
 
     The vector has a positive overlap with ``start``.
     """
-    basis = np.empty((max_steps, start.shape[0]))  # untouched rows are never resident
+    max_steps = basis.shape[0]
     basis[0] = start / np.linalg.norm(start)
     alphas = np.empty(max_steps)  # diagonal of the Lanczos tridiagonal matrix
     betas = np.empty(max_steps)  # its off-diagonal
@@ -308,14 +308,15 @@ def ground_state(spec: HamiltonianSpec, tol: float = DEFAULT_TOL,
     return _solve(spec, tol, max_iter, seed)
 
 
-def _lowest(ham: CompiledHamiltonian, vec: np.ndarray, tol: float,
-            max_iter: int) -> tuple[float, np.ndarray, float, int]:
-    """Restarted Lanczos from ``vec``; returns (energy, vector, residual, steps)."""
+def _lowest(ham: CompiledHamiltonian, vec: np.ndarray, tol: float, max_iter: int,
+            workspace: np.ndarray) -> tuple[float, np.ndarray, float, int]:
+    """Restarted Lanczos from ``vec`` in ``workspace``: (energy, vector, residual, steps)."""
     total_steps = 0
     residual = np.inf
     while total_steps < max_iter:
         sweep_cap = min(KRYLOV_CAP, max_iter - total_steps, ham.dim)
-        energy, vec, residual, steps = _lanczos_sweep(ham, vec, tol, sweep_cap)
+        basis = workspace[:sweep_cap * ham.dim].reshape(sweep_cap, ham.dim)
+        energy, vec, residual, steps = _lanczos_sweep(ham, vec, tol, basis)
         total_steps += steps
         residual = float(np.linalg.norm(ham.apply(vec) - energy * vec))
         if residual <= tol:
@@ -330,9 +331,16 @@ def _solve_uncached(spec: HamiltonianSpec, tol: float, max_iter: int, seed: int)
     """Lowest eigenpair over the sectors of ``spec`` (or its full space)."""
     tol *= min(1.0, norm_bound(spec))  # relative to ||H|| where that is below 1
     rng = np.random.default_rng(seed)
+    # the result's array first, then one Lanczos workspace for every sweep,
+    # freed before the result is written: the solve leaves the heap's top
+    # free in one piece, and the next solve's workspace fits there again
+    amplitudes = np.empty(spec.dim)
     solved = []  # (energy, vector, residual, steps, sector, full-space index)
+    workspace = None
     for sector in SECTORS if _uses_sectors(spec) else (None,):
         ham = CompiledHamiltonian(spec, sector)
+        if workspace is None:  # sized by the largest basis: sector 0 or 2^N
+            workspace = np.empty(min(KRYLOV_CAP, max_iter, ham.dim) * ham.dim)
         # H is real in this basis, so the ground vector can be kept real. The
         # start vector is drawn over the sorted states; a sector's solve runs
         # in the block order of its apply
@@ -340,13 +348,14 @@ def _solve_uncached(spec: HamiltonianSpec, tol: float, max_iter: int, seed: int)
         index = slice(None)
         if sector is not None:
             start, index = start[ham.order], ham.states[ham.order]
-        solved.append(_lowest(ham, start, tol, max_iter) + (sector, index))
+        solved.append(_lowest(ham, start, tol, max_iter, workspace) + (sector, index))
     iterations = sum(steps for _e, _v, _r, steps, *_ in solved)
     energies = [energy for energy, *_ in solved]
     # sectors come in tie-break order: the first within tol of the lowest wins
     pick = next(k for k, energy in enumerate(energies) if energy <= min(energies) + tol)
     energy, vec, residual, _steps, sector, index = solved.pop(pick)
-    amplitudes = np.zeros(spec.dim)
+    del workspace
+    amplitudes.fill(0.0)
     amplitudes[index] = vec
     gap = min(other for other, *_ in solved) - energy if solved else None
     return EigenResult(energy, SpinState(spec.num_sites, amplitudes), residual, iterations,

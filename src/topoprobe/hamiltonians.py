@@ -178,9 +178,8 @@ class _HalfBlocks:
     with the central bond: in the full space the whole bond, one 4x4
     matmul on the (high sites, bond pair, low sites) view; in a sector its
     diagonal entry per state, and ``exchange`` adds its exchange last,
-    through one partner table over the states it flips. Entry i of the
-    amplitudes belongs to ``states[order[i]]``, so a solver that keeps its
-    vectors in this block order permutes nothing per apply."""
+    through one partner table over the states it flips. ``order`` indexes
+    ``states`` by block order (None in the full space)."""
 
     def __init__(self, compiled: CompiledHamiltonian):
         spec, n = compiled.spec, compiled.spec.num_sites
@@ -212,8 +211,7 @@ class _HalfBlocks:
             states.append(((highs << half)[:, None] | lows).reshape(-1))
         states = np.concatenate(states)  # the sector's states in block order
         self.order = np.searchsorted(compiled.states, states)
-        inverse = np.empty_like(self.order)
-        inverse[self.order] = np.arange(self.order.size)
+        inverse = np.argsort(self.order)
         pair = (states >> (half - 1)) & 3  # the central bond's pair index
         self.central = partial(np.multiply, central[pair, pair])
         flips = np.flatnonzero((pair == 1) | (pair == 2))

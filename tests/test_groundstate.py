@@ -98,7 +98,8 @@ class TestSolverContract:
         spec = HamiltonianSpec(num_sites=8, j=1.0, j_prime=2.4, delta=0.6)
         ham = CompiledHamiltonian(spec, 0)
         start = np.random.default_rng(0).standard_normal(ham.dim)
-        energy, vector, _residual, steps = groundstate._lanczos_sweep(ham, start, 0.0, ham.dim)
+        energy, vector, _residual, steps = groundstate._lanczos_sweep(
+            ham, start, 0.0, np.empty((ham.dim, ham.dim)))
         block = dense_matrix(spec)[np.ix_(ham.states, ham.states)]
         assert steps == ham.dim == 70
         assert energy == pytest.approx(np.linalg.eigvalsh(block)[0], abs=1e-12)
@@ -423,7 +424,7 @@ class TestTwisted:
         ham = CompiledHamiltonian(SPECS["n16_jp1"], 0)
         start = np.random.default_rng(0).standard_normal(ham.dim)
         _energy, _vector, _residual, steps = groundstate._lanczos_sweep(
-            ham, start, DEFAULT_TOL, groundstate.KRYLOV_CAP)
+            ham, start, DEFAULT_TOL, np.empty((groundstate.KRYLOV_CAP, ham.dim)))
         assert steps > 50 and len(calls) > steps
         for alpha, beta, shift, result in calls:
             assert repr(result) == repr(twisted_factorization(alpha, beta, shift))
