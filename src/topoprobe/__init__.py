@@ -29,7 +29,6 @@ from .protocols import (
     estimate_purity,
     estimate_raw,
     run_campaign,
-    sample_cue,
     twirl_check,
 )
 from .dynamics import RampSpec, adiabatic_evolve, evolve, monitor_invariants
@@ -61,7 +60,6 @@ __all__ = [
     "ProtocolParams",
     "CampaignRecords",
     "EstimatorResult",
-    "sample_cue",
     "run_campaign",
     "estimate_raw",
     "estimate_purity",

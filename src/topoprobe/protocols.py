@@ -49,19 +49,19 @@ sigma_z product (ZZ) kernels; the experiments are independent, so the
 frequency product is already unbiased. Reflection is linear in the
 probabilities, with the mirror weights (-2)^(-D[s, reversed(s)]/2).
 
-Error bars are nonparametric bootstrap over the unitary axis (the unitary
-ensemble is the dominant fluctuation axis and resampling it captures shot
-noise as well). The resample indices are drawn and reduced a chunk of
-rows at a time (``_resample_means``), so a bootstrap over n unitaries
-holds O(n + BUDGET) entries, not one index per unitary and resample.
+Error bars are in closed form. The unitaries are independent and each
+brings its own shots, so every estimate is a function of means of i.i.d.
+per-unitary values, and its standard error is std(x, ddof = 1) / sqrt(n)
+of one per-unitary array x (``_estimate``): the values themselves for a
+raw estimate or a purity, and for a normalized one f = r / P^a, with
+P = (p_1 + p_2) / 2, the delta method's linearization
+r_i / P^a - a f (p1_i + p2_i) / (2 P).
 
 Seeding: every random stream is ``Generator(PCG64(SeedSequence(master_seed,
 spawn_key=key)))``. Unitary u draws its pattern from key (0, u, 0) and the
-shots of its experiment k (k = 1, 2) from (0, u, k); the bootstrap uses
-(1,), drawn in chunks of BUDGET // n rows that continue one another into
-the (resamples, n) draw. A campaign is therefore reproducible bit for
-bit, and neither a unitary's draws nor the bootstrap's depend on how an
-axis is chunked.
+shots of its experiment k (k = 1, 2) from (0, u, k). A campaign is
+therefore reproducible bit for bit, and a unitary's draws do not depend
+on how the unitary axis is chunked.
 A campaign computes the PCG64 start words of all its streams at once
 (``_stream_states``) and writes each into the state struct of the
 process's one generator (``_seeded``): the computation of one
@@ -89,12 +89,11 @@ PROTOCOL_KINDS = ("reflection", "time_reversal", "d2", "klein_bottle", "purity")
 # kinds whose reported value is the purity-normalized invariant; d2 and
 # klein_bottle have no standard normalization and report the raw value
 NORMALIZED_KINDS = ("reflection", "time_reversal")
-BOOTSTRAP_RESAMPLES = 200
 # unitaries per engine chunk, reduced where one chunk's largest kernel
 # intermediate would exceed CHUNK_ELEMENTS real entries (8 MB)
 CHUNK_UNITARIES = 256
 CHUNK_ELEMENTS = 2 ** 20
-# entries per chunk of a Monte Carlo reduction: bootstrap indices, twirl draws
+# entries per chunk of a bulk operation: stream words, record lines, twirl draws
 BUDGET = 2 ** 16
 
 # single-site Hamming weight kernel: (-2)^(-D) between two outcomes
@@ -134,7 +133,8 @@ class ProtocolParams:
         if self.kind not in PROTOCOL_KINDS:
             raise ValueError(f"unknown protocol kind {self.kind!r}")
         if self.n_unitaries < 2:
-            raise ValueError("n_unitaries must be >= 2 (resampling needs at least 2)")
+            raise ValueError("n_unitaries must be >= 2 (the standard error's sample "
+                             "variance, ddof = 1, needs at least 2)")
         if self.n_unitaries > 2 ** 32:
             raise ValueError(f"n_unitaries must be <= 2**32 (each unitary index is one 32-bit "
                              f"spawn-key word), got {self.n_unitaries}")
@@ -209,36 +209,6 @@ class EstimatorResult:
             raise ValueError("std_error must be >= 0")
 
 
-# -- circular unitary ensemble ----------------------------------------------
-
-def _ginibre(rng: np.random.Generator, count: int) -> np.ndarray:
-    return rng.standard_normal((count, 2, 2)) + 1j * rng.standard_normal((count, 2, 2))
-
-
-def _qr_haar(ginibre: np.ndarray) -> np.ndarray:
-    """Q of the unique QR G = QR with R's diagonal positive real, for 2x2
-    G = [[a, b], [c, d]]: Q = [[a/r, -phi conj(c)/r], [c/r, phi conj(a)/r]]
-    with r = sqrt(|a|^2 + |c|^2) and phi = det G / |det G|, unitary to
-    rounding whatever the condition of G (Mezzadri, Notices AMS 54, 592 (2007))."""
-    q = np.empty_like(ginibre)
-    q[:, :, 0] = ginibre[:, :, 0] / np.linalg.norm(ginibre[:, :, 0], axis=1, keepdims=True)
-    det = ginibre[:, 0, 0] * ginibre[:, 1, 1] - ginibre[:, 0, 1] * ginibre[:, 1, 0]
-    phase = det / np.abs(det)
-    q[:, 0, 1] = -phase * q[:, 1, 0].conj()
-    q[:, 1, 1] = phase * q[:, 0, 0].conj()
-    return q
-
-
-def sample_cue(rng: np.random.Generator, count: int | None = None) -> np.ndarray:
-    """Haar-random 2x2 unitaries: the Q of complex Ginibre matrices whose R
-    has a positive real diagonal, in closed form (``_qr_haar``). That choice
-    makes the QR unique and Q exactly Haar (Mezzadri 2007). Returns shape
-    (2, 2) when ``count`` is None, else (count, 2, 2).
-    """
-    q = _qr_haar(_ginibre(rng, 1 if count is None else count))
-    return q[0] if count is None else q
-
-
 # -- patterns ----------------------------------------------------------------
 # A unitary u enters a Born distribution only through the Bloch vector n of
 # a = u^dag Z u = n . sigma; each gate map of a pattern is a sign flip of n.
@@ -256,9 +226,11 @@ def _pattern_draw_count(kind: str, partition: PartitionSpec) -> int:
 
 
 def _bloch_axes(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
-    """Bloch vectors n (..., 3) of u^dag Z u = n . sigma for the ``_qr_haar``
-    unitaries u of the Ginibre matrices G = real + 1j imag (..., 2, 2).
-    u's columns are (g00, g10)/r and phi (-conj(g10), conj(g00))/r, with
+    """Bloch vectors n (..., 3) of u^dag Z u = n . sigma for the Haar
+    unitaries u of the Ginibre matrices G = real + 1j imag (..., 2, 2): u is
+    the Q of G = QR with R's diagonal positive real, which makes Q exactly
+    Haar (Mezzadri, Notices AMS 54, 592 (2007)). u's columns are (g00, g10)/r
+    and phi (-conj(g10), conj(g00))/r, with
     r^2 = |g00|^2 + |g10|^2 and phi = det G / |det G|, so
     n_z = (|g00|^2 - |g10|^2)/r^2 and n_x + i n_y = -2 conj(phi) g00 g10 / r^2."""
     ginibre = real + 1j * imag
@@ -386,8 +358,9 @@ def _seeded(states: np.ndarray):
 
 def _campaign_axes(params: ProtocolParams, states: np.ndarray) -> np.ndarray:
     """Bloch axes (len(states), experiments, |I|, 3) of the measured gates
-    of the unitaries whose (0, u, 0) streams start at ``states``; each draws
-    its Ginibre matrices' real parts, then their imaginary parts (``sample_cue``)."""
+    of the unitaries whose (0, u, 0) streams start at ``states``; each stream
+    draws the real parts of all its Ginibre matrices, then all their
+    imaginary parts."""
     draw_count = _pattern_draw_count(params.kind, params.partition)
     normals = np.empty((len(states), 2, draw_count, 2, 2))
     for row, rng in zip(normals, _seeded(states)):
@@ -583,35 +556,13 @@ def _hamming_form(left: np.ndarray, right: np.ndarray, kernels: list[np.ndarray]
     return scale * np.einsum("ij,ij->i", left, _apply_kernel_rows(right, kernels))
 
 
-def _resample_means(master_seed: int, *per_unitary: np.ndarray) -> np.ndarray:
-    """(len(per_unitary), BOOTSTRAP_RESAMPLES) bootstrap resample means of
-    each per-unitary array, all resampled with the same unitary indices.
-
-    The (BOOTSTRAP_RESAMPLES, n) index draw of the (1,) stream is made and
-    reduced ``BUDGET // n`` rows at a time: the bounded-integer draw
-    continues the stream across calls and each row's mean is its own
-    pairwise sum, so the means are those of one draw bit for bit.
-    """
-    rng = next(_seeded(_stream_states(master_seed, 1)))
-    n = per_unitary[0].shape[0]
-    rows = max(1, BUDGET // n)
-    means = np.empty((len(per_unitary), BOOTSTRAP_RESAMPLES))
-    for start in range(0, BOOTSTRAP_RESAMPLES, rows):
-        picks = rng.integers(0, n, size=(min(rows, BOOTSTRAP_RESAMPLES - start), n))
-        for mean, values in zip(means, per_unitary):
-            mean[start:start + len(picks)] = values[picks].mean(axis=1)
-    return means
-
-
-def _estimate(params: ProtocolParams, kind: str, *per_unitary: np.ndarray,
-              statistic=lambda mean: mean) -> EstimatorResult:
-    """``statistic`` of the means of the per-unitary arrays (by default the
-    one array's mean), with the standard deviation of the same statistic
-    over their joint bootstrap resample means as its error."""
-    value = statistic(*(values.mean() for values in per_unitary))
-    std = float(np.std(statistic(*_resample_means(params.master_seed, *per_unitary))))
-    return EstimatorResult(float(value), std, kind, params.n_unitaries, params.n_shots,
-                           params.master_seed)
+def _estimate(params: ProtocolParams, kind: str, value,
+              per_unitary: np.ndarray) -> EstimatorResult:
+    """``value`` with the standard error of the mean of ``per_unitary``, the
+    per-unitary values or their linearization: std(ddof = 1) / sqrt(n)."""
+    std_error = np.std(per_unitary, ddof=1) / np.sqrt(len(per_unitary))
+    return EstimatorResult(float(value), float(std_error), kind, params.n_unitaries,
+                           params.n_shots, params.master_seed)
 
 
 # -- estimators ----------------------------------------------------------------
@@ -652,8 +603,8 @@ def estimate_purity(records, params: ProtocolParams, segment: int) -> EstimatorR
     if params.partition.segment_positions(segment) == params.partition.middle_positions:
         raise ValueError(f"segment 1 of a {params.kind} campaign gets no random unitaries; "
                          "its purity cannot be estimated")
-    table = campaign_records(records, params)
-    return _estimate(params, "purity", _per_unitary_purity(table, params, segment))
+    values = _per_unitary_purity(campaign_records(records, params), params, segment)
+    return _estimate(params, "purity", values.mean(), values)
 
 
 def raw_values(records, params) -> np.ndarray:
@@ -672,42 +623,34 @@ def raw_values(records, params) -> np.ndarray:
 
 def estimate_raw(records, params) -> EstimatorResult:
     """Raw (unnormalized) invariant of the campaign's kind."""
-    return _estimate(params, params.kind, raw_values(records, params))
+    values = raw_values(records, params)
+    return _estimate(params, params.kind, values.mean(), values)
 
 
 def estimate_normalized(records, params) -> EstimatorResult:
-    """Normalized invariant with jointly bootstrapped error bar.
-
-    The segment purities come from the same records (experiment 1), so the
-    resampling happens coherently along the unitary axis. A mean sampled
-    purity <= 0 (possible for tiny campaigns), over the campaign or over
-    any bootstrap resample, raises ``ValueError``.
+    """Normalized invariant f = r / P^a, with r the raw mean, P the mean of
+    the two segment purities from the same records (experiment 1), and
+    a = 1/2 (reflection) or 3/2 (time reversal). Its error is that of the
+    delta method's per-unitary linearization
+    r_i / P^a - a f (p1_i + p2_i) / (2 P). A mean sampled purity P <= 0
+    (possible for tiny campaigns) raises ``ValueError``.
     """
     if params.kind not in NORMALIZED_KINDS:
         raise ValueError(
             f"normalized estimates are defined for reflection/time_reversal, not {params.kind!r}"
         )
     table = campaign_records(records, params)
+    raw = raw_values(table, params)
+    first, second = (_per_unitary_purity(table, params, segment) for segment in (0, 1))
+    purity = (first.mean() + second.mean()) / 2.0
+    if purity <= 0.0:
+        raise ValueError(f"mean sampled segment purity {purity:.6g} is not positive "
+                         f"({params.n_unitaries} unitaries x {params.n_shots} shots); "
+                         f"the {params.kind} estimate cannot be normalized")
     power = 0.5 if params.kind == "reflection" else 1.5
-    campaign = f"({params.n_unitaries} unitaries x {params.n_shots} shots)"
-
-    def normalized(raw, purity_1, purity_2):
-        # scalars for the campaign, arrays for the bootstrap resamples
-        purity = (purity_1 + purity_2) / 2.0
-        if np.ndim(purity) == 0 and purity <= 0.0:
-            raise ValueError(f"mean sampled segment purity {purity:.6g} is not positive "
-                             f"{campaign}; the {params.kind} estimate cannot be normalized")
-        nonpositive = np.count_nonzero(purity <= 0.0)
-        if nonpositive:
-            raise ValueError(f"{nonpositive} of {BOOTSTRAP_RESAMPLES} bootstrap resamples have "
-                             f"mean sampled segment purity <= 0 {campaign}; the "
-                             f"{params.kind} error bar cannot be normalized")
-        return raw / purity ** power
-
-    return _estimate(params, params.kind, raw_values(table, params),
-                     _per_unitary_purity(table, params, segment=0),
-                     _per_unitary_purity(table, params, segment=1),
-                     statistic=normalized)
+    value = raw.mean() / purity ** power
+    linearized = raw / purity ** power - power * value * (first + second) / (2.0 * purity)
+    return _estimate(params, params.kind, value, linearized)
 
 
 def estimate_reported(records, params) -> EstimatorResult:
@@ -755,16 +698,16 @@ def twirl_check(channel: str, n_samples: int, rng: np.random.Generator) -> Twirl
     conj(a) (psi, v = conj(u)), whose Bloch vector is n with n_y negated.
     The sum of a⊗b over the samples is sum_ij M_ij sigma_i⊗sigma_j, with M
     the (3, 3) sum of the products of the two Bloch vectors, which come from
-    the campaigns' axis map (``_bloch_axes``). The unitaries are
-    ``sample_cue``'s: all real parts are drawn first, then the imaginary
-    parts of BUDGET // 4 samples at a time, and each chunk adds its
-    (3, chunk) @ (chunk, 3) product to M, so only the real parts grow with
-    ``n_samples``."""
+    the campaigns' axis map (``_bloch_axes``). The real parts of all the
+    samples' Ginibre matrices are drawn first, then their imaginary parts
+    BUDGET // 4 samples at a time, which continue one (n_samples, 2, 2)
+    draw; each chunk adds its (3, chunk) @ (chunk, 3) product to M, so only
+    the real parts grow with ``n_samples``."""
     if channel not in ("phi", "psi"):
         raise ValueError(f"channel must be 'phi' or 'psi', got {channel!r}")
     if n_samples < 100:
         raise ValueError("n_samples must be >= 100")
-    real = rng.standard_normal((n_samples, 2, 2))  # sample_cue's first draw
+    real = rng.standard_normal((n_samples, 2, 2))
     moment = np.zeros((3, 3))
     for start in range(0, n_samples, BUDGET // 4):
         chunk = real[start:start + BUDGET // 4]

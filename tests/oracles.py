@@ -9,11 +9,11 @@ import numpy as np
 from topoprobe.groundstate import ground_state
 from topoprobe.hamiltonians import CompiledHamiltonian
 from topoprobe.partitions import reflection_partition
-from topoprobe.protocols import BOOTSTRAP_RESAMPLES, sample_cue
 from topoprobe.rdm import exact_invariant
 
 # two-spin swap |a, b> -> |b, a> with index = bit_a + 2 bit_b
 SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+IDENTITY_2 = np.eye(2, dtype=complex)
 
 
 def apply_site(amps, site, gate):
@@ -37,6 +37,36 @@ def statevector_born(state, partition, gates):
     for site, gate in zip(partition.sites, gates):
         amps = apply_site(amps, site, gate)
     return interval_marginal(amps, partition.sites[0], partition.interval_size)
+
+
+def ginibre(rng, count):
+    """``count`` complex Ginibre 2x2 matrices: all real parts, then all
+    imaginary parts."""
+    return rng.standard_normal((count, 2, 2)) + 1j * rng.standard_normal((count, 2, 2))
+
+
+def qr_haar(matrices):
+    """Q of the unique QR G = QR with R's diagonal positive real, for 2x2
+    G = [[a, b], [c, d]]: Q = [[a/r, -phi conj(c)/r], [c/r, phi conj(a)/r]]
+    with r = sqrt(|a|^2 + |c|^2) and phi = det G / |det G|, unitary to
+    rounding whatever the condition of G (Mezzadri, Notices AMS 54, 592 (2007))."""
+    q = np.empty_like(matrices)
+    q[:, :, 0] = matrices[:, :, 0] / np.linalg.norm(matrices[:, :, 0], axis=1, keepdims=True)
+    det = matrices[:, 0, 0] * matrices[:, 1, 1] - matrices[:, 0, 1] * matrices[:, 1, 0]
+    phase = det / np.abs(det)
+    q[:, 0, 1] = -phase * q[:, 1, 0].conj()
+    q[:, 1, 1] = phase * q[:, 0, 0].conj()
+    return q
+
+
+def sample_cue(rng, count=None):
+    """Haar-random 2x2 unitaries: the Q of complex Ginibre matrices whose R
+    has a positive real diagonal, in closed form (``qr_haar``). That choice
+    makes the QR unique and Q exactly Haar (Mezzadri 2007). Returns shape
+    (2, 2) when ``count`` is None, else (count, 2, 2); the draw order is the
+    campaigns': all real parts, then all imaginary parts."""
+    q = qr_haar(ginibre(rng, 1 if count is None else count))
+    return q[0] if count is None else q
 
 
 def campaign_gates(params, u_index):
@@ -130,18 +160,23 @@ def twirl_pair_average(channel, unitaries, diagonal):
     return np.einsum("nji,j,njk->ik", pair.conj(), np.diagonal(diagonal).real, pair) / n
 
 
-def bootstrap_std(per_unitary, master_seed, normalizer=None):
-    """Bootstrap standard error of the mean over the unitary axis from one
-    (resamples, n) index draw of the seed contract's (1,) stream, all
-    resamples held at once. For a ratio statistic, ``normalizer`` maps the
-    index array to its denominator, resampled jointly with the numerator."""
-    rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(1,)))
-    n = per_unitary.shape[0]
-    picks = rng.integers(0, n, size=(BOOTSTRAP_RESAMPLES, n))
-    values = per_unitary[picks].mean(axis=1)
-    if normalizer is not None:
-        values = values / normalizer(picks)
-    return float(np.std(values))
+def delta_method_std(*per_unitary, power=None):
+    """Standard error of the mean of one per-unitary array, or with
+    ``power`` a of the normalized mean f = mean(raw) / P^a of (raw, first,
+    second), P = (mean(first) + mean(second)) / 2: sqrt(g^T C g / n) with C
+    the sample covariance (``np.cov``, ddof 1) of the arrays and g the
+    gradient of f in their means."""
+    n = len(per_unitary[0])
+    if power is None:
+        gradient = np.ones(1)
+    else:
+        raw, first, second = (values.mean() for values in per_unitary)
+        purity = (first + second) / 2.0
+        value = raw / purity ** power
+        gradient = np.array([purity ** -power, -power * value / (2.0 * purity),
+                             -power * value / (2.0 * purity)])
+    covariance = np.atleast_2d(np.cov(np.stack(per_unitary)))
+    return float(np.sqrt(gradient @ covariance @ gradient / n))
 
 
 def partial_transpose_first_segment(matrix, first_bits, total_bits):

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from topoprobe import analysis, groundstate
+from topoprobe import analysis, groundstate, protocols
 from topoprobe.analysis import (
     SweepSpec,
     correlation_length_fits,
@@ -121,8 +121,8 @@ class TestSweep:
             assert row["error"].startswith("ValueError: mean sampled segment purity")
 
     def test_sampled_rows_consistent_with_exact(self):
-        # bootstrap error bars must cover the exact value at the 3-sigma
-        # level for nearly every point
+        # the error bars must cover the exact value at the 3-sigma level for
+        # nearly every point
         spec = SweepSpec(
             base=HamiltonianSpec(num_sites=8, j=1.0, delta=0.25),
             kind="reflection", pairs=2,
@@ -329,7 +329,9 @@ class TestErrorScaling:
             assert row["std_of_mean"] == float(errors.std() / np.sqrt(8))
 
     def test_nonfinite_estimate_raises(self, scan_state, monkeypatch):
-        monkeypatch.setattr(analysis, "raw_values", lambda records, params: np.array([np.nan]))
+        # the scan takes each value from estimate_raw, whose result rejects it
+        monkeypatch.setattr(protocols, "raw_values",
+                            lambda records, params: np.full(params.n_unitaries, np.nan))
         base = ProtocolParams("reflection", 16, 32, reflection_partition(8, 2), 107)
         with pytest.raises(ValueError, match="not finite"):
             error_scaling_scan(scan_state, base, "n_unitaries", [16], repetitions=8)

@@ -1,6 +1,7 @@
 """Package surface: every exported name resolves, modules import no
-private names from each other, the docs name no attribute that is gone, and
-every program name the benchmark harness uses exists."""
+private names from each other, every module-level name has a caller, the
+docs name no attribute that is gone, and every program name the benchmark
+harness uses exists."""
 import ast
 import importlib
 import importlib.util
@@ -28,6 +29,37 @@ def test_no_private_imports_across_modules():
                 crossings += [f"{path.name}: {alias.name}" for alias in node.names
                               if alias.name.startswith("_")]
     assert crossings == []
+
+
+def _defined_names(statement) -> list[str]:
+    """The names a module-level statement defines: a function, a class, or
+    the targets of an assignment; dunder names such as ``__all__`` aside."""
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        names = [statement.name]
+    elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+        names = [node.id for target in targets for node in ast.walk(target)
+                 if isinstance(node, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+
+
+def test_every_module_level_name_has_a_caller():
+    # a module-level function, class or constant is read by code (a Name or
+    # an Attribute node) in some statement of the package other than its own
+    # definition, or is exported; test-only code belongs in tests/
+    package = pathlib.Path(topoprobe.__file__).parent
+    statements = [(path.stem, statement) for path in sorted(package.glob("*.py"))
+                  for statement in ast.parse(path.read_text(), filename=str(path)).body]
+    read = [{node.id if isinstance(node, ast.Name) else node.attr
+             for node in ast.walk(statement)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+             or isinstance(node, ast.Attribute)} for _module, statement in statements]
+    orphans = [f"{module}.{name}" for index, (module, statement) in enumerate(statements)
+               for name in _defined_names(statement) if name not in topoprobe.__all__
+               and not any(name in names for other, names in enumerate(read) if other != index)]
+    assert orphans == []
 
 
 def test_doc_references_name_module_attributes():

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from topoprobe.groundstate import ground_state
+from topoprobe.hamiltonians import HamiltonianSpec
 from topoprobe.partitions import PartitionSpec, partition_for, reflection_partition, \
     three_segment_partition
 from topoprobe.protocols import (
-    BOOTSTRAP_RESAMPLES,
     BUDGET,
     HAMMING_DIAGONAL,
     SWAP_2,
@@ -22,9 +23,7 @@ from topoprobe.protocols import (
     ProtocolParams,
     _campaign_axes,
     _check_state_layout,
-    _ginibre,
     _per_unitary_purity,
-    _qr_haar,
     _seeded,
     _spawn_words,
     _stream_states,
@@ -35,15 +34,15 @@ from topoprobe.protocols import (
     read_records,
     reflection_weights,
     run_campaign,
-    sample_cue,
     twirl_check,
     write_records,
 )
 from topoprobe.rdm import MAX_INTERVAL, exact_invariant, purity, reduced_density_matrix
 from topoprobe.spincore import SpinState, basis_state, random_state
 
-from oracles import bloch_axes, bootstrap_std, campaign_gates, qr_haar_lapack, \
-    statevector_born, twirl_pair_average, twirl_phi_exact, twirl_psi_exact
+from oracles import bloch_axes, campaign_gates, delta_method_std, ginibre, qr_haar, \
+    qr_haar_lapack, sample_cue, statevector_born, twirl_pair_average, twirl_phi_exact, \
+    twirl_psi_exact
 
 # (kind, pairs) of every engine layout with |I| <= 6
 ENGINE_LAYOUTS = [(kind, pairs) for kind in ("reflection", "purity", "time_reversal")
@@ -83,12 +82,12 @@ class TestCueSampling:
         assert np.max(np.linalg.norm(gram - np.eye(2), axis=(1, 2))) < 1e-14
 
     def test_closed_form_matches_lapack_qr(self):
-        ginibre = _ginibre(np.random.default_rng(4), 100000)
-        q = _qr_haar(ginibre)
+        matrices = ginibre(np.random.default_rng(4), 100000)
+        q = qr_haar(matrices)
         assert np.array_equal(q, sample_cue(np.random.default_rng(4), 100000))
-        assert np.max(np.abs(q - qr_haar_lapack(ginibre))) < 1e-12
+        assert np.max(np.abs(q - qr_haar_lapack(matrices))) < 1e-12
         # Q^dag G is R: upper triangular with a positive real diagonal
-        r = np.einsum("nki,nkj->nij", q.conj(), ginibre)
+        r = np.einsum("nki,nkj->nij", q.conj(), matrices)
         diagonal = np.diagonal(r, axis1=1, axis2=2)
         assert np.max(np.abs(r[:, 1, 0])) < 1e-14
         assert np.max(np.abs(diagonal.imag)) < 1e-14
@@ -304,8 +303,8 @@ class TestEngine:
 
     def test_layout_check_fails_closed(self, state8, monkeypatch):
         # the process generator is checked when it is built, on words not yet
-        # drawn from: a failing check stops a campaign and a bootstrap before
-        # either draws, and a failed build is not cached
+        # drawn from: a failing check stops a campaign before it draws, and a
+        # failed build is not cached, so the next campaign checks again
         import topoprobe.protocols as protocols
 
         params = ProtocolParams("time_reversal", 4, 8, partition_for("time_reversal", 8, 1), 5)
@@ -319,10 +318,15 @@ class TestEngine:
 
         protocols._stream_generator.cache_clear()
         monkeypatch.setattr(protocols, "_check_state_layout", fails)
-        for run in (lambda: run_campaign(state8, params), lambda: estimate_raw(records, params)):
+        for _ in range(2):
             with pytest.raises(RuntimeError, match="layout differs"):
-                run()
+                run_campaign(state8, params)
         assert len(checked) == 2 and protocols._stream_generator.cache_info().currsize == 0
+        # estimates draw nothing
+        monkeypatch.undo()
+        protocols._stream_generator.cache_clear()
+        estimate_raw(records, params)
+        assert protocols._stream_generator.cache_info().currsize == 0
 
     def test_reused_generator_multinomial_matches_fresh_stream(self):
         # the reused generator keeps its binomial constants between draws;
@@ -583,16 +587,6 @@ class TestNormalizedEstimator:
             estimate_normalized(records, params)
         estimate_raw(records, params)  # the raw estimate is still defined
 
-    def test_nonpositive_resample_purity_rejected(self, state8):
-        # 4 unitaries x 2 shots: the campaign's mean purity is positive, but
-        # 23 of the bootstrap resamples average a purity <= 0, which no
-        # error bar can be divided by
-        params = ProtocolParams("reflection", 4, 2, reflection_partition(8, 2), 2)
-        records = run_campaign(state8, params)
-        with pytest.raises(ValueError, match=r"23 of 200 bootstrap resamples have mean sampled "
-                                             r"segment purity <= 0 \(4 unitaries x 2 shots\)"):
-            estimate_normalized(records, params)
-
     def test_rejects_unnormalizable_kind(self, state8):
         part = three_segment_partition(8, 1)
         params = ProtocolParams("d2", 8, 16, part, 22)
@@ -603,71 +597,73 @@ class TestNormalizedEstimator:
 
 class TestGoldenEstimates:
     # every estimator on the fixed N = 8 state, 24 unitaries x 7 shots,
-    # master seed 31: (value, std_error) pinned bit for bit on shot counts
-    # (7 shots, so the cross-correlation frequencies are not dyadic) and to
-    # 1e-12 on Born probabilities; any change to the estimator arithmetic,
-    # the bootstrap stream or the campaign moves them
+    # master seed 31: values pinned bit for bit on shot counts (7 shots, so
+    # the cross-correlation frequencies are not dyadic) and to 1e-12 on Born
+    # probabilities; std_errors pinned from the delta-method oracle
+    # (``delta_method_std``), to 1e-12 relative on shot counts and 1e-12 on
+    # Born probabilities; any change to the estimator arithmetic or the
+    # campaign moves them
     GOLDEN = {
         "reflection": {
             "sampled": {
-                "raw": (-0.053571428571428575, 0.1763005382384389),
-                "normalized": (-0.09970501410659877, 0.36405539491149563),
-                "purity_first": (0.24999999999999997, 0.13228092315366372),
-                "purity_last": (0.32738095238095233, 0.11219752973597445),
+                "raw": (-0.053571428571428575, 0.1823741072509018),
+                "normalized": (-0.09970501410659877, 0.3406482448080507),
+                "purity_first": (0.24999999999999997, 0.1387211843663908),
+                "purity_last": (0.32738095238095233, 0.124753281117417),
             },
             "exact": {
-                "raw": (0.27756585517780974, 0.028415829283892146),
-                "normalized": (0.5467087372631422, 0.05648572010929484),
-                "purity_first": (0.25503128250846335, 0.0007308313087783925),
-                "purity_last": (0.26049409250341027, 0.0017996578553647932),
+                "raw": (0.27756585517780974, 0.027020019744660898),
+                "normalized": (0.5467087372631422, 0.053710879667574624),
+                "purity_first": (0.25503128250846335, 0.0007259560283627632),
+                "purity_last": (0.26049409250341027, 0.0017845302440633705),
             },
         },
         "purity": {
             "sampled": {
-                "purity_first": (0.2619047619047619, 0.12598390760691236),
-                "purity_last": (0.21428571428571427, 0.08176387189267693),
+                "purity_first": (0.2619047619047619, 0.13395301134262372),
+                "purity_last": (0.21428571428571427, 0.08512565307587486),
             },
             "exact": {
-                "purity_first": (0.2560895269942146, 0.0005677221976427578),
-                "purity_last": (0.26006622543184194, 0.001732496474138091),
+                "purity_first": (0.2560895269942146, 0.0006054217661295847),
+                "purity_last": (0.26006622543184194, 0.001842364270467576),
             },
         },
         "time_reversal": {
             "sampled": {
-                "raw": (0.20663265306122444, 0.14082227647515555),
-                "normalized": (1.31180340667481, 1.1617265033778745),
-                "purity_first": (0.2916666666666667, 0.10066537425399134),
-                "purity_last": (0.2916666666666667, 0.115729640246219),
+                "raw": (0.20663265306122444, 0.14515887970336303),
+                "normalized": (1.31180340667481, 0.9962879500670703),
+                "purity_first": (0.2916666666666667, 0.11028155151857261),
+                "purity_last": (0.2916666666666667, 0.12940812601218216),
             },
             "exact": {
-                "raw": (0.07436701539236001, 0.004844456511434545),
-                "normalized": (0.5675336928398758, 0.03876484288354084),
-                "purity_first": (0.25590141374450776, 0.0009418492012769495),
-                "purity_last": (0.2600662254318419, 0.00173249647413809),
+                "raw": (0.07436701539236001, 0.0050775492478181816),
+                "normalized": (0.5675336928398758, 0.040595715757532146),
+                "purity_first": (0.25590141374450776, 0.0009247703643226187),
+                "purity_last": (0.2600662254318419, 0.0018423642704675789),
             },
         },
         "d2": {
             "sampled": {
-                "raw": (-0.004251700680272104, 0.07075197398145952),
-                "purity_first": (0.4761904761904761, 0.05477196465569678),
-                "purity_last": (0.5357142857142857, 0.08539438899796403),
+                "raw": (-0.004251700680272104, 0.07175506534990099),
+                "purity_first": (0.4761904761904761, 0.05874228140418678),
+                "purity_last": (0.5357142857142857, 0.0865256628307766),
             },
             "exact": {
-                "raw": (-0.004661640887760117, 0.001789082870579843),
-                "purity_first": (0.5009503443020478, 0.00021039215415184068),
-                "purity_last": (0.5012233396762574, 0.0002321834572366291),
+                "raw": (-0.004661640887760117, 0.0018464902627611957),
+                "purity_first": (0.5009503443020478, 0.000213525694931922),
+                "purity_last": (0.5012233396762574, 0.0002287202148557481),
             },
         },
         "klein_bottle": {
             "sampled": {
-                "raw": (0.08078231292517006, 0.055164278483801364),
-                "purity_first": (0.5595238095238094, 0.08024407830596973),
-                "purity_last": (0.5119047619047619, 0.0642339959509578),
+                "raw": (0.08078231292517006, 0.05655408170812149),
+                "purity_first": (0.5595238095238094, 0.08508945249882813),
+                "purity_last": (0.5119047619047619, 0.06430104870403382),
             },
             "exact": {
-                "raw": (-0.008944773339190304, 0.001353213810569118),
-                "purity_first": (0.5008703501832579, 0.00016446645814832076),
-                "purity_last": (0.5012233396762574, 0.00023218345723662886),
+                "raw": (-0.008944773339190304, 0.0014511725450908793),
+                "purity_first": (0.5008703501832579, 0.0001662129879929784),
+                "purity_last": (0.5012233396762574, 0.00022872021485574568),
             },
         },
     }
@@ -689,18 +685,21 @@ class TestGoldenEstimates:
         for name, (value, std_error) in golden.items():
             result = estimates[name]
             if mode == "sampled":
-                assert (result.value, result.std_error) == (value, std_error), name
+                assert result.value == value, name
+                assert result.std_error == pytest.approx(std_error, rel=1e-12, abs=0), name
             else:
                 assert result.value == pytest.approx(value, abs=1e-12), name
                 assert result.std_error == pytest.approx(std_error, abs=1e-12), name
 
 
 class TestStreamedBootstrap:
-    # the bootstrap draws and reduces its resamples BUDGET // n at a time;
-    # every estimate must equal the one-draw reference bit for bit: one
-    # chunk, both sides of the one-chunk edge, and many chunks
-    EDGE = BUDGET // BOOTSTRAP_RESAMPLES  # the largest n reduced in one chunk
-    SIZES = (2, EDGE, EDGE + 1, 4097, 20000)
+    # every estimate against the delta-method oracle, which builds each
+    # error from the sample covariance of (raw, purity 1, purity 2) and the
+    # gradient of the estimate in their means: from the smallest campaign
+    # to 20 000 unitaries, on shot counts and on Born probabilities (the
+    # class keeps the name of the bootstrap these errors replaced, so the
+    # suite's test ids stay stable)
+    SIZES = (2, 327, 4097, 20000)
 
     @staticmethod
     def campaign(n_unitaries, exact):
@@ -711,23 +710,14 @@ class TestStreamedBootstrap:
 
     @staticmethod
     def reference(records, params):
-        """(value, std_error) of every estimate, with the one-draw bootstrap."""
+        """(value, std_error) of every estimate, the errors from the oracle."""
         raw = raw_values(records, params)
         first, last = (_per_unitary_purity(records, params, segment) for segment in (0, 1))
-        seed = params.master_seed
-
-        def denominator(picks):
-            return ((first[picks].mean(axis=1) + last[picks].mean(axis=1)) / 2.0) ** 1.5
-
-        return {"raw": (float(raw.mean()), bootstrap_std(raw, seed)),
-                "purity_first": (float(first.mean()), bootstrap_std(first, seed)),
-                "purity_last": (float(last.mean()), bootstrap_std(last, seed)),
+        return {"raw": (float(raw.mean()), delta_method_std(raw)),
+                "purity_first": (float(first.mean()), delta_method_std(first)),
+                "purity_last": (float(last.mean()), delta_method_std(last)),
                 "normalized": (float(raw.mean() / ((first.mean() + last.mean()) / 2.0) ** 1.5),
-                               bootstrap_std(raw, seed, denominator))}
-
-    def test_sizes_straddle_the_chunk_edge(self):
-        assert BUDGET // self.EDGE >= BOOTSTRAP_RESAMPLES > BUDGET // (self.EDGE + 1)
-        assert BUDGET // 20000 < BUDGET // 4097 < BOOTSTRAP_RESAMPLES / 2
+                               delta_method_std(raw, first, last, power=1.5))}
 
     @pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact"])
     @pytest.mark.parametrize("n_unitaries", SIZES)
@@ -737,16 +727,15 @@ class TestStreamedBootstrap:
                      "purity_first": estimate_purity(records, params, segment=0),
                      "purity_last": estimate_purity(records, params, segment=1),
                      "normalized": estimate_normalized(records, params)}
-        for name, expected in self.reference(records, params).items():
-            assert (estimates[name].value, estimates[name].std_error) == expected, name
+        for name, (value, std_error) in self.reference(records, params).items():
+            assert estimates[name].value == value, name
+            assert estimates[name].std_error == pytest.approx(std_error, rel=1e-12, abs=0), name
 
     def test_traced_peak_is_bounded(self):
         # 20 000 unitaries of exact probabilities at N = 8: the estimate
         # reads the outcome table in place and holds one kernel form's
-        # temporaries (the size of the table), O(n) per-unitary arrays, and
-        # one chunk of BUDGET indices and gathered values; a float copy of
-        # the table would add its size again, and one (200, n) draw alone
-        # would hold 200 n int64 indices (32 MB)
+        # temporaries (the size of the table) and a few O(n) per-unitary
+        # arrays; a float copy of the table would add its size again
         records, params = self.campaign(20000, True)
         tracemalloc.start()
         try:
@@ -755,6 +744,31 @@ class TestStreamedBootstrap:
         finally:
             tracemalloc.stop()
         assert peak < records.outcomes.nbytes + 3 * 8 * BUDGET
+
+
+class TestErrorCalibration:
+    # the closed-form errors are calibrated: over 400 master seeds, the
+    # spread of the estimates matches the mean squared error they report,
+    # var(estimates, ddof=1) / mean(std_error^2) in [0.8, 1.25] (the ratio's
+    # own noise is about sqrt(2 / 399) = 7 %)
+    SEEDS = 400
+
+    @pytest.mark.parametrize("kind", ["reflection", "time_reversal"])
+    def test_spread_matches_reported_error(self, kind):
+        spec = HamiltonianSpec(num_sites=8, j=1.0, j_prime=3.0, delta=0.25)
+        state = ground_state(spec).state
+        partition = reflection_partition(8, 2)
+        results = {"raw": [], "normalized": []}
+        for master_seed in range(self.SEEDS):
+            params = ProtocolParams(kind, 64, 16, partition, master_seed)
+            records = run_campaign(state, params)
+            results["raw"].append(estimate_raw(records, params))
+            results["normalized"].append(estimate_normalized(records, params))
+        for name, estimates in results.items():
+            values = np.array([result.value for result in estimates])
+            errors = np.array([result.std_error for result in estimates])
+            ratio = np.var(values, ddof=1) / np.mean(errors ** 2)
+            assert 0.8 <= ratio <= 1.25, (name, ratio)
 
 
 class TestTwirl:

@@ -24,7 +24,6 @@ from topoprobe.spincore import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    IDENTITY_2,
     SpinState,
     basis_state,
     random_state,
@@ -32,6 +31,7 @@ from topoprobe.spincore import (
 from topoprobe.protocols import HAMMING_DIAGONAL
 
 from oracles import (
+    IDENTITY_2,
     partial_transpose_first_segment,
     reflect_index,
     twirl_phi_exact,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from topoprobe.protocols import _shot_distributions, sample_cue
+from topoprobe.protocols import _shot_distributions
 from topoprobe.spincore import (
     SpinState,
     basis_state,
@@ -15,7 +15,7 @@ from topoprobe.spincore import (
     reflection_permutation,
 )
 
-from oracles import apply_site, hamming_distance, interval_marginal, reflect_index
+from oracles import apply_site, hamming_distance, interval_marginal, reflect_index, sample_cue
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
